@@ -28,11 +28,20 @@ Two invalidation mechanisms keep cached analyses honest:
 Code that rewrites a function by hand (tests, drivers) and wants to be
 explicit can call ``analyses(func).invalidate_all()``; stamps make that
 optional for shape analyses and merely prudent for body analyses.
+
+**Lifetime.**  A function owns its manager: :func:`analyses` keeps it
+in ``func.analysis_manager`` and nothing else refers to it.  The
+manager, and every analysis it caches, point back at the function, so
+the lot is one reference cycle that becomes garbage with the function —
+a compiled module, an SSA copy made for a proof, a lospre trial clone —
+and the cycle collector frees it.  (A table keyed weakly by the
+function cannot do this: the value holds the key alive, so no entry
+would ever die.)  The counters in :data:`GLOBAL_STATS` are
+process-wide and outlive every manager.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 from repro.ir.function import Function
@@ -288,15 +297,13 @@ class AnalysisManager:
         )
 
 
-#: One manager per live Function object; entries die with the function.
-_MANAGERS: "weakref.WeakKeyDictionary[Function, AnalysisManager]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def analyses(func: Function) -> AnalysisManager:
-    """The (per-process, per-object) :class:`AnalysisManager` of ``func``."""
-    manager = _MANAGERS.get(func)
+    """The :class:`AnalysisManager` of ``func``, created on first use.
+
+    Owned by ``func`` (see *Lifetime* in the module docstring), so the
+    same object comes back for as long as the function lives.
+    """
+    manager = func.analysis_manager
     if manager is None:
-        manager = _MANAGERS[func] = AnalysisManager(func)
+        manager = func.analysis_manager = AnalysisManager(func)
     return manager

@@ -83,6 +83,9 @@ class Function:
         self.blocks: list[BasicBlock] = []
         self._reg_counter = itertools.count()
         self._label_counter = itertools.count()
+        #: this function's :class:`~repro.analysis.manager.AnalysisManager`,
+        #: created by :func:`repro.analysis.manager.analyses` on first use
+        self.analysis_manager = None
 
     # -- structure ------------------------------------------------------------
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.analysis.manager import analyses
 from repro.ir.function import Function, Module
@@ -67,6 +67,9 @@ from repro.pm.registry import (
     spec_label,
 )
 from repro.pm.remarks import Remark, RemarkCollector, remark_context
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.verify.transval import IRSnapshot
 
 #: The single-token policies ``parse_verify`` accepts (comma-combinable).
 VERIFY_POLICIES = (
@@ -120,7 +123,7 @@ class VerifyPlan:
 
     @property
     def snapshot_each(self) -> bool:
-        """Policies that need the pre-pass printing after every pass."""
+        """Policies that compare every pass's input with its output."""
         return self.transval_each or self.certify_each
 
     @property
@@ -479,17 +482,28 @@ class PassManager:
         Returns the number of *contained* events (rolled-back passes
         plus bisect-skipped applications) — zero means the run is the
         pure image of (input, sequence) and is safe to cache.
+
+        Under ``transval``/``certify`` each IR state is snapshotted once
+        (:class:`~repro.verify.transval.IRSnapshot`): ``state`` is the
+        last verified one, and pass *i*'s after-state becomes pass
+        *i+1*'s before-state.  It describes ``func`` at the top of every
+        iteration — a rolled-back pass restores ``func`` to it and a
+        bisect-skipped one leaves both alone — so it doubles as the
+        sandbox's pre-pass restore point.
         """
+        from repro.verify.transval import IRSnapshot
+
         started = time.perf_counter()
         plan = self.verify_plan
         manager = analyses(func)
         sandbox = self.on_error != "raise"
         chaos = self.chaos
-        entry: Optional[Function] = func.clone() if sandbox else None
-        entry_text = (
-            print_function(func)
-            if (plan.snapshot_final or sandbox) else None
+        entry: Optional[IRSnapshot] = (
+            IRSnapshot(func.clone())
+            if (sandbox or plan.snapshot_each or plan.snapshot_final)
+            else None
         )
+        state = entry if plan.snapshot_each else None
         first_application = self._applications
         contained = 0
         for index, (label, pass_fn, preserves) in enumerate(zip(
@@ -508,8 +522,9 @@ class PassManager:
                         {"pass": label, "application": application},
                     ))
                 continue
-            snapshot = func.clone() if sandbox else None
-            before_text = print_function(func) if plan.snapshot_each else None
+            snapshot = None
+            if sandbox:
+                snapshot = state.func if state is not None else func.clone()
             before = _sizes(func)
             chaos_fired: Optional[dict] = None
             t0 = time.perf_counter()
@@ -534,10 +549,13 @@ class PassManager:
                 )
                 if plan.check_each:
                     self._check(func, label, collector, lint=plan.lint_each)
-                if plan.certify_each:
-                    self._certify(func, label, before_text, collector)
-                elif plan.transval_each:
-                    self._transval(func, label, before_text, collector)
+                if state is not None:
+                    # taken after any chaos corruption, so that is
+                    # certified too; adopted only once it verifies
+                    state = self._verify_semantics(
+                        state, func, label, collector,
+                        certify=plan.certify_each,
+                    )
             except Exception as error:  # noqa: BLE001 — policy boundary
                 if not sandbox:
                     raise  # on_error="raise": byte-identical legacy path
@@ -548,7 +566,6 @@ class PassManager:
                     index=index,
                     application=application - first_application,
                     entry=entry,
-                    entry_text=entry_text,
                     chaos_fired=chaos_fired,
                     collector=collector,
                 )
@@ -556,10 +573,11 @@ class PassManager:
         try:
             if plan.check_final:
                 self._check(func, final_label, collector, lint=plan.lint_final)
-            if plan.certify_final:
-                self._certify(func, final_label, entry_text, collector)
-            elif plan.transval_final:
-                self._transval(func, final_label, entry_text, collector)
+            if plan.snapshot_final:
+                self._verify_semantics(
+                    entry, func, final_label, collector,
+                    certify=plan.certify_final,
+                )
         except Exception as error:  # noqa: BLE001 — policy boundary
             if not sandbox:
                 raise
@@ -567,12 +585,11 @@ class PassManager:
             # (which the caller already accepted as valid input)
             contained += 1
             self._contain(
-                func, entry, manager, error,
+                func, entry.func, manager, error,
                 label=final_label,
                 index=len(self.labels) - 1,
                 application=self._applications - first_application,
-                entry=None,
-                entry_text=entry_text,
+                entry=entry,
                 chaos_fired=None,
                 collector=collector,
             )
@@ -583,35 +600,34 @@ class PassManager:
     def _contain(
         self,
         func: Function,
-        snapshot: Optional[Function],
+        snapshot: Function,
         manager,
         error: Exception,
         *,
         label: str,
         index: int,
         application: int,
-        entry: Optional[Function],
-        entry_text: Optional[str],
+        entry: IRSnapshot,
         chaos_fired: Optional[dict],
         collector: Optional[RemarkCollector],
     ) -> None:
         """Roll ``func`` back and record the incident (sandbox modes).
 
-        Under ``rollback`` the pre-pass snapshot is restored and the
+        Under ``rollback`` the pre-pass ``snapshot`` is restored and the
         pipeline continues; under ``degrade`` the pipeline-entry IR is
         restored and :class:`DegradationRequired` aborts the run.
+        ``func`` adopts a copy: the snapshots are verifier states and
+        must never share blocks with live IR.
         """
-        restore = entry if self.on_error == "degrade" and entry is not None \
-            else snapshot
-        if restore is not None:
-            _adopt(func, restore)
-            manager.invalidate_all()
+        restore = entry.func if self.on_error == "degrade" else snapshot
+        _adopt(func, restore.clone())
+        manager.invalidate_all()
         incident_id = self._record_incident(
             func, error,
             label=label,
             index=index,
             application=application,
-            entry_text=entry_text,
+            entry=entry,
             chaos_fired=chaos_fired,
         )
         if collector is not None:
@@ -636,7 +652,7 @@ class PassManager:
         label: str,
         index: int,
         application: int,
-        entry_text: Optional[str],
+        entry: IRSnapshot,
         chaos_fired: Optional[dict],
     ) -> Optional[str]:
         """Persist one contained failure to the attached recorder."""
@@ -646,7 +662,7 @@ class PassManager:
             chaos_descriptor = getattr(error, "descriptor", None) or None
         record = {
             "function": func.name,
-            "input_ir": entry_text or "",
+            "input_ir": print_function(entry.func),
             "specs": [[name, options] for name, options in self.specs],
             "sequence": self.sequence_name,
             "verify": self.verify,
@@ -708,50 +724,74 @@ class PassManager:
                 label, func.name, [diagnostic], sequence=self.sequence_name
             ) from error
 
-    def _transval(
+    def _verify_semantics(
         self,
+        before: IRSnapshot,
         func: Function,
         label: str,
-        before_text: str,
+        collector: Optional[RemarkCollector],
+        *,
+        certify: bool,
+    ) -> IRSnapshot:
+        """Certify (or replay-validate) ``before`` → ``func``.
+
+        Returns the snapshot of ``func`` it checked, the next pass's
+        before-state; raises :class:`PassVerificationError` on failure.
+        """
+        from repro.verify.transval import IRSnapshot
+
+        after = IRSnapshot(func.clone())
+        if certify:
+            self._certify(before, after, label, collector)
+        else:
+            self._transval(before, after, label, collector)
+        return after
+
+    def _transval(
+        self,
+        before: IRSnapshot,
+        after: IRSnapshot,
+        label: str,
         collector: Optional[RemarkCollector],
     ) -> None:
-        """Replay ``before_text`` vs the current ``func`` through the oracle."""
+        """Replay ``before`` vs ``after`` through the interpreting oracle."""
         from repro.verify.transval import validate_translation
 
-        diagnostics = validate_translation(parse_function(before_text), func)
+        diagnostics = validate_translation(before, after)
         self._emit_diagnostics(diagnostics, label, collector)
         if diagnostics:
             raise PassVerificationError(
-                label, func.name, diagnostics, sequence=self.sequence_name
+                label, after.func.name, diagnostics, sequence=self.sequence_name
             )
 
     def _certify(
         self,
-        func: Function,
+        before: IRSnapshot,
+        after: IRSnapshot,
         label: str,
-        before_text: str,
         collector: Optional[RemarkCollector],
     ) -> None:
-        """Statically certify ``before_text`` → ``func``; replay fallback.
+        """Statically certify ``before`` → ``after``; replay fallback.
 
         A ``refuted`` verdict (the PRE placement audit found a contract
         violation) is fatal immediately.  A ``proved`` verdict is final
         — nothing is executed.  ``inconclusive`` falls back to the
         interpreting :func:`~repro.verify.transval.validate_translation`
         oracle, so ``verify="certify"`` is never weaker than replay —
-        just cheaper wherever the static proof lands.
+        just cheaper wherever the static proof lands.  The fallback
+        reuses the fingerprints the proof already put on the snapshots.
         """
         from repro.verify.certify import certify_pass
 
-        before = parse_function(before_text)
-        result = certify_pass(before, func, pass_name=label)
+        result = certify_pass(before, after, pass_name=label)
+        name = after.func.name
         self._emit_diagnostics(
             list(result.diagnostics) + list(result.remarks), label, collector
         )
         if collector is not None:
             collector.add(Remark(
                 label,
-                func.name,
+                name,
                 "certify",
                 {
                     "verdict": result.verdict,
@@ -765,10 +805,10 @@ class PassManager:
 
             fatal = errors(result.diagnostics) or result.diagnostics
             raise PassVerificationError(
-                label, func.name, fatal, sequence=self.sequence_name
+                label, name, fatal, sequence=self.sequence_name
             )
         if not result.proved:
-            self._transval(func, label, before_text, collector)
+            self._transval(before, after, label, collector)
 
     def _emit_diagnostics(
         self, diagnostics, label: str, collector: Optional[RemarkCollector]

@@ -49,6 +49,7 @@ from repro.verify.diagnostics import (
 from repro.verify.lint import LintError, lint_function, lint_module
 from repro.verify.transval import (
     InputCase,
+    IRSnapshot,
     generate_cases,
     semantic_fingerprint,
     validate_translation,
@@ -60,6 +61,7 @@ __all__ = [
     "Diagnostic",
     "EquivalenceProof",
     "InputCase",
+    "IRSnapshot",
     "LintError",
     "PlacementAudit",
     "Reporter",

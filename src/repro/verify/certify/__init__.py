@@ -23,6 +23,11 @@ certify``) falls back to the interpreter-replay oracle
 :func:`repro.verify.transval.validate_translation` for a dynamic
 verdict.  Neither engine mutates its inputs, so the same ``before``
 function can be handed on to the fallback.
+
+Every entry point takes plain functions or snapshots
+(:class:`~repro.verify.transval.IRSnapshot`).  A snapshot keeps the
+α-fingerprint and the SSA form it derives, so the fallback, and the
+next pass's proof that starts from this pass's output, reuse them.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from repro.verify.certify.placement import (
     audit_placement,
 )
 from repro.verify.certify.valuegraph import EquivalenceProof, prove_equivalence
+from repro.verify.transval import IRSnapshot
 
 __all__ = [
     "PRE_PASSES",
@@ -72,8 +78,8 @@ class CertifyResult:
 
 
 def certify_pass(
-    before: Function,
-    after: Function,
+    before: Function | IRSnapshot,
+    after: Function | IRSnapshot,
     *,
     pass_name: Optional[str] = None,
 ) -> CertifyResult:
@@ -84,9 +90,8 @@ def certify_pass(
     routes PRE runs through the placement audit in addition to the
     value-graph proof.
     """
-    from repro.verify.transval import semantic_fingerprint
-
-    if semantic_fingerprint(before) == semantic_fingerprint(after):
+    before, after = IRSnapshot.of(before), IRSnapshot.of(after)
+    if before.fingerprint == after.fingerprint:
         # the pass was an identity (modulo register naming): nothing
         # was inserted or deleted, so the placement audit is vacuous
         return CertifyResult(
@@ -102,7 +107,8 @@ def certify_pass(
         # except that a profile-witnessed speculative insertion is
         # accepted where the conservative audit would refute
         audit = audit_placement(
-            before, after, speculative=base in SPECULATIVE_PRE_PASSES
+            before.func, after.func,
+            speculative=base in SPECULATIVE_PRE_PASSES,
         )
         if audit.verdict == "refuted":
             return CertifyResult(

@@ -150,7 +150,10 @@ def audit_placement(
     for label in sorted(labels_before):
         counts_before = occurrences_before[label]
         counts_after = occurrences_after[label]
-        for key in set(counts_before) | set(counts_after):
+        # sorted: ``Opcode`` hashes by identity, so set order (and with
+        # it the order of the diagnostics and notes) would follow memory
+        # addresses from run to run
+        for key in sorted(set(counts_before) | set(counts_after), key=repr):
             diff = counts_after[key] - counts_before[key]
             if diff > 0:
                 checks += 1

@@ -49,7 +49,7 @@ interpreter oracle's small generated inputs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -62,6 +62,9 @@ from repro.ir.opcodes import (
 )
 from repro.passes.fold import fold_operation
 from repro.verify.diagnostics import Diagnostic
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.verify.transval import IRSnapshot
 
 #: Fixpoint bound for the joint value numbering; exceeded → inconclusive.
 _MAX_ROUNDS = 60
@@ -88,10 +91,6 @@ class EquivalenceProof:
     obligations: int = 0
     rounds: int = 0
     diagnostics: list = field(default_factory=list)
-
-
-def _copy(func: Function) -> Function:
-    return func.clone()
 
 
 # -- CFG normalization ---------------------------------------------------------
@@ -187,10 +186,17 @@ def _normalize_cfg(func: Function) -> None:
             return
 
 
-def _prepare(func: Function) -> Function:
+def prepare(func: Function) -> Function:
+    """A copy of ``func`` in SSA with its CFG normalized; ``func`` is untouched.
+
+    Each side of a proof is matched and value-numbered in this form.
+    :meth:`~repro.verify.transval.IRSnapshot.ssa_form` keeps it, so a
+    state that is one proof's ``after`` and the next one's ``before`` is
+    converted once.  The proof only reads it.
+    """
     from repro.ssa import to_ssa
 
-    copy = _copy(func)
+    copy = func.clone()
     to_ssa(copy)
     _normalize_cfg(copy)
     return copy
@@ -878,36 +884,39 @@ def _check_obligations(prover: _Prover, function_name: str):
 
 
 def prove_equivalence(
-    before: Function,
-    after: Function,
+    before: Function | IRSnapshot,
+    after: Function | IRSnapshot,
     *,
     skip_fingerprint: bool = False,
 ) -> EquivalenceProof:
     """Statically prove that ``after`` preserves ``before``'s behaviour.
 
     Neither argument is mutated (everything runs on private copies).
-    ``proved=False`` never means "refuted" — only that no proof was
-    found; callers fall back to
+    Either side may be an :class:`~repro.verify.transval.IRSnapshot`,
+    whose fingerprint and SSA form are reused (and filled in on first
+    use).  ``proved=False`` never means "refuted" — only that no proof
+    was found; callers fall back to
     :func:`repro.verify.transval.validate_translation` for a dynamic
     verdict.  ``skip_fingerprint`` is for callers (``certify_pass``)
     that already compared the sides' semantic fingerprints and found
     them different.
     """
     from repro.verify.lint import is_backend_function
-    from repro.verify.transval import semantic_fingerprint
+    from repro.verify.transval import IRSnapshot
 
-    if not skip_fingerprint and semantic_fingerprint(before) == semantic_fingerprint(after):
+    before, after = IRSnapshot.of(before), IRSnapshot.of(after)
+    if not skip_fingerprint and before.fingerprint == after.fingerprint:
         return EquivalenceProof(True, "alpha-equivalent printings")
-    if is_backend_function(before) or is_backend_function(after):
+    if is_backend_function(before.func) or is_backend_function(after.func):
         return EquivalenceProof(
             False, "machine-level IR (gated by the cycle simulator instead)"
         )
-    if len(before.params) != len(after.params):
+    if len(before.func.params) != len(after.func.params):
         return EquivalenceProof(False, "parameter lists differ")
 
     try:
-        side_a = _Side(_prepare(before))
-        side_b = _Side(_prepare(after))
+        side_a = _Side(before.ssa_form())
+        side_b = _Side(after.ssa_form())
     except Exception as error:  # noqa: BLE001 — any failure is inconclusive
         return EquivalenceProof(False, f"SSA normalization failed: {error}")
 
@@ -947,7 +956,7 @@ def prove_equivalence(
             f"value numbering did not converge in {_MAX_ROUNDS} rounds",
             rounds=prover.rounds,
         )
-    count, failure = _check_obligations(prover, after.name)
+    count, failure = _check_obligations(prover, after.func.name)
     if failure is not None:
         return EquivalenceProof(
             False,

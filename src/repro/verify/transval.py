@@ -94,6 +94,50 @@ def semantic_fingerprint(func: Function) -> str:
     return hashlib.sha256(canonical_text(func).encode()).hexdigest()
 
 
+class IRSnapshot:
+    """One IR state, frozen for the semantic verifiers.
+
+    Wraps a function nothing may mutate any more — the pass manager
+    hands it a fresh :meth:`~repro.ir.function.Function.clone` — and
+    derives its α-fingerprint and the value graph's SSA-normalized form
+    on first use, once.  The pass manager hands pass *i*'s after-state
+    on as pass *i+1*'s before-state, so each state between two passes
+    is copied, printed, hashed and converted to SSA once, however many
+    verdicts read it.  :func:`validate_translation` and the certifier's
+    entry points wrap a plain :class:`Function` argument (:meth:`of`).
+    """
+
+    __slots__ = ("func", "_fingerprint", "_ssa")
+
+    def __init__(self, func: Function) -> None:
+        self.func = func
+        self._fingerprint: Optional[str] = None
+        self._ssa: Optional[Function] = None
+
+    @classmethod
+    def of(cls, state: Function | IRSnapshot) -> IRSnapshot:
+        """``state`` itself, or a snapshot wrapping the plain function."""
+        return state if isinstance(state, IRSnapshot) else cls(state)
+
+    @property
+    def fingerprint(self) -> str:
+        """:func:`semantic_fingerprint` of the state, computed once."""
+        if self._fingerprint is None:
+            self._fingerprint = semantic_fingerprint(self.func)
+        return self._fingerprint
+
+    def ssa_form(self) -> Function:
+        """The state in SSA, CFG-normalized for the value graph; built once.
+
+        See :func:`repro.verify.certify.valuegraph.prepare`.
+        """
+        if self._ssa is None:
+            from repro.verify.certify.valuegraph import prepare
+
+            self._ssa = prepare(self.func)
+        return self._ssa
+
+
 # -- deterministic input generation -------------------------------------------
 
 
@@ -229,8 +273,8 @@ def _summarize(outcome: tuple) -> str:
 
 
 def validate_translation(
-    before: Function,
-    after: Function,
+    before: Function | IRSnapshot,
+    after: Function | IRSnapshot,
     *,
     cases: Optional[list[InputCase]] = None,
     max_steps: int = _MAX_STEPS,
@@ -240,9 +284,13 @@ def validate_translation(
     Returns an empty list when the functions are equivalent as far as
     the oracle can tell (including "every case was inconclusive"), and
     one ``transval`` error diagnostic for the first diverging case.
+    Either side may be an :class:`IRSnapshot`, whose fingerprint is
+    reused.
     """
-    if semantic_fingerprint(before) == semantic_fingerprint(after):
+    before, after = IRSnapshot.of(before), IRSnapshot.of(after)
+    if before.fingerprint == after.fingerprint:
         return []
+    before, after = before.func, after.func
     from repro.verify.lint import is_backend_function
 
     if is_backend_function(before) or is_backend_function(after):

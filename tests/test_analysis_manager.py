@@ -1,7 +1,11 @@
 """The per-function AnalysisManager: caching, stamps, declared invalidation."""
 
+import gc
+import weakref
+
 from repro.analysis.manager import (
     GLOBAL_STATS,
+    AnalysisManager,
     analyses,
     body_stamp,
     cfg_stamp,
@@ -10,6 +14,8 @@ from repro.ir import parse_function
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode
 from repro.passes.pre_common import prepare_pre
+from repro.pipeline import OptLevel, compile_source
+from repro.verify.certify import prove_equivalence
 
 DIAMOND = """
 function f(r0, r1, r2) {
@@ -135,3 +141,46 @@ def test_pre_context_cached_across_both_solvers():
         0, Instruction(Opcode.LOADI, target="r9", imm=7)
     )
     assert prepare_pre(func) is not ctx
+
+
+# -- lifetime ------------------------------------------------------------------
+
+SAXPY = """
+routine saxpy(n: int, a: real, x: real[64], y: real[64])
+  integer i
+  do i = 1, n
+    y(i) = y(i) + a * x(i)
+  end
+end
+"""
+
+
+def _live_managers() -> int:
+    gc.collect()
+    return sum(isinstance(obj, AnalysisManager) for obj in gc.get_objects())
+
+
+def test_analyses_die_with_their_function():
+    func = _func()
+    manager = analyses(func)
+    manager.cfg(), manager.dominators(), manager.liveness()
+    alive = weakref.ref(func)
+    del func, manager
+    gc.collect()
+    assert alive() is None
+
+
+def test_prove_equivalence_leaves_no_manager_behind():
+    before, after = _func(), _func()
+    baseline = _live_managers()
+    # skip_fingerprint forces the SSA copies the proof builds and analyses
+    assert prove_equivalence(before, after, skip_fingerprint=True).proved
+    assert _live_managers() == baseline
+
+
+def test_certified_compile_leaves_no_manager_behind():
+    baseline = _live_managers()
+    module = compile_source(SAXPY, level=OptLevel.DISTRIBUTION, verify="certify")
+    assert _live_managers() > baseline  # the compiled function keeps its own
+    del module
+    assert _live_managers() == baseline

@@ -3,6 +3,10 @@ the seeded miscompile-injection suite, PassManager wiring, the fuzz
 corpus, and the ``repro certify`` / ``repro bench certify`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +21,10 @@ from repro.ir.printer import print_function
 from repro.pipeline import OptLevel, compile_source
 from repro.pipeline.levels import LEVEL_SEQUENCES
 from repro.pm.manager import PassManager, PassVerificationError, parse_verify
-from repro.pm.registry import resolve_spec
+from repro.pm.registry import get_sequence, register_pass, resolve_spec, spec_label
 from repro.pm.remarks import RemarkCollector
+from repro.profile.collect import collect_module_profiles, prepare_profiled_module
+from repro.profile.store import ProfileStore, set_default_store
 from repro.verify import (
     audit_placement,
     certify_pass,
@@ -302,6 +308,64 @@ def test_placement_refutes_incorrect_deletion():
     assert any("incorrect deletion" in d.message for d in audit.diagnostics)
 
 
+_AUDIT_ORDER_SCRIPT = """
+import json
+from repro.bench.suite import suite_routines
+from repro.frontend import compile_program
+from repro.ir.instructions import Instruction
+from repro.ir.opcodes import Opcode
+from repro.ir.parser import parse_function
+from repro.pm.manager import PassManager
+from repro.pm.remarks import RemarkCollector
+from repro.profile.collect import collect_module_profiles, prepare_profiled_module
+from repro.profile.store import ProfileStore, set_default_store
+from repro.verify.certify import audit_placement
+
+# two unsafe insertions into one block: the refutation's errors
+before, after = parse_function(BRANCHY), parse_function(BRANCHY)
+after.block("right").instructions[0:0] = [
+    Instruction(Opcode.MUL, target="t8", srcs=["v_n", "v_n"]),
+    Instruction(Opcode.CMPLT, target="t9", srcs=["v_n", "v_n"]),
+]
+for diagnostic in audit_placement(before, after).diagnostics:
+    print(diagnostic.message)
+# svd at spec: lospre's speculative-insertion notes
+routine = next(r for r in suite_routines() if r.name == "svd")
+store = ProfileStore(None)
+collect_module_profiles(
+    prepare_profiled_module(compile_program(routine.source)),
+    [(routine.entry_name, routine.args, routine.fresh_arrays())],
+    store=store,
+)
+collector = RemarkCollector()
+with set_default_store(store):
+    PassManager("spec", verify="certify", collector=collector).run_module(
+        compile_program(routine.source)
+    )
+for remark in collector.remarks:
+    if remark.event in ("certify", "diagnostic"):
+        print(json.dumps(remark.as_dict(), sort_keys=True))
+"""
+
+
+def test_placement_audit_order_is_the_same_in_every_process():
+    # expression keys hash by Opcode identity and by (seeded) strings,
+    # so a set-ordered audit would differ between these two processes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = f"BRANCHY = {BRANCHY!r}\n{_AUDIT_ORDER_SCRIPT}"
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("unsafe insertion") == 2
+    assert outputs[0].count("speculative insertion") > 1
+
+
 def test_placement_inconclusive_on_phi_input():
     func = parse_function(PHI_LOOP)
     audit = audit_placement(func, func.clone())
@@ -395,6 +459,174 @@ def test_certify_precedence_over_transval_on_license_gap():
     compile_source(
         routine.source, level=OptLevel.DISTRIBUTION, verify="certify"
     )
+
+
+# -- one snapshot per IR state in the PassManager ------------------------------
+
+#: inconclusive proofs (the replay fallback), speculative insertions at
+#: spec, and a replay rejection (fehl under transval)
+CARRY_SAMPLE = ("zeroin", "svd", "efill", "fehl")
+
+
+def _profiled(name):
+    routine = next(r for r in suite_routines() if r.name == name)
+    store = ProfileStore(None)
+    collect_module_profiles(
+        prepare_profiled_module(compile_program(routine.source)),
+        [(routine.entry_name, routine.args, routine.fresh_arrays())],
+        store=store,
+    )
+    return routine, store
+
+
+def _verdict_stream(collector):
+    """What verification reported: ``certify`` remarks and diagnostics."""
+    return [
+        (r.pass_name, r.function, r.event, r.data)
+        for r in collector.remarks
+        if r.event in ("certify", "diagnostic")
+    ]
+
+
+def _reference_stream(module, level, verify):
+    """Pass by pass, each before-state re-parsed from its printing.
+
+    Every verdict comes from calling the verifiers directly, as the
+    benchmark's traced compiler does; stops at the first failure, as
+    the manager does.  Returns (stream, failing pass label or None).
+    """
+    stream = []
+
+    def emit(label, diagnostics):
+        for diagnostic in diagnostics:
+            if diagnostic.origin is None:
+                diagnostic.origin = label
+            stream.append(
+                (label, diagnostic.function, "diagnostic", diagnostic.as_dict())
+            )
+
+    steps = [
+        (spec_label(spec), PassManager([spec], verify="off"))
+        for spec in get_sequence(level)
+    ]
+    for func in module:
+        for label, manager in steps:
+            before = parse_function(print_function(func))
+            manager.run_function(func)
+            if verify == "certify":
+                result = certify_pass(before, func, pass_name=label)
+                emit(label, list(result.diagnostics) + list(result.remarks))
+                stream.append((label, func.name, "certify", {
+                    "verdict": result.verdict,
+                    "engine": result.engine,
+                    "obligations": result.obligations,
+                    "reason": result.reason,
+                }))
+                if result.refuted:
+                    return stream, label
+                if result.proved:
+                    continue
+            diagnostics = validate_translation(before, func)
+            emit(label, diagnostics)
+            if diagnostics:
+                return stream, label
+    return stream, None
+
+
+@pytest.mark.parametrize("verify", ["certify", "transval"])
+@pytest.mark.parametrize("level", ["distribution", "spec"])
+def test_manager_verdicts_match_pass_by_pass_reference(level, verify):
+    seen = {"inconclusive": 0, "speculative": 0, "failed": 0}
+    for name in CARRY_SAMPLE:
+        routine, store = _profiled(name)
+        collector = RemarkCollector()
+        failed = None
+        with set_default_store(store):
+            expected, expected_failure = _reference_stream(
+                compile_program(routine.source), level, verify
+            )
+            try:
+                PassManager(level, verify=verify, collector=collector).run_module(
+                    compile_program(routine.source)
+                )
+            except PassVerificationError as error:
+                failed = error.pass_label
+        assert _verdict_stream(collector) == expected, name
+        assert failed == expected_failure, name
+        seen["failed"] += failed is not None
+        for _, _, event, data in expected:
+            if event == "certify":
+                seen["inconclusive"] += data["verdict"] == "inconclusive"
+            elif "speculative insertion" in data["message"]:
+                seen["speculative"] += 1
+    # the sample really exercises the paths the snapshots are shared on
+    if verify == "transval":
+        assert seen["failed"]  # replay rejects fehl's rounding change
+    else:
+        assert seen["inconclusive"] and not seen["failed"]
+        if level == "spec":
+            assert seen["speculative"]
+
+
+@register_pass("test-certify-drop-store")
+def _drop_first_store(func):
+    for blk in func.blocks:
+        for index, inst in enumerate(blk.instructions):
+            if inst.opcode is Opcode.STORE:
+                del blk.instructions[index]
+                return func
+    return func
+
+
+def test_rollback_recertifies_later_passes_against_restored_ir():
+    specs = list(get_sequence("distribution"))
+    # just before pre: the placement audit and, on colbur, an
+    # inconclusive proof (the replay fallback) come after the rollback
+    middle = [name for name, _ in specs].index("pre")
+    broken = specs[:middle] + ["test-certify-drop-store"] + specs[middle:]
+    func, clean = _suite_func("colbur"), _suite_func("colbur")
+    collector, clean_collector = RemarkCollector(), RemarkCollector()
+    PassManager(
+        broken, verify="certify", on_error="rollback", collector=collector
+    ).run_function(func)
+    PassManager(specs, verify="certify", collector=clean_collector).run_function(
+        clean
+    )
+    contained = [r.pass_name for r in collector.remarks if r.event == "contained"]
+    assert contained == ["test-certify-drop-store"]
+    assert print_function(func) == print_function(clean)
+    # every later pass was certified against the restored IR, so every
+    # verdict but the rolled-back pass's matches the clean sequence's
+    kept = [
+        row for row in _verdict_stream(collector)
+        if row[0] != "test-certify-drop-store"
+    ]
+    assert kept == _verdict_stream(clean_collector)
+    later = [row[3]["verdict"] for row in kept if row[2] == "certify"][middle:]
+    assert "inconclusive" in later
+
+
+@pytest.mark.parametrize("on_error", ["raise", "rollback"])
+def test_bisect_skipped_applications_keep_the_carried_state(on_error):
+    specs = list(get_sequence("distribution"))
+    for limit in (0, len(specs) // 2, len(specs) - 1):
+        func, prefix = _suite_func("decomp"), _suite_func("decomp")
+        collector, reference = RemarkCollector(), RemarkCollector()
+        PassManager(
+            specs,
+            verify="certify",
+            on_error=on_error,
+            opt_bisect_limit=limit,
+            collector=collector,
+        ).run_function(func)
+        PassManager(
+            specs[:limit], verify="certify", collector=reference
+        ).run_function(prefix)
+        assert print_function(func) == print_function(prefix), limit
+        assert _verdict_stream(collector) == _verdict_stream(reference), limit
+        skipped = [r for r in collector.remarks if r.event == "bisect-skip"]
+        assert len(skipped) == len(specs) - limit
+        assert not any(r.event == "contained" for r in collector.remarks)
 
 
 # -- the fuzz corpus -----------------------------------------------------------

@@ -21,10 +21,12 @@ on the *never-fail* contract:
   be answered, degraded replies must be byte-identical to a direct
   compile at their achieved level, and the scheduler must quarantine
   the pill.
-* **torn writes** — truncated and garbage entries planted in the
-  :class:`~repro.pm.cache.PassCache`, :class:`~repro.pm.cache.
-  ArtifactStore` and :class:`~repro.profile.store.ProfileStore` must
-  read back as misses (then heal on re-store), never as corrupt hits.
+* **torn writes** — truncated, garbage and edited entries planted in
+  every :mod:`repro.store` view (:class:`~repro.pm.cache.PassCache`,
+  :class:`~repro.pm.cache.ArtifactStore`, :class:`~repro.profile.
+  store.ProfileStore`, :class:`~repro.triage.incidents.IncidentStore`)
+  must read back as misses (then heal on re-put), never as corrupt
+  hits; the report lists the stores it tore.
 
 Writes ``BENCH_chaos.json`` and exits nonzero when any gate fails:
 zero failed compiles, zero wrong replies, every induced failure
@@ -44,7 +46,12 @@ from typing import Optional
 from repro.bench.suite import suite_routines
 from repro.ir.printer import print_module
 from repro.pipeline.driver import compile_payload, compile_source, run_routine
-from repro.triage import IncidentStore, PassChaos, compile_payload_contained
+from repro.triage import (
+    Incident,
+    IncidentStore,
+    PassChaos,
+    compile_payload_contained,
+)
 from repro.triage.bisect import bisect_incident, replay
 from repro.triage.reduce import reduce_incident
 
@@ -311,74 +318,75 @@ def service_chaos(routines, workdir: str, incident_dir: str) -> dict:
 
 
 def torn_writes(workdir: str) -> dict:
-    """Truncated/garbage store entries must read as misses, then heal."""
+    """Torn, garbage and edited entries must read as misses, then heal.
+
+    Every store view is driven through its public methods; each read
+    goes through a fresh view, as another process would, so it cannot
+    be answered from the writer's memory tier.
+    """
     from repro.pm.cache import ArtifactStore, PassCache
     from repro.profile.model import FunctionProfile
     from repro.profile.store import ProfileStore
 
+    profile = FunctionProfile("f", "h", block_counts={"entry": 3})
+    incident = {
+        "function": "f", "input_ir": "function f()", "specs": [],
+        "verify": "final", "pass_label": "pre", "pass_index": 0,
+        "application": 1, "error_kind": "exception",
+        "error_type": "ChaosError",
+    }
+    incident_id = Incident(**incident).incident_id
+    #: store -> (view, put one entry, read it back, an edit that parses)
+    views = {
+        "PassCache": (
+            PassCache,
+            lambda store: store.store("input", "fp", "optimized"),
+            lambda store: store.lookup("input", "fp"),
+            ("optimized", "0ptimized"),
+        ),
+        "ArtifactStore": (
+            ArtifactStore,
+            lambda store: store.put("k" * 64, "artifact text", level="partial"),
+            lambda store: store.get("k" * 64, "partial"),
+            ('"tier":2', '"tier":1'),
+        ),
+        "ProfileStore": (
+            ProfileStore,
+            lambda store: store.put(profile, merge=False),
+            lambda store: store.get("f", "h"),
+            ('"entry": 3', '"entry": 9000'),
+        ),
+        "IncidentStore": (
+            IncidentStore,
+            lambda store: store.record(incident),
+            lambda store: store.get(incident_id),
+            ('"count": 1', '"count": 7'),
+        ),
+    }
     problems: list[str] = []
-
-    cache = PassCache(os.path.join(workdir, "torn-cache"))
-    cache.store("input", "fp", "optimized")
-    path = cache._path(  # noqa: SLF001 — the bench tears files on purpose
-        __import__("repro.pm.cache", fromlist=["cache_key"]).cache_key(
-            "input", "fp"
-        )
-    )
-    for label, payload in (("truncated", None), ("garbage", "zzz\nnot-ir")):
-        cache._memory.clear()
-        if payload is None:
-            with open(path) as handle:
-                whole = handle.read()
+    for name, (view, put, get, (old, new)) in views.items():
+        directory = os.path.join(workdir, f"torn-{name}")
+        put(view(directory))
+        (entry,) = os.listdir(directory)
+        path = os.path.join(directory, entry)
+        with open(path) as handle:
+            whole = handle.read()
+        expected = get(view(directory))
+        for label, torn in (
+            ("truncated", whole[: len(whole) // 2]),
+            ("garbage", "zzz\nnot-an-entry"),
+            ("edited", whole.replace(old, new)),
+        ):
             with open(path, "w") as handle:
-                handle.write(whole[: len(whole) // 2])
-        else:
-            with open(path, "w") as handle:
-                handle.write(payload)
-        if cache.lookup("input", "fp") is not None:
-            problems.append(f"PassCache served a {label} entry as a hit")
-        cache.store("input", "fp", "optimized")
-        cache._memory.clear()
-        if cache.lookup("input", "fp") != "optimized":
-            problems.append(f"PassCache did not heal after {label} entry")
-
-    store = ArtifactStore(os.path.join(workdir, "torn-store"), memory_entries=0)
-    key = "k" * 64
-    store.put(key, "artifact text", level="partial")
-    art_path = store._path(key, "partial")  # noqa: SLF001
-    with open(art_path) as handle:
-        whole = handle.read()
-    with open(art_path, "w") as handle:
-        handle.write(whole[:-5])
-    if store.get(key, "partial") is not None:
-        problems.append("ArtifactStore served a torn entry as a hit")
-    store.put(key, "artifact text", level="partial")
-    refetched = store.get(key, "partial")
-    if refetched is None or refetched.text != "artifact text":
-        problems.append("ArtifactStore did not heal after torn entry")
-
-    profiles = ProfileStore(os.path.join(workdir, "torn-profiles"))
-    profile = FunctionProfile(
-        function="f", source_hash="h", block_counts={"entry": 3}
-    )
-    profiles.put(profile)
-    prof_path = profiles._path(  # noqa: SLF001
-        __import__("repro.profile.store", fromlist=["profile_key"]).profile_key(
-            "f", "h"
-        )
-    )
-    with open(prof_path, "w") as handle:
-        handle.write('{"function": "f", "source_ha')
-    profiles._memory.clear()
-    if profiles.get("f", "h") is not None:
-        problems.append("ProfileStore served a torn entry as a hit")
-    profiles._memory.clear()
-    profiles.put(profile, merge=False)
-    profiles._memory.clear()
-    if profiles.get("f", "h") is None:
-        problems.append("ProfileStore did not heal after torn entry")
-
-    return {"problems": problems}
+                handle.write(torn)
+            if get(view(directory)) is not None:
+                problems.append(f"{name}: {label} entry served as a hit")
+            if os.path.exists(path):
+                problems.append(f"{name}: {label} entry left on disk")
+            put(view(directory))
+            if expected is None or get(view(directory)) != expected:
+                problems.append(f"{name}: no heal after the {label} entry")
+    return {"stores": sorted(views), "problems": problems}
 
 
 # -- driver --------------------------------------------------------------------
@@ -443,8 +451,9 @@ def main(
     )
     report["torn_writes"] = torn_writes(workdir)
     print(
-        "  torn writes: {} problems".format(
-            len(report["torn_writes"]["problems"])
+        "  torn writes: {} stores, {} problems".format(
+            len(report["torn_writes"]["stores"]),
+            len(report["torn_writes"]["problems"]),
         )
     )
     report["elapsed_s"] = round(time.perf_counter() - started, 3)

@@ -56,6 +56,7 @@ from repro.ir import print_module
 from repro.pipeline import OptLevel, compile_source
 from repro.pm import ManagerStats, PassCache, PassManager, RemarkCollector
 from repro.pm.manager import VERIFY_POLICIES, parse_verify
+from repro.triage.incidents import DEFAULT_INCIDENT_DIR
 
 #: Backward-compatible alias; the full policy grammar is ``VERIFY_POLICIES``.
 VERIFY_CHOICES = ("each", "final", "off")
@@ -537,10 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--incident-dir",
-        default=".repro_incidents",
+        default=DEFAULT_INCIDENT_DIR,
         metavar="DIR",
         help="where workers record containment incidents for "
-        "`repro triage` (default: .repro_incidents)",
+        f"`repro triage` (default: {DEFAULT_INCIDENT_DIR})",
     )
     serve_cmd.add_argument(
         "--no-incidents",
@@ -989,9 +990,9 @@ def build_parser() -> argparse.ArgumentParser:
     triage_cmd.add_argument(
         "--dir",
         dest="incident_dir",
-        default=".repro_incidents",
+        default=DEFAULT_INCIDENT_DIR,
         metavar="DIR",
-        help="incident store directory (default: .repro_incidents)",
+        help=f"incident store directory (default: {DEFAULT_INCIDENT_DIR})",
     )
     triage_sub = triage_cmd.add_subparsers(dest="triage_command",
                                            required=True)
@@ -1731,6 +1732,14 @@ def _cmd_profile(options) -> int:
             module, [(entry, args, arrays)], store=store
         )
         functions += len(profiles)
+    failures = store.stats()["write_failures"]
+    if failures:
+        print(
+            f"profile collect: {failures} profile(s) could not be written "
+            f"to {store.directory}",
+            file=sys.stderr,
+        )
+        return 1
     print(
         f"profiled {len(programs)} run(s): {functions} function "
         f"profile(s) -> {store.directory or 'memory'}"

@@ -7,7 +7,8 @@ The subsystem the paper's Unix-filter optimizer lacked (see
 * :mod:`repro.pm.manager` — per-pass timing, IR-size deltas,
   composable ``verify=`` policies (structural, ``lint``, ``transval``;
   each/final), cache integration;
-* :mod:`repro.pm.cache` — content-addressed printed-IR cache;
+* :mod:`repro.pm.cache` — content-addressed printed-IR cache, a view
+  over the one entry store :mod:`repro.store`;
 * :mod:`repro.pm.parallel` — per-function fan-out with deterministic
   (bit-identical to serial) output;
 * :mod:`repro.pm.remarks` — structured JSONL optimization remarks.

@@ -1,4 +1,4 @@
-"""Content-addressed IR cache.
+"""Content-addressed IR cache and the fleet's artifact store.
 
 The Table 1 / Table 2 / ablation sweeps recompile the same routines at
 several levels, and repeated CLI invocations recompile everything from
@@ -11,118 +11,38 @@ instead of a full pipeline run.  Because the printer/parser round-trip
 is exact (``print(parse(text)) == text``), warm-cache output is
 byte-identical to a cold run.
 
-Entries live in an in-process dict and, when a directory is given, as
-one ``<key>.iloc`` file each, so the cache survives across processes
-(the CLI bench commands default to ``.repro_cache/`` in the working
-directory).  Writes are atomic (temp file + ``os.replace``) so
-concurrent processes and the parallel executor never observe torn
-entries, and every disk entry carries a payload checksum so data torn
-or scribbled *outside* the atomic path (crashed filesystem, stray
-tooling) reads back as a miss — never as a corrupt hit
-(docs/ROBUSTNESS.md).
+Both classes here are views over :class:`repro.store.ContentStore`,
+which owns the entry rules: sealed ``<key>.iloc`` / ``<key>.<level>.art``
+files published atomically, torn or corrupt entries read as misses,
+an LRU-bounded memory tier, and ``max_bytes`` / ``max_entries`` disk
+caps for long-lived daemon workers (:mod:`repro.service.workers`).  The
+CLI bench commands default to ``.repro_cache/`` in the working
+directory; ``repro cache stats|clear|prune`` manages it.
 
-Long-lived daemon workers (:mod:`repro.service.workers`) share one disk
-directory forever, so the store is **bounded**: ``max_bytes`` /
-``max_entries`` caps trigger LRU eviction, oldest access first.  Each
-disk hit re-touches its file (``os.utime``), so recency survives
-``noatime`` mounts and is shared across every process using the
-directory; eviction orders on the newer of atime/mtime.  ``repro cache
-stats|clear|prune`` manages the directory from the CLI.
-
-The :class:`ArtifactStore` at the bottom is the fleet's shared layer
+The :class:`ArtifactStore` is the fleet's shared layer
 (:mod:`repro.service.fleet`): whole compile *replies* keyed on the
 service request key, each tagged with the optimization ``level``, a
 ``generation`` counter and the ``producer`` shard — so any gateway or
 shard can serve an artifact that some other shard compiled, and a
 tiered O1 answer can later be upgraded in place by the O2 background
-job.  Both classes share the same atomic write discipline.
+job.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
+
+from repro.store import ContentStore, content_key
 
 
 def cache_key(ir_text: str, fingerprint: str) -> str:
     """The content address of (input function, pass sequence)."""
-    digest = hashlib.sha256()
-    digest.update(ir_text.encode())
-    digest.update(b"\x00")
-    digest.update(fingerprint.encode())
-    return digest.hexdigest()
+    return content_key(ir_text, fingerprint)
 
 
-#: Integrity header of a ``.iloc`` entry: the first line is
-#: ``#sha256:<hex>`` over the payload that follows.  ``os.replace``
-#: already rules out torn writes from well-behaved writers; the checksum
-#: additionally catches entries truncated or scribbled on *outside* the
-#: atomic path (a crashed filesystem, a stray tool, chaos injection) —
-#: any mismatch reads as a miss, never as a corrupt hit.
-_CHECKSUM_PREFIX = "#sha256:"
-
-
-def _seal(text: str) -> str:
-    """Payload with its integrity header prepended."""
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return f"{_CHECKSUM_PREFIX}{digest}\n{text}"
-
-
-def _unseal(raw: str) -> Optional[str]:
-    """The verified payload, or ``None`` for torn/corrupt/legacy data."""
-    if not raw.startswith(_CHECKSUM_PREFIX):
-        return None
-    header, sep, text = raw.partition("\n")
-    if not sep:
-        return None
-    if hashlib.sha256(text.encode()).hexdigest() != header[len(_CHECKSUM_PREFIX):]:
-        return None
-    return text
-
-
-def atomic_write_text(directory: str, path: str, text: str) -> None:
-    """Publish ``text`` at ``path`` atomically under concurrent writers.
-
-    The payload lands in a uniquely named temp file in the same
-    directory, then ``os.replace`` makes it visible in one step —
-    readers see either the old entry or the complete new one, never a
-    torn write, no matter how many processes store the same key.
-
-    A concurrent ``clear()`` may remove the directory or unlink the
-    temp file between write and rename; that shows up as
-    ``FileNotFoundError`` from ``mkstemp`` or ``replace`` and is
-    retried once after recreating the directory (the second attempt can
-    only lose the same race to another full ``clear``, at which point
-    the entry is *supposed* to be gone and giving up is correct).
-    """
-    for attempt in (0, 1):
-        tmp = None
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-            return
-        except FileNotFoundError:
-            if attempt:
-                return  # lost twice to clear(): the entry should not exist
-        except BaseException:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            raise
-
-
-class PassCache:
+class PassCache(ContentStore):
     """In-memory (and optionally on-disk) printed-IR cache with counters.
 
     ``max_bytes`` caps the disk directory's total ``.iloc`` payload;
@@ -131,6 +51,8 @@ class PassCache:
     Either cap evicts least-recently-*accessed* entries first.
     """
 
+    suffix = ".iloc"
+
     def __init__(
         self,
         directory: Optional[str] = None,
@@ -138,181 +60,24 @@ class PassCache:
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
     ) -> None:
-        self.directory = directory
-        self.max_bytes = max_bytes
-        self.max_entries = max_entries
-        self._memory: OrderedDict[str, str] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        if directory:
-            os.makedirs(directory, exist_ok=True)
+        super().__init__(
+            directory,
+            max_bytes=max_bytes,
+            max_entries=max_entries,
+            memory_entries=max_entries,
+        )
 
     def lookup(self, ir_text: str, fingerprint: str) -> Optional[str]:
         """The cached optimized IR, or ``None`` (counting hit/miss)."""
-        key = cache_key(ir_text, fingerprint)
-        with self._lock:
-            text = self._memory.get(key)
-            if text is not None:
-                self._memory.move_to_end(key)
-        if text is None and self.directory:
-            try:
-                with open(self._path(key)) as handle:
-                    raw = handle.read()
-            except OSError:
-                raw = None  # evicted/cleared mid-lookup: plain miss
-            text = _unseal(raw) if raw is not None else None
-            if raw is not None and text is None:
-                # torn or corrupt entry: drop it so it cannot keep
-                # costing a read, and fall through to a plain miss
-                try:
-                    os.unlink(self._path(key))
-                except OSError:
-                    pass
-            if text is not None:
-                self._touch(key)
-                with self._lock:
-                    self._memory[key] = text
-                    self._memory.move_to_end(key)
-                    self._shrink_memory()
-        with self._lock:
-            if text is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return text
+        return self.load(cache_key(ir_text, fingerprint))
 
     def store(self, ir_text: str, fingerprint: str, optimized_text: str) -> None:
         """Record the optimized form of (input, sequence)."""
-        key = cache_key(ir_text, fingerprint)
-        with self._lock:
-            self._memory[key] = optimized_text
-            self._memory.move_to_end(key)
-            self._shrink_memory()
-        if self.directory:
-            try:
-                atomic_write_text(
-                    self.directory, self._path(key), _seal(optimized_text)
-                )
-            except OSError:
-                return  # disk store is an optimization; memory tier has it
-            if self.max_bytes is not None or self.max_entries is not None:
-                self.prune()
-
-    def prune(self) -> int:
-        """Evict disk entries LRU-first until both caps hold; returns count.
-
-        Safe under concurrency: entries may vanish between the listing
-        and the ``stat``/``unlink`` (another pruner got there first, or
-        ``clear`` swept the directory) — each loss is skipped, never
-        fatal, and readers of evicted keys fall back to a miss +
-        recompile.
-        """
-        if not self.directory:
-            return 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0  # directory itself vanished mid-scan
-        entries = []
-        total = 0
-        for name in names:
-            if not name.endswith(".iloc"):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                status = os.stat(path)
-            except OSError:
-                continue
-            entries.append(
-                (max(status.st_atime, status.st_mtime), status.st_size, path)
-            )
-            total += status.st_size
-        entries.sort()  # oldest access first
-        evicted = 0
-        index = 0
-        while index < len(entries) and (
-            (self.max_bytes is not None and total > self.max_bytes)
-            or (self.max_entries is not None and len(entries) - index > self.max_entries)
-        ):
-            stamp, size, path = entries[index]
-            index += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        with self._lock:
-            self.evictions += evicted
-        return evicted
+        self.save(cache_key(ir_text, fingerprint), optimized_text)
 
     def disk_stats(self) -> dict:
-        """Entry count and byte total of the on-disk store."""
-        entries = 0
-        total = 0
-        if self.directory:
-            try:
-                names = os.listdir(self.directory)
-            except OSError:
-                names = []
-            for name in names:
-                if name.endswith(".iloc"):
-                    try:
-                        total += os.stat(
-                            os.path.join(self.directory, name)
-                        ).st_size
-                    except OSError:
-                        continue
-                    entries += 1
-        return {
-            "directory": self.directory,
-            "entries": entries,
-            "bytes": total,
-            "max_bytes": self.max_bytes,
-            "max_entries": self.max_entries,
-        }
-
-    def clear(self) -> None:
-        """Drop every entry (memory and disk) and zero the counters."""
-        with self._lock:
-            self._memory.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-        if self.directory:
-            try:
-                names = os.listdir(self.directory)
-            except OSError:
-                names = []
-            for name in names:
-                if name.endswith(".iloc") or name.endswith(".tmp"):
-                    try:
-                        os.unlink(os.path.join(self.directory, name))
-                    except OSError:
-                        pass
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
-
-    def _shrink_memory(self) -> None:
-        """LRU-bound the in-memory tier (caller holds the lock)."""
-        if self.max_entries is None:
-            return
-        while len(self._memory) > self.max_entries:
-            self._memory.popitem(last=False)
-
-    def _touch(self, key: str) -> None:
-        """Mark a disk entry recently used (eviction recency marker)."""
-        try:
-            os.utime(self._path(key))
-        except OSError:
-            pass
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.iloc")
+        """Entry count and byte total of the on-disk store, plus counters."""
+        return self.stats()
 
 
 @dataclass(frozen=True)
@@ -326,7 +91,7 @@ class Artifact:
     tier: int
 
 
-class ArtifactStore:
+class ArtifactStore(ContentStore):
     """The fleet's shared, content-addressed compile-artifact store.
 
     Artifacts are keyed on ``(request key, level)`` — the request key is
@@ -335,17 +100,15 @@ class ArtifactStore:
     tiered request holds *two* entries: the fast O1 answer and, once the
     background upgrade lands, the O2 text at the requested level.
 
-    One file per entry, ``<key>.<level>.art``: a single JSON header line
-    (``level``, ``generation``, ``producer``, ``tier``) followed by the
-    artifact text.  Writes go through :func:`atomic_write_text`, so any
-    number of gateways and shards can share the directory; because
-    compilation is deterministic, two writers racing on the same
-    ``(key, level)`` write identical payloads and either winner is
-    correct.  A bounded in-memory LRU tier fronts the disk (safe for the
-    same reason: same key+level implies same bytes).
+    The sealed payload is one JSON line of provenance (``level``,
+    ``generation``, ``producer``, ``tier``) followed by the artifact
+    text.  Because compilation is deterministic, two writers racing on
+    the same ``(key, level)`` write identical payloads and either winner
+    is correct; the same argument makes the memory tier (LRU-bounded at
+    ``memory_entries``) safe to share across requests.
     """
 
-    SUFFIX = ".art"
+    suffix = ".art"
 
     def __init__(
         self,
@@ -355,38 +118,16 @@ class ArtifactStore:
         max_entries: Optional[int] = None,
         memory_entries: int = 512,
     ) -> None:
-        self.directory = directory
-        self.max_bytes = max_bytes
-        self.max_entries = max_entries
-        self.memory_entries = max(0, int(memory_entries))
-        self._memory: OrderedDict[tuple[str, str], Artifact] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.evictions = 0
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-
-    # -- read/write --------------------------------------------------------------
+        super().__init__(
+            directory,
+            max_bytes=max_bytes,
+            max_entries=max_entries,
+            memory_entries=max(0, int(memory_entries)),
+        )
 
     def get(self, key: str, level: str) -> Optional[Artifact]:
         """The stored artifact for ``(key, level)``, or ``None``."""
-        memory_key = (key, level)
-        with self._lock:
-            artifact = self._memory.get(memory_key)
-            if artifact is not None:
-                self._memory.move_to_end(memory_key)
-                self.hits += 1
-                return artifact
-        artifact = self._read(key, level)
-        with self._lock:
-            if artifact is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._remember(memory_key, artifact)
-        return artifact
+        return self.load(f"{key}.{level}")
 
     def get_best(self, key: str, levels: list) -> Optional[Artifact]:
         """The first hit walking ``levels`` in preference order."""
@@ -407,185 +148,15 @@ class ArtifactStore:
         tier: int = 2,
     ) -> Artifact:
         """Publish one artifact (atomic on disk, visible fleet-wide)."""
-        artifact = Artifact(
-            text=text,
-            level=level,
-            generation=int(generation),
-            producer=producer,
-            tier=int(tier),
-        )
-        with self._lock:
-            self.puts += 1
-            self._remember((key, level), artifact)
-        if self.directory:
-            header = json.dumps(
-                {
-                    "level": level,
-                    "generation": artifact.generation,
-                    "producer": producer,
-                    "tier": artifact.tier,
-                    "sha256": hashlib.sha256(text.encode()).hexdigest(),
-                },
-                separators=(",", ":"),
-            )
-            try:
-                atomic_write_text(
-                    self.directory, self._path(key, level), header + "\n" + text
-                )
-            except OSError:
-                pass  # disk tier is an optimization; memory holds the entry
-            if self.max_bytes is not None or self.max_entries is not None:
-                self.prune()
+        artifact = Artifact(text, level, int(generation), producer, int(tier))
+        self.save(f"{key}.{level}", artifact)
         return artifact
 
-    def _read(self, key: str, level: str) -> Optional[Artifact]:
-        if not self.directory:
-            return None
-        path = self._path(key, level)
-        try:
-            with open(path) as handle:
-                raw = handle.read()
-        except OSError:
-            return None
-        header, sep, text = raw.partition("\n")
-        try:
-            meta = json.loads(header)
-            if not isinstance(meta, dict) or not sep:
-                raise ValueError("truncated artifact")
-            expected = meta.get("sha256")
-            if (
-                not isinstance(expected, str)
-                or hashlib.sha256(text.encode()).hexdigest() != expected
-            ):
-                raise ValueError("artifact payload checksum mismatch")
-        except ValueError:
-            # torn/corrupt entry reads as a miss, never a crash; drop it
-            # so the slot can be recompiled and re-published cleanly
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        try:
-            os.utime(path)  # shared LRU recency, like PassCache
-        except OSError:
-            pass
-        return Artifact(
-            text=text,
-            level=str(meta.get("level", level)),
-            generation=int(meta.get("generation", 0)),
-            producer=str(meta.get("producer", "")),
-            tier=int(meta.get("tier", 2)),
-        )
+    def encode(self, artifact: Artifact) -> str:
+        provenance = asdict(artifact)
+        text = provenance.pop("text")
+        return json.dumps(provenance, separators=(",", ":")) + "\n" + text
 
-    def _remember(self, memory_key: tuple, artifact: Artifact) -> None:
-        """LRU-bound the memory tier (caller holds the lock)."""
-        if not self.memory_entries:
-            return
-        self._memory[memory_key] = artifact
-        self._memory.move_to_end(memory_key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-
-    # -- maintenance -------------------------------------------------------------
-
-    def prune(self) -> int:
-        """Evict disk artifacts LRU-first until the caps hold.
-
-        Mirrors :meth:`PassCache.prune`, including its mid-scan safety:
-        entries vanishing between listing and stat/unlink are skipped.
-        """
-        if not self.directory:
-            return 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        entries = []
-        total = 0
-        for name in names:
-            if not name.endswith(self.SUFFIX):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                status = os.stat(path)
-            except OSError:
-                continue
-            entries.append(
-                (max(status.st_atime, status.st_mtime), status.st_size, path)
-            )
-            total += status.st_size
-        entries.sort()
-        evicted = 0
-        index = 0
-        while index < len(entries) and (
-            (self.max_bytes is not None and total > self.max_bytes)
-            or (
-                self.max_entries is not None
-                and len(entries) - index > self.max_entries
-            )
-        ):
-            stamp, size, path = entries[index]
-            index += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        with self._lock:
-            self.evictions += evicted
-        return evicted
-
-    def clear(self) -> None:
-        with self._lock:
-            self._memory.clear()
-            self.hits = 0
-            self.misses = 0
-            self.puts = 0
-            self.evictions = 0
-        if self.directory:
-            try:
-                names = os.listdir(self.directory)
-            except OSError:
-                names = []
-            for name in names:
-                if name.endswith(self.SUFFIX) or name.endswith(".tmp"):
-                    try:
-                        os.unlink(os.path.join(self.directory, name))
-                    except OSError:
-                        pass
-
-    def stats(self) -> dict:
-        """Counters plus the on-disk entry/byte totals."""
-        entries = 0
-        total = 0
-        if self.directory:
-            try:
-                names = os.listdir(self.directory)
-            except OSError:
-                names = []
-            for name in names:
-                if name.endswith(self.SUFFIX):
-                    try:
-                        total += os.stat(
-                            os.path.join(self.directory, name)
-                        ).st_size
-                    except OSError:
-                        continue
-                    entries += 1
-        with self._lock:
-            hits, misses, puts = self.hits, self.misses, self.puts
-        lookups = hits + misses
-        return {
-            "directory": self.directory,
-            "entries": entries,
-            "bytes": total,
-            "hits": hits,
-            "misses": misses,
-            "puts": puts,
-            "hit_ratio": round(hits / lookups, 4) if lookups else 0.0,
-        }
-
-    def _path(self, key: str, level: str) -> str:
-        return os.path.join(self.directory, f"{key}.{level}{self.SUFFIX}")
+    def decode(self, payload: str) -> Artifact:
+        provenance, _, text = payload.partition("\n")
+        return Artifact(text=text, **json.loads(provenance))

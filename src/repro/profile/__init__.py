@@ -5,8 +5,8 @@ dynamic side.  The interpreter (:mod:`repro.interp.machine`) accepts a
 :class:`~repro.profile.collect.ProfileRecorder` and streams block-entry
 and edge-traversal counts into it while a routine executes.  Profiles
 are keyed by ``(function name, source hash)`` and persisted in a
-content-addressed :class:`~repro.profile.store.ProfileStore` (the same
-atomic-write discipline as :mod:`repro.pm.cache`).  When no fresh
+content-addressed :class:`~repro.profile.store.ProfileStore` (a view
+over :mod:`repro.store`, like every other store in the repo).  When no fresh
 profile exists, :mod:`repro.profile.estimate` supplies the classic
 static estimate — ``10 ** loop_depth`` weights — so every consumer has
 a total frequency assignment and staleness can never crash a build.

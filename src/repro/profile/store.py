@@ -1,11 +1,12 @@
-"""Content-addressed, versioned on-disk profile store.
+"""Content-addressed, versioned profile store.
 
-Mirrors the discipline of :mod:`repro.pm.cache`: entries are addressed
-by ``sha256(function \\x00 source_hash)``, written atomically
-(temp file + ``os.replace``), and carry a format version so stale
-layouts read as misses, never as crashes.  A store without a directory
-is purely in-memory — handy for tests and for benchmark runs that must
-not leak state between invocations.
+A view over :class:`repro.store.ContentStore`, which owns the entry
+rules (sealed files, atomic publish, corrupt entries read as misses and
+are unlinked).  Entries are addressed by ``sha256(function \\x00
+source_hash)`` and carry a format version, so stale layouts read as
+misses, never as crashes.  A store without a directory is purely
+in-memory — handy for tests and for benchmark runs that must not leak
+state between invocations.
 
 Staleness is the whole point of the addressing scheme: a consumer asks
 for ``(function, hash-of-the-body-it-holds)``; if collection happened
@@ -16,41 +17,29 @@ returns ``None``, pushing the consumer onto the static-estimate path.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from typing import Iterator, Optional
 
-from repro.pm.cache import atomic_write_text
 from repro.profile.model import FunctionProfile
+from repro.store import ContentStore, content_key
 
 #: Default on-disk location, overridable via ``REPRO_PROFILE_DIR``.
 DEFAULT_PROFILE_DIR = ".repro_profiles"
 
-_SUFFIX = ".prof.json"
-
 
 def profile_key(function: str, source_hash: str) -> str:
     """The content address of one ``(function, body hash)`` pair."""
-    digest = hashlib.sha256()
-    digest.update(function.encode())
-    digest.update(b"\x00")
-    digest.update(source_hash.encode())
-    return digest.hexdigest()[:40]
+    return content_key(function, source_hash)[:40]
 
 
-class ProfileStore:
+class ProfileStore(ContentStore):
     """Two-tier (memory + optional directory) profile store."""
 
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = directory
-        self._memory: dict[str, FunctionProfile] = {}
-        self.hits = 0
-        self.misses = 0
+    suffix = ".prof.json"
 
-    def _path(self, key: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, key + _SUFFIX)
+    def __init__(self, directory: Optional[str] = None):
+        super().__init__(directory)
 
     def put(self, profile: FunctionProfile, *, merge: bool = True) -> FunctionProfile:
         """Store ``profile``, summing into any existing entry by default.
@@ -58,78 +47,26 @@ class ProfileStore:
         Returns the stored (possibly merged) profile.
         """
         key = profile_key(profile.function, profile.source_hash)
-        if merge:
-            existing = self._load(key)
-            if existing is not None:
-                profile = existing.merge(profile)
-        self._memory[key] = profile
-        if self.directory is not None:
-            atomic_write_text(
-                self.directory,
-                self._path(key),
-                json.dumps(profile.to_json(), indent=1, sort_keys=True),
-            )
+        existing = self._fetch(key) if merge else None
+        if existing is not None:
+            profile = existing.merge(profile)
+        self.save(key, profile)
         return profile
 
     def get(self, function: str, source_hash: str) -> Optional[FunctionProfile]:
         """The profile for this exact body, or ``None`` (miss / stale)."""
-        profile = self._load(profile_key(function, source_hash))
-        if profile is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return profile
-
-    def _load(self, key: str) -> Optional[FunctionProfile]:
-        cached = self._memory.get(key)
-        if cached is not None:
-            return cached
-        if self.directory is None:
-            return None
-        try:
-            with open(self._path(key)) as handle:
-                payload = json.load(handle)
-            profile = FunctionProfile.from_json(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            # unreadable, truncated, or version-mismatched entries are
-            # misses — a stale store must never crash a build
-            return None
-        self._memory[key] = profile
-        return profile
+        return self.load(profile_key(function, source_hash))
 
     def entries(self) -> list[FunctionProfile]:
         """Every readable profile in the store, sorted by function name."""
-        found: dict[str, FunctionProfile] = dict(self._memory)
-        if self.directory is not None and os.path.isdir(self.directory):
-            for name in sorted(os.listdir(self.directory)):
-                if not name.endswith(_SUFFIX):
-                    continue
-                key = name[: -len(_SUFFIX)]
-                if key in found:
-                    continue
-                profile = self._load(key)
-                if profile is not None:
-                    found[key] = profile
-        return sorted(
-            found.values(), key=lambda p: (p.function, p.source_hash)
-        )
+        found = [p for p in map(self._fetch, self.keys()) if p is not None]
+        return sorted(found, key=lambda p: (p.function, p.source_hash))
 
-    def clear(self) -> None:
-        """Drop the memory tier and unlink every on-disk entry."""
-        self._memory.clear()
-        if self.directory is not None and os.path.isdir(self.directory):
-            for name in os.listdir(self.directory):
-                if name.endswith(_SUFFIX):
-                    with contextlib.suppress(FileNotFoundError):
-                        os.unlink(os.path.join(self.directory, name))
+    def encode(self, profile: FunctionProfile) -> str:
+        return json.dumps(profile.to_json(), indent=1, sort_keys=True)
 
-    def stats(self) -> dict:
-        return {
-            "directory": self.directory,
-            "entries": len(self.entries()),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+    def decode(self, payload: str) -> FunctionProfile:
+        return FunctionProfile.from_json(json.loads(payload))
 
 
 _DEFAULT: Optional[ProfileStore] = None

@@ -26,6 +26,7 @@ from repro.service.faults import OverloadedError, RetryPolicy
 from repro.service.metrics import Metrics
 from repro.service.scheduler import Scheduler
 from repro.service.workers import WorkerConfig, WorkerPool
+from repro.triage.incidents import DEFAULT_INCIDENT_DIR
 
 
 @dataclass
@@ -44,7 +45,7 @@ class DaemonConfig:
     cache_max_entries: Optional[int] = None
     #: where workers record containment incidents (``repro triage``
     #: reads the same directory); ``None`` disables recording
-    incident_dir: Optional[str] = ".repro_incidents"
+    incident_dir: Optional[str] = DEFAULT_INCIDENT_DIR
 
 
 class CompileDaemon:

@@ -23,7 +23,7 @@ way around.
 
 from repro.triage.chaos import ChaosError, PassChaos
 from repro.triage.containment import ContainedResult, compile_payload_contained
-from repro.triage.incidents import Incident, IncidentStore, default_store
+from repro.triage.incidents import Incident, IncidentStore
 
 __all__ = [
     "ChaosError",
@@ -32,5 +32,4 @@ __all__ = [
     "compile_payload_contained",
     "Incident",
     "IncidentStore",
-    "default_store",
 ]

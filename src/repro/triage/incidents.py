@@ -7,29 +7,25 @@ chaos descriptor so injected failures replay deterministically.  The
 record is everything :mod:`repro.triage.bisect` and
 :mod:`repro.triage.reduce` need to reproduce the failure offline.
 
-Storage discipline mirrors :mod:`repro.profile.store`: entries are
-addressed by a SHA-256 of their reproducer-relevant fields (so the same
-bug hitting the same function a thousand times under load is *one*
-incident with a bumped ``count``), written atomically via
-:func:`repro.pm.cache.atomic_write_text`, and unreadable or torn
-entries read back as misses, never as crashes.
+:class:`IncidentStore` is a view over :class:`repro.store.ContentStore`,
+which owns the entry rules (sealed files, atomic publish, torn or
+edited entries read as misses and are unlinked, a failed disk write
+never raises).  Entries are addressed by a SHA-256 of their
+reproducer-relevant fields, so the same bug hitting the same function a
+thousand times under load is *one* incident with a bumped ``count``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.pm.cache import atomic_write_text
+from repro.store import ContentStore
 
-#: Default on-disk location, overridable via ``REPRO_INCIDENT_DIR``.
+#: Default on-disk location of ``repro serve`` and ``repro triage``.
 DEFAULT_INCIDENT_DIR = ".repro_incidents"
-
-_SUFFIX = ".inc.json"
 
 #: Bumped on any layout change; mismatched entries read as misses.
 FORMAT_VERSION = 1
@@ -110,18 +106,15 @@ class Incident:
         }
 
 
-class IncidentStore:
+class IncidentStore(ContentStore):
     """Two-tier (memory + optional directory) incident store."""
 
+    suffix = ".inc.json"
+
     def __init__(self, directory: Optional[str] = None):
-        self.directory = directory
-        self._memory: dict[str, Incident] = {}
+        super().__init__(directory)
         self.recorded = 0
         self.deduped = 0
-
-    def _path(self, incident_id: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, incident_id + _SUFFIX)
 
     def record(self, payload) -> str:
         """Persist one incident (dict or :class:`Incident`); returns its id.
@@ -142,7 +135,7 @@ class IncidentStore:
             self.deduped += 1
         else:
             self.recorded += 1
-        self._write(incident_id, incident)
+        self.save(incident_id, incident)
         return incident_id
 
     def update(self, incident_id: str, **fields) -> Optional[Incident]:
@@ -152,89 +145,27 @@ class IncidentStore:
             return None
         for name, value in fields.items():
             setattr(incident, name, value)
-        self._write(incident_id, incident)
+        self.save(incident_id, incident)
         return incident
-
-    def _write(self, incident_id: str, incident: Incident) -> None:
-        self._memory[incident_id] = incident
-        if self.directory is not None:
-            atomic_write_text(
-                self.directory,
-                self._path(incident_id),
-                json.dumps(incident.to_json(), indent=1, sort_keys=True),
-            )
 
     def get(self, incident_id: str) -> Optional[Incident]:
-        cached = self._memory.get(incident_id)
-        if cached is not None:
-            return cached
-        if self.directory is None:
-            return None
-        try:
-            with open(self._path(incident_id)) as handle:
-                payload = json.load(handle)
-            incident = Incident.from_json(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            # unreadable, truncated, or version-mismatched entries are
-            # misses — a torn store must never crash triage
-            return None
-        self._memory[incident_id] = incident
-        return incident
+        return self.load(incident_id)
 
     def entries(self) -> list[Incident]:
-        """Every readable incident, newest-file-first on disk."""
-        found: dict[str, Incident] = dict(self._memory)
-        if self.directory is not None and os.path.isdir(self.directory):
-            for name in sorted(os.listdir(self.directory)):
-                if not name.endswith(_SUFFIX):
-                    continue
-                incident_id = name[: -len(_SUFFIX)]
-                if incident_id in found:
-                    continue
-                incident = self.get(incident_id)
-                if incident is not None:
-                    found[incident_id] = incident
+        """Every readable incident, sorted by function, pass and id."""
+        found = [inc for inc in map(self._fetch, self.keys()) if inc is not None]
         return sorted(
-            found.values(),
+            found,
             key=lambda inc: (inc.function, inc.pass_label, inc.incident_id),
         )
 
     def clear(self) -> None:
-        self._memory.clear()
+        super().clear()
         self.recorded = 0
         self.deduped = 0
-        if self.directory is not None and os.path.isdir(self.directory):
-            for name in os.listdir(self.directory):
-                if name.endswith(_SUFFIX) or name.endswith(".tmp"):
-                    try:
-                        os.unlink(os.path.join(self.directory, name))
-                    except OSError:
-                        pass
 
-    def __len__(self) -> int:
-        return len(self.entries())
+    def encode(self, incident: Incident) -> str:
+        return json.dumps(incident.to_json(), indent=1, sort_keys=True)
 
-
-_DEFAULT: Optional[IncidentStore] = None
-
-
-def default_store() -> IncidentStore:
-    """The process-wide store (``$REPRO_INCIDENT_DIR`` or the default dir)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = IncidentStore(
-            os.environ.get("REPRO_INCIDENT_DIR", DEFAULT_INCIDENT_DIR)
-        )
-    return _DEFAULT
-
-
-@contextlib.contextmanager
-def set_default_store(store: Optional[IncidentStore]) -> Iterator[None]:
-    """Temporarily override :func:`default_store` (tests, benches)."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = store
-    try:
-        yield
-    finally:
-        _DEFAULT = previous
+    def decode(self, payload: str) -> Incident:
+        return Incident.from_json(json.loads(payload))

@@ -22,7 +22,7 @@ import pytest
 
 from repro.ir.printer import print_module
 from repro.pipeline.driver import compile_payload
-from repro.pm.cache import Artifact, ArtifactStore, PassCache, atomic_write_text
+from repro.pm.cache import Artifact, ArtifactStore, PassCache
 from repro.service import protocol
 from repro.service.client import DaemonClient, DaemonError
 from repro.service.fleet import (
@@ -33,6 +33,7 @@ from repro.service.fleet import (
     hashring,
 )
 from repro.service.metrics import Metrics, merge_snapshots
+from repro.store import atomic_write_text
 
 SOURCE = """
 routine triple(x: int) -> int
@@ -176,7 +177,7 @@ def test_artifact_store_is_crossprocess_visible(tmp_path):
 def test_artifact_store_corrupt_header_is_a_miss(tmp_path):
     store = ArtifactStore(str(tmp_path / "store"))
     store.put("deadbeef", "text", level="none")
-    path = store._path("deadbeef", "none")
+    path = store._path("deadbeef.none")
     with open(path, "w") as handle:
         handle.write("not json\nrest")
     # the writer's memory tier still has it; a fresh reader must treat

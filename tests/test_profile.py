@@ -17,7 +17,7 @@ from repro.profile import (
     set_default_store,
     static_profile,
 )
-from repro.profile.store import _SUFFIX
+from repro.store import seal, unseal
 
 LOOP_SOURCE = """
 routine accum(n: integer, a: real, b: real) -> real
@@ -110,12 +110,13 @@ def test_version_mismatch_reads_as_miss(tmp_path):
     store = ProfileStore(str(tmp_path))
     _, _, (profile,) = _collect(store=store)
     (entry,) = [
-        name for name in os.listdir(tmp_path) if name.endswith(_SUFFIX)
+        name for name in os.listdir(tmp_path)
+        if name.endswith(ProfileStore.suffix)
     ]
     path = tmp_path / entry
-    payload = json.loads(path.read_text())
+    payload = json.loads(unseal(path.read_text()))
     payload["version"] = 999
-    path.write_text(json.dumps(payload))
+    path.write_text(seal(json.dumps(payload)))  # intact seal, stale layout
     fresh = ProfileStore(str(tmp_path))
     assert fresh.get(profile.function, profile.source_hash) is None
 
@@ -124,7 +125,8 @@ def test_corrupt_entry_reads_as_miss(tmp_path):
     store = ProfileStore(str(tmp_path))
     _, _, (profile,) = _collect(store=store)
     (entry,) = [
-        name for name in os.listdir(tmp_path) if name.endswith(_SUFFIX)
+        name for name in os.listdir(tmp_path)
+        if name.endswith(ProfileStore.suffix)
     ]
     (tmp_path / entry).write_text("not json {")
     fresh = ProfileStore(str(tmp_path))
@@ -163,3 +165,20 @@ def test_default_store_override_scopes():
     with set_default_store(override):
         assert default_store() is override
     assert default_store() is not override
+
+
+def test_profile_collect_fails_loudly_when_the_store_cannot_write(
+    tmp_path, capsys
+):
+    from repro.cli import main as cli_main
+
+    source = tmp_path / "accum.f"
+    source.write_text(LOOP_SOURCE)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code = cli_main([
+        "profile", "collect", str(source), "accum", "5", "3.0", "2.0",
+        "--dir", str(blocker / "profiles"),
+    ])
+    assert code == 1
+    assert "could not be written" in capsys.readouterr().err

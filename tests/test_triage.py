@@ -10,13 +10,13 @@ that still reproduces.  Torn store writes must read as misses.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
 
 import pytest
 
+from repro.bench.suite import suite_routines
 from repro.frontend import compile_program
 from repro.interp import Interpreter
 from repro.ir.printer import print_module
@@ -28,9 +28,13 @@ from repro.pipeline.levels import (
     ladder_next,
     resolve_level,
 )
+from repro.pm.cache import ArtifactStore, PassCache
 from repro.pm.manager import DegradationRequired, PassManager
+from repro.profile.model import FunctionProfile
+from repro.profile.store import ProfileStore
 from repro.triage import (
     ChaosError,
+    Incident,
     IncidentStore,
     PassChaos,
     compile_payload_contained,
@@ -187,8 +191,6 @@ def test_containment_degrade_walks_ladder():
 
 
 def test_contained_compiles_never_poison_the_cache(tmp_path):
-    from repro.pm.cache import PassCache
-
     cache = PassCache(str(tmp_path / "cache"))
     compile_payload_contained(
         "source",
@@ -456,66 +458,89 @@ def test_level_gated_fault_is_dormant_off_level():
 # -- crash-consistent stores ---------------------------------------------------
 
 
-def test_pass_cache_torn_write_is_a_miss_then_heals(tmp_path):
-    from repro.pm.cache import PassCache, cache_key
+INCIDENT = {
+    "function": "f",
+    "input_ir": "function f()",
+    "specs": [["pre", {}]],
+    "verify": "final",
+    "pass_label": "pre",
+    "pass_index": 0,
+    "application": 1,
+    "error_kind": "exception",
+    "error_type": "ChaosError",
+}
 
-    cache = PassCache(str(tmp_path))
-    cache.store("input-ir", "fp", "optimized-ir")
-    path = cache._path(cache_key("input-ir", "fp"))
+#: view -> (constructor, put one entry, read it back, an edit that parses)
+STORE_VIEWS = {
+    "PassCache": (
+        PassCache,
+        lambda store: store.store("input-ir", "fp", "optimized-ir"),
+        lambda store: store.lookup("input-ir", "fp"),
+        ("optimized-ir", "optimized-IR"),
+    ),
+    "ArtifactStore": (
+        ArtifactStore,
+        lambda store: store.put("a" * 64, "artifact body", level="partial"),
+        lambda store: store.get("a" * 64, "partial"),
+        ('"tier":2', '"tier":1'),
+    ),
+    "ProfileStore": (
+        ProfileStore,
+        lambda store: store.put(
+            FunctionProfile("f", "h", block_counts={"entry": 3}), merge=False
+        ),
+        lambda store: store.get("f", "h"),
+        ('"entry": 3', '"entry": 9000'),
+    ),
+    "IncidentStore": (
+        IncidentStore,
+        lambda store: store.record(INCIDENT),
+        lambda store: store.get(Incident(**INCIDENT).incident_id),
+        ('"function": "f"', '"function": "g"'),
+    ),
+}
+
+
+@pytest.mark.parametrize("view", list(STORE_VIEWS))
+def test_torn_or_edited_entry_is_a_miss_then_heals(view, tmp_path):
+    make, put, get, (old, new) = STORE_VIEWS[view]
+    directory = str(tmp_path)
+    put(make(directory))
+    (name,) = os.listdir(directory)
+    path = os.path.join(directory, name)
     with open(path) as handle:
         sealed = handle.read()
-    assert sealed.startswith("#sha256:")
-    for torn in (sealed[: len(sealed) // 2], "garbage\nno header", ""):
+    assert old in sealed
+    expected = get(make(directory))  # a fresh view reads the disk tier
+    assert expected is not None
+    for torn in (
+        sealed.replace(old, new),  # edited, and still parses
+        sealed[: len(sealed) // 2],  # truncated
+        "garbage\nno header",
+        "",
+        sealed.split("\n", 1)[0] + "\nswapped body",  # valid header
+    ):
         with open(path, "w") as handle:
             handle.write(torn)
-        cache._memory.clear()
-        assert cache.lookup("input-ir", "fp") is None
+        assert get(make(directory)) is None
         assert not os.path.exists(path), "corrupt entry must be unlinked"
-        cache.store("input-ir", "fp", "optimized-ir")
-        cache._memory.clear()
-        assert cache.lookup("input-ir", "fp") == "optimized-ir"
+        put(make(directory))
+        assert get(make(directory)) == expected
 
 
-def test_artifact_store_torn_write_is_a_miss_then_heals(tmp_path):
-    from repro.pm.cache import ArtifactStore
-
-    store = ArtifactStore(str(tmp_path), memory_entries=0)
-    key = "a" * 64
-    store.put(key, "artifact body", level="partial")
-    path = store._path(key, "partial")
-    with open(path) as handle:
-        whole = handle.read()
-    header = json.loads(whole.split("\n", 1)[0])
-    assert header["sha256"]
-    # torn tail
-    with open(path, "w") as handle:
-        handle.write(whole[:-4])
-    assert store.get(key, "partial") is None
-    # wrong body under a valid header
-    store.put(key, "artifact body", level="partial")
-    with open(path) as handle:
-        head, _ = handle.read().split("\n", 1)
-    with open(path, "w") as handle:
-        handle.write(head + "\nswapped body")
-    assert store.get(key, "partial") is None
-    store.put(key, "artifact body", level="partial")
-    assert store.get(key, "partial").text == "artifact body"
-
-
-def test_profile_store_torn_write_is_a_miss(tmp_path):
-    from repro.profile.model import FunctionProfile
-    from repro.profile.store import ProfileStore, profile_key
-
-    store = ProfileStore(str(tmp_path))
-    profile = FunctionProfile(
-        function="f", source_hash="h", block_counts={"entry": 2}
+def test_failed_incident_write_never_escapes_containment(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    store = IncidentStore(str(blocker / "incidents"))
+    routine = suite_routines()[0]
+    result = compile_payload_contained(
+        "source",
+        routine.source,
+        "distribution",
+        on_error="degrade",
+        incidents=store,
+        chaos=PassChaos(crash_passes=("pre",)),
     )
-    store.put(profile)
-    path = store._path(profile_key("f", "h"))
-    with open(path, "w") as handle:
-        handle.write('{"function": "f", "source_h')
-    store._memory.clear()
-    assert store.get("f", "h") is None
-    store.put(profile, merge=False)
-    store._memory.clear()
-    assert store.get("f", "h").block_counts == {"entry": 2}
+    assert result.degraded
+    assert result.incident_ids  # recorded in memory, never on disk
+    assert store.stats()["write_failures"] >= 1

@@ -1,399 +1,48 @@
 """Dataflow-solver microbenchmark (``repro bench dataflow``).
 
-Measures what this repo's dataflow rework actually bought, against the
-implementation it replaced:
+Every dataflow problem in the pipeline has one solver, so the bench
+times and counts two stages over the benchmark suite:
 
-* **Solver stage (the headline)** — for every benchmark-suite function,
-  the PRE + liveness stage of the pipeline (both placement systems —
-  the lazy-code-motion LATER system and the bidirectional
-  Morel–Renvoise PPIN/PPOUT system — plus a liveness consumer) is run
-  two ways, both from a cold start, each paying exactly what its
-  pipeline paid.  The *seed* side runs the implementations retained
-  below (frozenset values, full round-robin sweeps — byte-for-byte the
-  algorithms this repo shipped with) and, like the seed's passes, it
-  re-normalizes the IR and rebuilds the CFG and expression table at
-  the top of every pass and re-solves availability/anticipability per
-  placement system.  The mask side runs the current pipeline:
-  ``prepare_pre`` with the :class:`~repro.analysis.manager.
-  AnalysisManager` caching the CFG, table, interned universe and the
-  whole lowered/solved PRE context across the two passes, and the
-  sparse-set worklist engine underneath.  The speedup therefore
-  measures the tentpole as shipped — bitset engine *and* analysis
-  caching together on the hot path.  Placement decisions are asserted
-  identical before anything is timed.
+* **PRE stage** — for every suite function that computes an
+  expression, the PRE + liveness portion of the pipeline from a cold
+  analysis cache: ``prepare_pre`` (CFG and expression table, interning,
+  the availability and anticipability solves on the mask engine), both
+  placement systems (the lazy-code-motion LATER system and the
+  bidirectional Morel–Renvoise PPIN/PPOUT system) and a liveness
+  request, as the passes make them.  The analysis manager's caching is
+  part of what is timed.
+* **Framework stage** — every suite function's liveness, availability
+  and anticipability problems, stated as
+  :class:`~repro.dataflow.framework.DataflowProblem`\\ s and solved with
+  :func:`repro.dataflow.framework.solve`.
 
-* **Per-problem engines** — the three gen/kill problems solved through
-  :func:`repro.dataflow.framework.solve` under each engine: the seed
-  solver, the retained reference solver (round-robin with the
-  unchanged-input skip), and the bitset engine, on both the suite
-  workload and synthetic wide CFGs where dense bit vectors pay off.
-
-* **Work counters and cache rates** — worklist pops and reference
-  sweeps (deterministic: they depend on the IR and iteration order,
-  never on machine speed, so CI gates them with ``--max-pops``), and
-  the analysis-manager hit rate over a full suite compile.
-
-Output is a ``BENCH_passes.json``-style report via ``--json``.
+Each stage reports a best-of-``repeat`` time and a work counter that
+depends only on the IR and the iteration order, never on machine speed:
+the mask engine's worklist pops and updates over the PRE stage (CI
+gates the pops with ``--max-pops``) and the frozenset solver's sweeps
+over the framework stage.  The analysis-manager hit rate over a full
+suite compile rides along.  ``--json`` writes the report.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import sys
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis import manager as analysis_manager
 from repro.bench.suite import suite_routines
-from repro.cfg.edges import split_critical_edges
 from repro.cfg.graph import ControlFlowGraph
-from repro.dataflow import bitset, framework
-from repro.dataflow.expressions import MEM, ExpressionTable
-from repro.ir.opcodes import Opcode
-from repro.dataflow.framework import DataflowProblem, DataflowResult, solve
+from repro.dataflow import bitset
+from repro.dataflow.expressions import ExpressionTable
+from repro.dataflow.framework import solve
 from repro.dataflow.problems import (
     anticipable_expression_problem,
     available_expression_problem,
     live_variable_problem,
 )
-from repro.ir import parse_function, print_function
 from repro.pipeline import OptLevel, compile_source
-
-# ---------------------------------------------------------------------------
-# The seed implementations (the "before" of this PR), kept verbatim so the
-# speedup is measured against what the repo actually shipped, not asserted.
-# ---------------------------------------------------------------------------
-
-
-def _seed_expand_leaves(table: ExpressionTable) -> None:
-    """The seed's ``_expand_leaves``: Tarjan over *every* key, recursion."""
-    import sys
-
-    from repro.dataflow.expressions import _key_operands
-    from repro.util import cyclic_nodes
-
-    reg_to_key = {reg: key for key, reg in table.named.items()}
-    subkey_graph = {
-        key: [
-            reg_to_key[src] for src in _key_operands(key) if src in reg_to_key
-        ]
-        for key in table.keys
-    }
-    for key in cyclic_nodes(subkey_graph):
-        table.named.pop(key, None)
-
-    reg_to_key = {reg: key for key, reg in table.named.items()}
-    memo: dict = {}
-
-    def expand(key) -> frozenset:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result: set = set()
-        if key[0] is Opcode.LOAD:
-            result.add(MEM)
-        for src in _key_operands(key):
-            sub = reg_to_key.get(src)
-            if sub is not None:
-                result |= expand(sub)
-            else:
-                result.add(src)
-        frozen = frozenset(result)
-        memo[key] = frozen
-        return frozen
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10_000))
-    try:
-        table.leaves = {key: expand(key) for key in table.keys}
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-
-def seed_expression_table(func) -> ExpressionTable:
-    """The seed's ``ExpressionTable.build``: per-use ``expr_key`` recompute.
-
-    The current builder computes every instruction's key exactly once
-    and shares it across the naming classification and both local-set
-    scans; the seed recomputed it at each use (roughly six calls per
-    instruction) and intersected leaf sets instead of probing
-    disjointness.  Retained so the stage baseline pays what the seed's
-    passes actually paid.
-    """
-    table = ExpressionTable()
-    defs_of_reg: dict = {}
-    for blk in func.blocks:
-        for inst in blk.instructions:
-            if inst.target is not None:
-                defs_of_reg.setdefault(inst.target, []).append(inst)
-            key = inst.expr_key()
-            if key is None:
-                continue
-            if key not in table.occurrences:
-                table.keys.append(key)
-                table.occurrences[key] = []
-            table.occurrences[key].append((blk.label, inst))
-
-    params = set(func.params)
-    for key, occs in table.occurrences.items():
-        targets = {inst.target for _, inst in occs}
-        if len(targets) != 1:
-            continue
-        reg = next(iter(targets))
-        if reg in params:
-            continue
-        if all(inst.expr_key() == key for inst in defs_of_reg.get(reg, [])):
-            table.named[key] = reg
-
-    _seed_expand_leaves(table)
-
-    for blk in func.blocks:
-        killed: set = set()
-        antloc: set = set()
-        for inst in blk.instructions:
-            key = inst.expr_key()
-            if key is not None and not (table.leaves[key] & killed):
-                antloc.add(key)
-            killed.update(table._variable_defs(inst))
-        all_killed = frozenset(killed)
-
-        comp: set = set()
-        killed_after: set = set()
-        for inst in reversed(blk.instructions):
-            key = inst.expr_key()
-            if key is not None and not (table.leaves[key] & killed_after):
-                own_defs = set(table._variable_defs(inst))
-                if not (table.leaves[key] & own_defs):
-                    comp.add(key)
-            killed_after.update(table._variable_defs(inst))
-
-        table.antloc[blk.label] = frozenset(antloc)
-        table.comp[blk.label] = frozenset(comp)
-        table.transp[blk.label] = frozenset(
-            key for key in table.keys if not (table.leaves[key] & all_killed)
-        )
-    return table
-
-
-def seed_live_problem(func, cfg: ControlFlowGraph) -> DataflowProblem:
-    """The seed's live-variable gen/kill scan, per-call allocations and all.
-
-    The seed built the register universe through ``defs()``/``uses()``
-    list copies and the ``is_phi`` property on every instruction; the
-    current scan reads ``srcs``/``target``/``opcode`` directly and
-    attaches an interned universe.  Retained for the stage baseline.
-    """
-    regs = set(func.params)
-    for inst in func.instructions():
-        regs.update(inst.defs())
-        regs.update(inst.uses())
-    universe = frozenset(regs)
-
-    phi_uses_from: dict[str, set] = {label: set() for label in cfg.labels}
-    for blk in func.blocks:
-        for phi in blk.phis():
-            for src, pred in zip(phi.srcs, phi.phi_labels):
-                if pred in phi_uses_from:
-                    phi_uses_from[pred].add(src)
-
-    gen: dict[str, frozenset] = {}
-    kill: dict[str, frozenset] = {}
-    for blk in func.blocks:
-        upward: set = set()
-        defined: set = set()
-        for inst in blk.instructions:
-            if inst.is_phi:
-                defined.update(inst.defs())
-                continue
-            for use in inst.uses():
-                if use not in defined:
-                    upward.add(use)
-            defined.update(inst.defs())
-        for reg in phi_uses_from[blk.label]:
-            if reg not in defined:
-                upward.add(reg)
-        gen[blk.label] = frozenset(upward)
-        kill[blk.label] = frozenset(defined)
-
-    return DataflowProblem(
-        direction="backward",
-        meet="union",
-        universe=universe,
-        gen=gen,
-        kill=kill,
-    )
-
-
-def seed_solve(problem: DataflowProblem, cfg: ControlFlowGraph) -> DataflowResult:
-    """The seed's solver: full round-robin frozenset sweeps, no skipping."""
-    labels = cfg.reverse_postorder if problem.direction == "forward" else cfg.postorder
-    universe = problem.universe
-    union = problem.meet == "union"
-    init = frozenset() if union else universe
-
-    reachable = set(labels)
-    if problem.direction == "forward":
-        sources = {lbl: [p for p in cfg.preds[lbl] if p in reachable] for lbl in labels}
-        is_boundary = {lbl: lbl == cfg.entry for lbl in labels}
-    else:
-        sources = {lbl: [s for s in cfg.succs[lbl] if s in reachable] for lbl in labels}
-        is_boundary = {lbl: not cfg.succs[lbl] for lbl in labels}
-
-    before = {lbl: init for lbl in labels}
-    after = {lbl: init for lbl in labels}
-
-    iterations = 0
-    changed = True
-    while changed:
-        changed = False
-        iterations += 1
-        for label in labels:
-            if is_boundary[label] and not sources[label]:
-                incoming = problem.boundary
-            else:
-                values = [after[src] for src in sources[label]]
-                if is_boundary[label]:
-                    values.append(problem.boundary)
-                if union:
-                    incoming = frozenset().union(*values) if values else frozenset()
-                else:
-                    incoming = universe
-                    for value in values:
-                        incoming &= value
-            outgoing = problem.gen[label] | (incoming - problem.kill[label])
-            if incoming != before[label] or outgoing != after[label]:
-                before[label] = incoming
-                after[label] = outgoing
-                changed = True
-
-    if problem.direction == "forward":
-        return DataflowResult(inn=before, out=after, iterations=iterations)
-    return DataflowResult(inn=after, out=before, iterations=iterations)
-
-
-def seed_lcm_placement(
-    cfg: ControlFlowGraph,
-    table: ExpressionTable,
-    avail: DataflowResult,
-    ant: DataflowResult,
-) -> tuple[dict, dict]:
-    """The seed's lazy-code-motion placement: frozensets, edge fixpoint."""
-    universe = table.universe
-    kill = table.kill()
-    entry = cfg.entry
-    reachable = cfg.reachable()
-    edges = [(i, j) for i, j in cfg.edges() if i in reachable]
-
-    earliest: dict[tuple[str, str], frozenset] = {}
-    for i, j in edges:
-        value = ant.at_entry(j) - avail.at_exit(i)
-        if i != entry:
-            value &= kill[i] | (universe - ant.at_exit(i))
-        earliest[(i, j)] = value
-
-    laterin: dict[str, frozenset] = {
-        label: (frozenset() if label == entry else universe) for label in reachable
-    }
-
-    def later(i: str, j: str) -> frozenset:
-        return earliest[(i, j)] | (laterin[i] - table.antloc[i])
-
-    order = cfg.reverse_postorder
-    changed = True
-    while changed:
-        changed = False
-        for j in order:
-            if j == entry:
-                continue
-            preds = [p for p in cfg.preds[j] if p in reachable]
-            if not preds:
-                continue
-            new = later(preds[0], j)
-            for p in preds[1:]:
-                new &= later(p, j)
-            if new != laterin[j]:
-                laterin[j] = new
-                changed = True
-
-    insert_on_edge = {
-        (i, j): later(i, j) - laterin[j] for i, j in edges if j != entry
-    }
-    delete_in_block = {
-        label: (table.antloc[label] - laterin[label]) if label != entry else frozenset()
-        for label in reachable
-    }
-    return insert_on_edge, delete_in_block
-
-
-def seed_mr_placement(
-    cfg: ControlFlowGraph,
-    table: ExpressionTable,
-    avail: DataflowResult,
-    ant: DataflowResult,
-) -> tuple[dict, dict, dict]:
-    """The seed's Morel–Renvoise placement: bidirectional frozenset sweeps."""
-    universe = table.universe
-    entry = cfg.entry
-    reachable = cfg.reachable()
-
-    ppin: dict[str, frozenset] = {
-        label: (frozenset() if label == entry else universe) for label in reachable
-    }
-    ppout: dict[str, frozenset] = {
-        label: (frozenset() if not cfg.succs[label] else universe)
-        for label in reachable
-    }
-
-    order = [label for label in cfg.reverse_postorder]
-    changed = True
-    while changed:
-        changed = False
-        for label in order + list(reversed(order)):
-            succs = [s for s in cfg.succs[label] if s in reachable]
-            if succs:
-                new_out = ppin[succs[0]]
-                for s in succs[1:]:
-                    new_out &= ppin[s]
-            else:
-                new_out = frozenset()
-            if new_out != ppout[label]:
-                ppout[label] = new_out
-                changed = True
-            if label == entry:
-                continue
-            preds = [p for p in cfg.preds[label] if p in reachable]
-            local = table.antloc[label] | (table.transp[label] & ppout[label])
-            new_in = ant.at_entry(label) & local
-            for p in preds:
-                new_in &= ppout[p] | avail.at_exit(p)
-            if new_in != ppin[label]:
-                ppin[label] = new_in
-                changed = True
-
-    insert_at_end = {
-        label: (
-            ppout[label]
-            - avail.at_exit(label)
-            - (ppin[label] & table.transp[label])
-        )
-        for label in reachable
-    }
-    insert_on_edge = {}
-    for i in reachable:
-        for j in cfg.succs[i]:
-            if j in reachable and j != entry:
-                insert_on_edge[(i, j)] = ppin[j] - ppout[i] - avail.at_exit(i)
-    delete_in_block = {
-        label: (table.antloc[label] & ppin[label]) if label != entry else frozenset()
-        for label in reachable
-    }
-    return insert_on_edge, delete_in_block, insert_at_end
-
-
-# ---------------------------------------------------------------------------
-# Workloads
-# ---------------------------------------------------------------------------
 
 
 def _workload() -> list:
@@ -405,13 +54,10 @@ def _workload() -> list:
     return funcs
 
 
-def _clone(func):
-    return parse_function(print_function(func))
-
-
-def _collect_problems(funcs) -> list[tuple[ControlFlowGraph, DataflowProblem]]:
-    """The solver-stage problems: liveness + avail + ant per function."""
-    items: list[tuple[ControlFlowGraph, DataflowProblem]] = []
+def _framework_problems(funcs) -> list:
+    """The framework stage's ``(cfg, problem)`` pairs: liveness, plus
+    availability and anticipability where the function has expressions."""
+    items = []
     for func in funcs:
         cfg = ControlFlowGraph(func)
         items.append((cfg, live_variable_problem(func, cfg)))
@@ -422,309 +68,48 @@ def _collect_problems(funcs) -> list[tuple[ControlFlowGraph, DataflowProblem]]:
     return items
 
 
-class _SyntheticCFG:
-    """A CFG-shaped stand-in for wide synthetic problems (no Function)."""
-
-    def __init__(self, n_blocks: int, rng: random.Random) -> None:
-        labels = [f"B{i}" for i in range(n_blocks)]
-        succs: dict[str, list[str]] = {lbl: [] for lbl in labels}
-        for i in range(n_blocks - 1):
-            succs[labels[i]].append(labels[i + 1])
-            # extra forward edge and the occasional back edge (loops)
-            extra = rng.randrange(n_blocks)
-            if extra != i:
-                succs[labels[i]].append(labels[extra])
-        preds: dict[str, list[str]] = {lbl: [] for lbl in labels}
-        for src, targets in succs.items():
-            for dst in targets:
-                preds[dst].append(src)
-        self.entry = labels[0]
-        self.labels = labels
-        self.succs = succs
-        self.preds = preds
-        self.reverse_postorder = self._rpo()
-        self.postorder = list(reversed(self.reverse_postorder))
-
-        class _F:
-            name = f"synthetic{n_blocks}"
-
-        self.func = _F()
-
-    def _rpo(self) -> list[str]:
-        seen: set[str] = set()
-        out: list[str] = []
-
-        def visit(label: str) -> None:
-            stack = [(label, iter(self.succs[label]))]
-            seen.add(label)
-            while stack:
-                lbl, it = stack[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in seen:
-                        seen.add(succ)
-                        stack.append((succ, iter(self.succs[succ])))
-                        advanced = True
-                        break
-                if not advanced:
-                    out.append(lbl)
-                    stack.pop()
-
-        visit(self.entry)
-        return list(reversed(out))
-
-
-def _synthetic_problems(
-    sizes=(100, 300), n_facts: int = 2048
-) -> list[tuple[_SyntheticCFG, DataflowProblem]]:
-    """Wide random problems (fixed seed) where dense bit vectors pay off."""
-    items = []
-    for size in sizes:
-        rng = random.Random(size)  # deterministic per size
-        cfg = _SyntheticCFG(size, rng)
-        universe = frozenset(f"fact{i}" for i in range(n_facts))
-        facts = sorted(universe)
-        gen = {}
-        kill = {}
-        for lbl in cfg.labels:
-            gen[lbl] = frozenset(rng.sample(facts, 48))
-            kill[lbl] = frozenset(rng.sample(facts, 48)) - gen[lbl]
-        for direction, meet in (
-            ("forward", "union"),
-            ("forward", "intersection"),
-            ("backward", "union"),
-            ("backward", "intersection"),
-        ):
-            items.append(
-                (
-                    cfg,
-                    DataflowProblem(
-                        direction=direction,
-                        meet=meet,
-                        universe=universe,
-                        gen=gen,
-                        kill=kill,
-                    ),
-                )
-            )
-    return items
-
-
-# ---------------------------------------------------------------------------
-# Timed sections
-# ---------------------------------------------------------------------------
-
-
-def _time_engines(problems, repeat: int) -> dict:
-    """Best-of-``repeat`` seconds per engine over the same problems."""
-
-    def run_solver(solver: Callable) -> float:
-        best = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            for cfg, problem in problems:
-                solver(problem, cfg)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    previous = framework.ENGINE
-    try:
-        framework.ENGINE = "reference"
-        reference = run_solver(solve)
-        framework.ENGINE = "bitset"
-        fast = run_solver(solve)
-    finally:
-        framework.ENGINE = previous
-    return {
-        "seed": run_solver(seed_solve),
-        "reference": reference,
-        "bitset": fast,
-    }
-
-
-def _check_equivalence(problems) -> int:
-    """Assert all three engines agree on every problem; returns the count."""
-    from repro.dataflow.framework import solve_reference
-
-    checked = 0
-    for cfg, problem in problems:
-        fast = framework._lift_result(
-            problem, bitset.solve_masks(framework.lower_problem(problem, cfg))
-        )
-        slow = solve_reference(problem, cfg)
-        old = seed_solve(problem, cfg)
-        if not (fast.inn == slow.inn == old.inn and fast.out == slow.out == old.out):
-            raise AssertionError(
-                f"engine mismatch on {cfg.func.name!r} "
-                f"({problem.direction}/{problem.meet})"
-            )
-        checked += 1
-    return checked
-
-
-def _stage_inputs(funcs) -> list[dict]:
-    """Normalized clones for the stage comparison.
-
-    Clones are normalized once up front so the IR shape is stable
-    across repetitions; both timed sides then re-run the (idempotent)
-    normalization per pass exactly as their pipelines do, and build
-    every analysis they consume *inside* the timed region — the seed
-    per pass, the mask side through the analysis-manager cache.
-    """
+def _pre_inputs(funcs) -> list:
+    """Clones normalized once up front, so the IR shape is stable across
+    repetitions; functions without expressions have no PRE stage."""
     from repro.passes.pre_common import normalize_for_pre
 
     inputs = []
     for func in funcs:
-        clone = _clone(func)
+        clone = func.clone()
         normalize_for_pre(clone)
-        if not ExpressionTable.build(clone).keys:
-            continue
-        inputs.append({"func": clone})
+        if ExpressionTable.build(clone).keys:
+            inputs.append(clone)
     return inputs
 
 
-def _run_seed_stage(item: dict) -> tuple:
-    """The seed's PRE + liveness stage, paying what the seed passes paid.
-
-    Each of the seed's two PRE passes began with unreachable-block
-    removal, critical-edge splitting, a fresh ``ControlFlowGraph``, a
-    fresh ``ExpressionTable`` and its own availability/anticipability
-    solves — nothing was shared between passes, and the liveness
-    consumer rebuilt its CFG and gen/kill scan too.  This runner
-    reproduces that cost structure faithfully.
-    """
-    func = item["func"]
-
-    def pre_pass_preamble():
-        # verbatim seed pass preamble: φ check, normalization, fresh
-        # CFG + table, and one availability/anticipability solve each —
-        # the seed's problem builders each recomputed ``table.kill()``
-        if any(inst.is_phi for inst in func.instructions()):
-            raise ValueError("PRE requires phi-free code")
-        func.remove_unreachable_blocks()
-        split_critical_edges(func)
-        cfg = ControlFlowGraph(func)
-        table = seed_expression_table(func)
-        avail = seed_solve(
-            DataflowProblem(
-                direction="forward",
-                meet="intersection",
-                universe=table.universe,
-                gen=table.comp,
-                kill=table.kill(),
-                boundary=frozenset(),
-            ),
-            cfg,
-        )
-        ant = seed_solve(
-            DataflowProblem(
-                direction="backward",
-                meet="intersection",
-                universe=table.universe,
-                gen=table.antloc,
-                kill=table.kill(),
-                boundary=frozenset(),
-            ),
-            cfg,
-        )
-        return cfg, table, avail, ant
-
-    cfg, table, avail, ant = pre_pass_preamble()
-    lcm = seed_lcm_placement(cfg, table, avail, ant)
-    cfg, table, avail, ant = pre_pass_preamble()
-    mr = seed_mr_placement(cfg, table, avail, ant)
-    cfg = ControlFlowGraph(func)
-    live = seed_solve(seed_live_problem(func, cfg), cfg)
-    return live, lcm, mr
-
-
-def _run_mask_stage(item: dict) -> tuple:
-    """The current pipeline's PRE + liveness stage on the same inputs.
+def _run_pre_stage(func) -> None:
+    """One function's PRE + liveness stage, from a cold analysis cache.
 
     Mirrors the pass structure — each placement system calls
-    ``prepare_pre`` and the liveness consumer asks the manager — but
-    starts from a cold analysis cache (``invalidate_all``), so the
-    first ``prepare_pre`` pays CFG and table construction, interning,
-    lowering and both mask solves, while the second and the liveness
-    request hit the cache.  That caching is half the tentpole; it is
-    deliberately inside the timed region.
+    ``prepare_pre`` and the liveness consumer asks the manager — so the
+    first ``prepare_pre`` pays CFG and table construction, interning and
+    both mask solves, while the second and the liveness request go
+    through the cache.
     """
     from repro.passes.pre import solve_lcm_placement
     from repro.passes.pre_common import prepare_pre
     from repro.passes.pre_mr import solve_mr_placement
 
-    func = item["func"]
     manager = analysis_manager.analyses(func)
     manager.invalidate_all()
-    ctx = prepare_pre(func)
-    lcm = solve_lcm_placement(ctx)
-    mr = solve_mr_placement(prepare_pre(func))
-    live = manager.liveness()
-    return ctx, live, lcm, mr
+    solve_lcm_placement(prepare_pre(func))
+    solve_mr_placement(prepare_pre(func))
+    manager.liveness()
 
 
-def _check_stage_equivalence(inputs) -> int:
-    """Assert seed and mask pipelines reach identical placement decisions."""
-    checked = 0
-    for item in inputs:
-        live_seed, lcm_seed, mr_seed = _run_seed_stage(item)
-        ctx, live_mask, lcm_mask, mr_mask = _run_mask_stage(item)
-
-        lifted_lcm = (
-            {edge: ctx.keys_of(mask) for edge, mask in lcm_mask[0].items()},
-            ctx.lift_blocks(lcm_mask[1]),
-        )
-        lifted_mr = (
-            {edge: ctx.keys_of(mask) for edge, mask in mr_mask[0].items()},
-            ctx.lift_blocks(mr_mask[1]),
-            ctx.lift_blocks(mr_mask[2]),
-        )
-        name = item["func"].name
-        if lifted_lcm != lcm_seed:
-            raise AssertionError(f"LCM placement mismatch on {name!r}")
-        if lifted_mr != mr_seed:
-            raise AssertionError(f"Morel–Renvoise placement mismatch on {name!r}")
-        if live_seed.inn != live_mask.inn or live_seed.out != live_mask.out:
-            raise AssertionError(f"liveness mismatch on {name!r}")
-        checked += 1
-    return checked
-
-
-def _time_stage(inputs, repeat: int) -> dict:
-    """Best-of-``repeat`` seconds for the solver stage, both pipelines."""
-    timings = {"seed": float("inf"), "bitset": float("inf")}
+def _best_of(repeat: int, run) -> float:
+    """The fastest of ``repeat`` timed calls of ``run``, in seconds."""
+    best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        for item in inputs:
-            _run_seed_stage(item)
-        timings["seed"] = min(timings["seed"], time.perf_counter() - start)
-
-        start = time.perf_counter()
-        for item in inputs:
-            _run_mask_stage(item)
-        timings["bitset"] = min(timings["bitset"], time.perf_counter() - start)
-    return timings
-
-
-def _count_work(problems, inputs) -> dict:
-    """Deterministic work counters for one full pass over the workload."""
-    from repro.dataflow.framework import solve_reference
-
-    bitset.GLOBAL_STATS.reset()
-    for cfg, problem in problems:
-        bitset.solve_masks(framework.lower_problem(problem, cfg))
-    for item in inputs:
-        _run_mask_stage(item)
-    counters = bitset.GLOBAL_STATS.as_dict()
-    bitset.GLOBAL_STATS.reset()
-
-    counters["reference_sweeps"] = sum(
-        solve_reference(p, cfg).iterations for cfg, p in problems
-    )
-    counters["seed_sweeps"] = sum(
-        seed_solve(p, cfg).iterations for cfg, p in problems
-    )
-    return counters
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _cache_rates() -> dict:
@@ -737,98 +122,60 @@ def _cache_rates() -> dict:
     return stats
 
 
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
-
-
 def run_bench(repeat: int = 3) -> dict:
-    """Run every section and return the JSON-ready report."""
+    """Run both stages and the cache compile; return the JSON-ready report."""
     funcs = _workload()
-    problems = _collect_problems(funcs)
-    synthetic = _synthetic_problems()
-    inputs = _stage_inputs(funcs)
+    problems = _framework_problems(funcs)
+    inputs = _pre_inputs(funcs)
 
-    checked = _check_equivalence(problems)
-    stage_checked = _check_stage_equivalence(inputs)
+    def pre_stage() -> None:
+        for func in inputs:
+            _run_pre_stage(func)
 
-    suite_engines = _time_engines(problems, repeat)
-    synthetic_engines = _time_engines(synthetic, repeat)
-    stage = _time_stage(inputs, repeat)
-    work = _count_work(problems, inputs)
-    cache = _cache_rates()
+    def framework_stage() -> int:
+        return sum(solve(problem, cfg).iterations for cfg, problem in problems)
 
-    def ratio(slow: float, fast: float) -> float:
-        return round(slow / fast, 2) if fast else float("inf")
+    bitset.GLOBAL_STATS.reset()
+    pre_stage()
+    work = bitset.GLOBAL_STATS.as_dict()
+    bitset.GLOBAL_STATS.reset()
+    sweeps = framework_stage()
 
     return {
         "benchmark": "dataflow",
         "repeat": repeat,
         "functions": len(funcs),
-        "problems": len(problems),
-        "equivalence_checked": checked,
-        "stage_equivalence_checked": stage_checked,
-        "solver_stage": {
+        "pre_stage": {
             "functions": len(inputs),
-            "seed_seconds": round(stage["seed"], 6),
-            "bitset_seconds": round(stage["bitset"], 6),
-            "speedup": ratio(stage["seed"], stage["bitset"]),
+            "seconds": round(_best_of(repeat, pre_stage), 6),
+            **work,
         },
-        "suite_problems": {
-            "seconds": {k: round(v, 6) for k, v in suite_engines.items()},
-            "speedup_vs_seed": ratio(suite_engines["seed"], suite_engines["bitset"]),
+        "framework_stage": {
+            "problems": len(problems),
+            "seconds": round(_best_of(repeat, framework_stage), 6),
+            "sweeps": sweeps,
         },
-        "synthetic_problems": {
-            "count": len(synthetic),
-            "seconds": {k: round(v, 6) for k, v in synthetic_engines.items()},
-            "speedup_vs_seed": ratio(
-                synthetic_engines["seed"], synthetic_engines["bitset"]
-            ),
-            "speedup_vs_reference": ratio(
-                synthetic_engines["reference"], synthetic_engines["bitset"]
-            ),
-        },
-        "work": work,
-        "analysis_cache": cache,
+        "analysis_cache": _cache_rates(),
     }
 
 
 def _format(report: dict) -> str:
-    stage = report["solver_stage"]
-    suite = report["suite_problems"]
-    synth = report["synthetic_problems"]
-    work = report["work"]
+    pre = report["pre_stage"]
+    framework = report["framework_stage"]
     cache = report["analysis_cache"]
-    lines = [
+    return "\n".join([
         f"dataflow bench: {report['functions']} functions, "
-        f"{report['problems']} problems, best of {report['repeat']} "
-        f"(results checked identical across engines: "
-        f"{report['equivalence_checked']} problems, "
-        f"{report['stage_equivalence_checked']} placement stages)",
-        "",
-        f"  PRE+liveness solver stage ({stage['functions']} functions):",
-        f"    seed (frozensets):  {stage['seed_seconds']:.4f} s",
-        f"    bitset pipeline:    {stage['bitset_seconds']:.4f} s",
-        f"    speedup:            {stage['speedup']:.2f}x",
-        "",
-        "  per-problem engines (suite / synthetic-wide):",
-        f"    seed:      {suite['seconds']['seed']:.4f} s / "
-        f"{synth['seconds']['seed']:.4f} s",
-        f"    reference: {suite['seconds']['reference']:.4f} s / "
-        f"{synth['seconds']['reference']:.4f} s",
-        f"    bitset:    {suite['seconds']['bitset']:.4f} s / "
-        f"{synth['seconds']['bitset']:.4f} s",
-        f"    bitset vs seed: {suite['speedup_vs_seed']:.2f}x suite, "
-        f"{synth['speedup_vs_seed']:.2f}x synthetic",
-        "",
-        f"  work: {work['pops']} worklist pops, {work['updates']} updates "
-        f"(reference {work['reference_sweeps']} sweeps, "
-        f"seed {work['seed_sweeps']} sweeps)",
+        f"best of {report['repeat']}",
+        f"  PRE stage, mask engine ({pre['functions']} functions): "
+        f"{pre['seconds']:.4f} s, {pre['solves']} solves, "
+        f"{pre['pops']} worklist pops, {pre['updates']} updates",
+        f"  framework stage, frozenset solver ({framework['problems']} "
+        f"problems): {framework['seconds']:.4f} s, "
+        f"{framework['sweeps']} sweeps",
         f"  analysis cache: {cache['hits']} hits / {cache['misses']} misses "
         f"({100 * cache['hit_rate']:.1f}% hit rate, "
         f"{cache['invalidations']} invalidations)",
-    ]
-    return "\n".join(lines)
+    ])
 
 
 def main(
@@ -843,7 +190,7 @@ def main(
             json.dump(report, handle, indent=2)
             handle.write("\n")
     if max_pops is not None:
-        pops = report["work"]["pops"]
+        pops = report["pre_stage"]["pops"]
         if pops > max_pops:
             print(
                 f"dataflow bench: FAIL — {pops} worklist pops exceed the "

@@ -693,7 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench_cmd.add_subparsers(dest="bench_command", required=True)
     dataflow_cmd = bench_sub.add_parser(
         "dataflow",
-        help="time the bitset dataflow engine against the reference solver",
+        help="time and count the dataflow solvers: the mask engine over "
+        "the PRE stage, the frozenset solver over the suite's problems",
     )
     dataflow_cmd.add_argument(
         "--repeat",
@@ -713,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BOUND",
-        help="exit 1 when the deterministic worklist-pop count exceeds "
-        "BOUND (the CI regression gate)",
+        help="exit 1 when the PRE stage's deterministic worklist-pop count "
+        "exceeds BOUND (the CI regression gate)",
     )
     bench_table1_cmd = bench_sub.add_parser(
         "table1",

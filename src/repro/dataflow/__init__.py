@@ -2,8 +2,11 @@
 
 * :mod:`repro.dataflow.framework` — a generic iterative solver for
   gen/kill problems over sets of hashable facts;
+* :mod:`repro.dataflow.bitset` — the bit-mask worklist engine the PRE
+  equations are stated and solved on;
 * :mod:`repro.dataflow.problems` — the analyses the optimizer needs:
-  liveness, available expressions, anticipable expressions;
+  liveness, available expressions, anticipable expressions, definite
+  assignment;
 * :mod:`repro.dataflow.expressions` — the per-block local properties
   (ANTLOC / COMP / TRANSP) over lexical expression keys that PRE consumes.
 """

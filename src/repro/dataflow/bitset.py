@@ -1,27 +1,29 @@
 """Dense bit-vector dataflow: fact interning, mask ops, worklist solver.
 
-The frozenset solver in :mod:`repro.dataflow.framework` is exact but
-allocates a new set per block per sweep.  This module is the fast path
-underneath it: facts are interned once into a :class:`FactUniverse`
-(fact ↔ bit index), per-block GEN/KILL become Python ints used as dense
-bit vectors (arbitrary width, one machine word per 30–64 facts, with
-``&``/``|``/``~`` compiled in C), and the fixpoint is driven by a
-:class:`SparseSet` worklist seeded in an order matched to the problem
-direction — reverse postorder for forward problems, postorder for
-backward ones — so most blocks stabilize on their first visit.
+The PRE passes (:mod:`repro.passes.pre_common`) and the certify
+placement audit state their problems on bit masks from the start:
+expression keys are interned once per function into a
+:class:`FactUniverse` (fact ↔ bit index), per-block local properties
+become Python ints used as dense bit vectors (arbitrary width, with
+``&``/``|``/``~`` compiled in C), and :func:`solve_masks` drives the
+fixpoint with a :class:`SparseSet` worklist seeded in an order matched
+to the problem direction — reverse postorder for forward problems,
+postorder for backward ones — so most blocks stabilize on their first
+visit.  Problems stated over ``frozenset``s solve with
+:func:`repro.dataflow.framework.solve` instead; no problem is solved
+both ways.
 
-The solver is exact for the same class of problems as the reference
-solver (monotone gen/kill over a finite universe) and the two are
+The engine is exact for the same class of problems as the frozenset
+solver (monotone gen/kill over a finite universe), and the two are
 tested result-identical on randomized CFGs for all four problem shapes
 (forward/backward × union/intersection).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Literal, Mapping, Optional
 
-Direction = Literal["forward", "backward"]
 Meet = Literal["union", "intersection"]
 
 
@@ -170,21 +172,16 @@ class SparseSet:
 
 @dataclass
 class SolverStats:
-    """Work counters from one (or an accumulation of) solver run(s).
+    """Work counters accumulated over :func:`solve_masks` runs.
 
-    ``pops`` counts worklist extractions — the bitset analogue of the
-    reference solver's per-sweep block visits — and is the quantity the
-    CI bench guards against regression.
+    ``pops`` counts worklist extractions, the engine's unit of work; it
+    depends only on the IR and the iteration order, never on machine
+    speed, and is the quantity the CI bench guards against regression.
     """
 
     solves: int = 0
     pops: int = 0
     updates: int = 0
-
-    def merge(self, other: "SolverStats") -> None:
-        self.solves += other.solves
-        self.pops += other.pops
-        self.updates += other.updates
 
     def reset(self) -> None:
         self.solves = self.pops = self.updates = 0
@@ -199,7 +196,7 @@ GLOBAL_STATS = SolverStats()
 
 @dataclass
 class MaskProblem:
-    """A gen/kill problem lowered onto one :class:`FactUniverse`.
+    """A gen/kill problem over the bits of one :class:`FactUniverse`.
 
     ``order`` lists the block labels in the iteration order matched to
     the direction (reverse postorder for forward, postorder for
@@ -227,10 +224,8 @@ class MaskResult:
     exit; backward problems mirror the roles.
     """
 
-    universe: FactUniverse
     before: dict[str, int]
     after: dict[str, int]
-    stats: SolverStats = field(default_factory=SolverStats)
 
 
 def solve_masks(problem: MaskProblem) -> MaskResult:
@@ -263,7 +258,6 @@ def solve_masks(problem: MaskProblem) -> MaskResult:
 
     before = [init] * n
     after = [init] * n
-    stats = SolverStats(solves=1)
     pops = 0
     updates = 0
 
@@ -303,21 +297,10 @@ def solve_masks(problem: MaskProblem) -> MaskResult:
             for dep in dependents[i]:
                 worklist.add(dep)
 
-    stats.pops = pops
-    stats.updates = updates
-
-    GLOBAL_STATS.merge(stats)
+    GLOBAL_STATS.solves += 1
+    GLOBAL_STATS.pops += pops
+    GLOBAL_STATS.updates += updates
     return MaskResult(
-        universe=problem.universe,
         before={label: before[i] for i, label in enumerate(order)},
         after={label: after[i] for i, label in enumerate(order)},
-        stats=stats,
     )
-
-
-def iter_bits(mask: int) -> Iterable[int]:
-    """Yield the set bit positions of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

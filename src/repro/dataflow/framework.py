@@ -1,53 +1,35 @@
-"""A generic iterative data-flow solver.
+"""A generic iterative data-flow solver over ``frozenset``s of facts.
 
-Problems are described declaratively (direction, meet, gen/kill per block,
-boundary value) over ``frozenset``s of hashable facts.  Solving lowers
-the problem onto the dense bit-vector engine of
-:mod:`repro.dataflow.bitset`: facts are interned once into a
-:class:`~repro.dataflow.bitset.FactUniverse`, per-block GEN/KILL become
-int masks, and a sparse-set worklist seeded in an order matched to the
-direction (reverse postorder for forward problems, postorder for
-backward ones) iterates to the fixpoint.  The result is converted back,
-so callers keep the ``frozenset`` interface unchanged.
+Problems are described declaratively (direction, meet, gen/kill per
+block, boundary value) and :func:`solve` iterates them to the fixpoint
+in rounds over the blocks in an order matched to the direction (reverse
+postorder forward, postorder backward).  It is the one solver for every
+:class:`DataflowProblem` — liveness, SSA construction, definite
+assignment — and it is exact for the distributive gen/kill problems
+used here.
 
-The original round-robin frozenset solver is retained as
-:func:`solve_reference` — the oracle the bitset engine is fuzz-tested
-against, and the baseline ``repro bench dataflow`` measures speedups
-over.  Both are exact for the distributive gen/kill problems used here
-(liveness, availability, anticipability).
+The PRE passes and the certify placement audit never build a
+``DataflowProblem``: they state availability, anticipability and
+partial anticipability on bit masks from the start and solve them with
+:func:`repro.dataflow.bitset.solve_masks`.  Each problem therefore has
+exactly one solver.  Lowering these frozenset problems to masks as well
+was measured and dropped: on the suite's largest problems the
+conversion costs more than the bit-parallel solve saves (CHANGES.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Literal, Mapping, Optional
+from typing import Literal, Mapping, Optional
 
 from repro.cfg.graph import ControlFlowGraph
-from repro.dataflow.bitset import FactUniverse, MaskProblem, MaskResult, solve_masks
 
-Fact = Hashable
 FactSet = frozenset
 
 #: Meet operators.  ``union`` for "any path" problems (liveness);
 #: ``intersection`` for "all paths" problems (availability, anticipability).
 Meet = Literal["union", "intersection"]
 Direction = Literal["forward", "backward"]
-
-#: Which engine :func:`solve` uses: ``"auto"`` (the default — the bitset
-#: engine when the problem is large enough to amortize the mask
-#: conversion, the reference solver otherwise), ``"bitset"`` (always
-#: lower to masks), or ``"reference"`` (always the retained round-robin
-#: frozenset solver).  Tests and the bench pin this to compare engines
-#: end to end.
-ENGINE: str = "auto"
-
-#: Below this ``facts × blocks`` product the auto engine stays on the
-#: frozenset solver: on tiny problems converting gen/kill to masks and
-#: the fixpoint back to frozensets costs more than the bit-parallel
-#: solve saves (the bench's per-problem suite section shows exactly
-#: this).  The PRE passes are unaffected — they consume masks natively
-#: through :mod:`repro.passes.pre_common` and never convert back.
-AUTO_THRESHOLD: int = 4096
 
 
 @dataclass(frozen=True)
@@ -65,11 +47,6 @@ class DataflowProblem:
         kill: per-block facts killed.
         boundary: value at the entry (forward) or at all exits (backward);
             defaults to the empty set.
-        interned: an optional pre-built :class:`FactUniverse` covering
-            ``universe``; when set, lowering skips the per-solve sort and
-            interning (the analysis manager caches one per function).
-            When absent, :func:`lower_problem` memoizes the universe it
-            builds here, so only the first lowering of a problem pays.
     """
 
     direction: Direction
@@ -78,7 +55,6 @@ class DataflowProblem:
     gen: Mapping[str, FactSet]
     kill: Mapping[str, FactSet]
     boundary: FactSet = frozenset()
-    interned: Optional[FactUniverse] = None
 
 
 @dataclass
@@ -97,7 +73,7 @@ class DataflowResult:
 
 
 class DataflowConvergenceError(Exception):
-    """The reference solver exceeded its sweep cap without converging.
+    """The solver exceeded its sweep cap without converging.
 
     Monotone gen/kill problems always converge, so hitting the cap
     means the problem inputs are malformed (a gen/kill map inconsistent
@@ -131,74 +107,11 @@ class DataflowConvergenceError(Exception):
         )
 
 
-def _direction_plan(
-    problem: DataflowProblem, cfg: ControlFlowGraph
-) -> tuple[list[str], dict[str, list[str]], dict[str, bool]]:
-    """Iteration order, meet sources, and boundary flags for the problem.
-
-    The order is matched to the direction — reverse postorder forward,
-    postorder backward — and restricted to reachable blocks; meet
-    sources are predecessors forward, successors backward.
-    """
-    labels = cfg.reverse_postorder if problem.direction == "forward" else cfg.postorder
-    reachable = set(labels)
-    if problem.direction == "forward":
-        sources = {lbl: [p for p in cfg.preds[lbl] if p in reachable] for lbl in labels}
-        is_boundary = {lbl: lbl == cfg.entry for lbl in labels}
-    else:
-        sources = {lbl: [s for s in cfg.succs[lbl] if s in reachable] for lbl in labels}
-        is_boundary = {lbl: not cfg.succs[lbl] for lbl in labels}
-    return labels, sources, is_boundary
-
-
-def lower_problem(
+def solve(
     problem: DataflowProblem,
     cfg: ControlFlowGraph,
-    universe: Optional[FactUniverse] = None,
-) -> MaskProblem:
-    """Intern the problem's facts and lower gen/kill to bit masks.
-
-    Pass a pre-built ``universe`` (with every fact already interned) to
-    share one interning across several problems over the same facts —
-    what the PRE passes do with their expression-key universe.
-    """
-    labels, sources, is_boundary = _direction_plan(problem, cfg)
-    if universe is None:
-        universe = problem.interned
-    if universe is None:
-        # sorted for a deterministic bit assignment across runs; the
-        # ``repr`` key only when the facts are not directly comparable
-        try:
-            facts = sorted(problem.universe)
-        except TypeError:
-            facts = sorted(problem.universe, key=repr)
-        universe = FactUniverse(facts)
-        # memoize on the (frozen) problem so repeated solves share it
-        object.__setattr__(problem, "interned", universe)
-    return MaskProblem(
-        universe=universe,
-        meet=problem.meet,
-        order=labels,
-        sources=sources,
-        boundary_blocks=frozenset(l for l in labels if is_boundary[l]),
-        gen={lbl: universe.mask_of(problem.gen[lbl]) for lbl in labels},
-        kill={lbl: universe.mask_of(problem.kill[lbl]) for lbl in labels},
-        boundary=universe.mask_of(problem.boundary),
-    )
-
-
-def _lift_result(problem: DataflowProblem, masked: MaskResult) -> DataflowResult:
-    """Convert a mask fixpoint back to the frozenset-faced result."""
-    universe = masked.universe
-    before = {lbl: universe.facts_of(m) for lbl, m in masked.before.items()}
-    after = {lbl: universe.facts_of(m) for lbl, m in masked.after.items()}
-    if problem.direction == "forward":
-        return DataflowResult(inn=before, out=after, iterations=masked.stats.pops)
-    # for backward problems "before" is the value at block *exit*
-    return DataflowResult(inn=after, out=before, iterations=masked.stats.pops)
-
-
-def solve(problem: DataflowProblem, cfg: ControlFlowGraph) -> DataflowResult:
+    max_sweeps: Optional[int] = None,
+) -> DataflowResult:
     """Solve the problem to its fixpoint over the reachable blocks.
 
     For a forward problem::
@@ -209,53 +122,26 @@ def solve(problem: DataflowProblem, cfg: ControlFlowGraph) -> DataflowResult:
     Backward problems mirror this through successors.  Blocks with no
     meet inputs other than the boundary (the entry forward; exit blocks
     backward) receive the boundary value.
-    """
-    if ENGINE == "reference":
-        return solve_reference(problem, cfg)
-    if (
-        ENGINE == "auto"
-        and len(problem.universe) * len(problem.gen) < AUTO_THRESHOLD
-    ):
-        return solve_reference(problem, cfg)
-    return _lift_result(problem, solve_masks(lower_problem(problem, cfg)))
 
-
-def _meet_fn(meet: Meet, universe: FactSet) -> Callable[[list[FactSet]], FactSet]:
-    if meet == "union":
-        def join(values: list[FactSet]) -> FactSet:
-            result: frozenset = frozenset()
-            for value in values:
-                result |= value
-            return result
-        return join
-
-    def intersect(values: list[FactSet]) -> FactSet:
-        if not values:
-            return universe
-        result = values[0]
-        for value in values[1:]:
-            result &= value
-        return result
-    return intersect
-
-
-def solve_reference(
-    problem: DataflowProblem,
-    cfg: ControlFlowGraph,
-    max_sweeps: Optional[int] = None,
-) -> DataflowResult:
-    """The retained round-robin frozenset solver (oracle and baseline).
-
-    Round-robin in the direction-matched order, but a block whose meet
+    Sweeps run in the direction-matched order, but a block whose meet
     inputs did not change since its last visit is skipped instead of
     having its meet and transfer recomputed — once a region converges
-    its blocks cost nothing on later sweeps.  A sweep cap (default
-    ``4 * blocks + 16``) turns a would-be hang on malformed inputs into
-    a structured :class:`DataflowConvergenceError`.
+    its blocks cost nothing on later sweeps.  ``iterations`` counts the
+    sweeps.  A sweep cap (default ``4 * blocks + 16``) turns a would-be
+    hang on malformed inputs into a structured
+    :class:`DataflowConvergenceError`.
     """
-    labels, sources, is_boundary = _direction_plan(problem, cfg)
-    meet = _meet_fn(problem.meet, problem.universe)
-    init = problem.universe if problem.meet == "intersection" else frozenset()
+    forward = problem.direction == "forward"
+    labels = cfg.reverse_postorder if forward else cfg.postorder
+    reachable = set(labels)
+    if forward:
+        sources = {lbl: [p for p in cfg.preds[lbl] if p in reachable] for lbl in labels}
+        is_boundary = {lbl: lbl == cfg.entry for lbl in labels}
+    else:
+        sources = {lbl: [s for s in cfg.succs[lbl] if s in reachable] for lbl in labels}
+        is_boundary = {lbl: not cfg.succs[lbl] for lbl in labels}
+    union = problem.meet == "union"
+    init = frozenset() if union else problem.universe
     if max_sweeps is None:
         max_sweeps = 4 * len(labels) + 16
 
@@ -278,13 +164,12 @@ def solve_reference(
         for index, label in enumerate(labels):
             if label not in current:
                 continue
-            if is_boundary[label] and not sources[label]:
-                incoming = problem.boundary
-            else:
-                values = [after[src] for src in sources[label]]
-                if is_boundary[label]:
-                    values.append(problem.boundary)
-                incoming = meet(values)
+            values = [after[src] for src in sources[label]]
+            if is_boundary[label]:
+                values.append(problem.boundary)
+            incoming = values[0] if values else init
+            for value in values[1:]:
+                incoming = incoming | value if union else incoming & value
             before[label] = incoming
             outgoing = problem.gen[label] | (incoming - problem.kill[label])
             if outgoing != after[label]:
@@ -297,7 +182,7 @@ def solve_reference(
                     else:
                         pending.add(dep)
 
-    if problem.direction == "forward":
+    if forward:
         return DataflowResult(inn=before, out=after, iterations=iterations)
     # for backward problems "before" is the value at block *exit*
     return DataflowResult(inn=after, out=before, iterations=iterations)

@@ -1,4 +1,5 @@
-"""Concrete data-flow problems: liveness, availability, anticipability."""
+"""Concrete data-flow problems: liveness, availability, anticipability,
+definite assignment."""
 
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ def live_variable_problem(
 ) -> DataflowProblem:
     """The live-variable problem (backward, union), unsolved.
 
-    ``repro bench dataflow`` times both engines over the same problem
-    objects; :func:`live_variables` solves it and applies the φ edge-use
-    post-pass.
+    :func:`live_variables` solves it and applies the φ edge-use
+    post-pass; ``repro bench dataflow`` counts the solver's sweeps over
+    it.
     """
     from repro.ir.opcodes import Opcode
 
@@ -58,8 +59,6 @@ def live_variable_problem(
         gen[blk.label] = frozenset(upward)
         kill[blk.label] = frozenset(defined)
 
-    # no eager interning: small liveness problems solve on the reference
-    # engine, and the bitset path memoizes a universe on first lowering
     return DataflowProblem(
         direction="backward",
         meet="union",
@@ -89,36 +88,18 @@ def live_variables(func: Function, cfg: ControlFlowGraph | None = None) -> Dataf
     return result
 
 
-def _expression_domain(func: Function, table: ExpressionTable | None):
-    """Resolve (table, interned universe) for an expression problem.
-
-    When the table comes from the analysis manager its cached
-    :class:`~repro.dataflow.bitset.FactUniverse` rides along, so the
-    solver skips per-solve interning; an explicitly-passed table gets a
-    fresh interning in its own key order.
-    """
-    from repro.dataflow.bitset import FactUniverse
-
-    if table is None:
-        manager = analyses(func)
-        return manager.expressions(), manager.expression_universe()
-    return table, FactUniverse(table.keys)
-
-
 def available_expression_problem(
     func: Function,
     table: ExpressionTable | None = None,
 ) -> DataflowProblem:
     """The available-expressions problem (forward, intersection), unsolved."""
-    table, interned = _expression_domain(func, table)
+    table = table if table is not None else analyses(func).expressions()
     return DataflowProblem(
         direction="forward",
         meet="intersection",
         universe=table.universe,
         gen=table.comp,
         kill=table.kill(),
-        boundary=frozenset(),
-        interned=interned,
     )
 
 
@@ -158,13 +139,37 @@ def anticipable_expression_problem(
     table: ExpressionTable | None = None,
 ) -> DataflowProblem:
     """The anticipable-expressions problem (backward, intersection), unsolved."""
-    table, interned = _expression_domain(func, table)
+    table = table if table is not None else analyses(func).expressions()
     return DataflowProblem(
         direction="backward",
         meet="intersection",
         universe=table.universe,
         gen=table.antloc,
         kill=table.kill(),
-        boundary=frozenset(),
-        interned=interned,
+    )
+
+
+def definite_assignment_problem(func: Function) -> DataflowProblem:
+    """Registers assigned on every path to each point (forward, intersection).
+
+    The must-dual of reaching definitions: the parameters are assigned
+    at the entry, each block assigns its instructions' targets, and
+    nothing is ever unassigned.  The def-use checker solves it (and its
+    union-meet "some path" twin) to find undefined uses; lospre solves
+    it so that a speculative insertion never reads a register that some
+    path leaves undefined.
+    """
+    gen = {
+        blk.label: frozenset(
+            inst.target for inst in blk.instructions if inst.target is not None
+        )
+        for blk in func.blocks
+    }
+    return DataflowProblem(
+        direction="forward",
+        meet="intersection",
+        universe=frozenset(func.all_registers()),
+        gen=gen,
+        kill={label: frozenset() for label in gen},
+        boundary=frozenset(func.params),
     )

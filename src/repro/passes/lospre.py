@@ -59,11 +59,11 @@ re-check the arithmetic instead of refuting the speculative sites.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.ir.function import Function
 from repro.ir.opcodes import MAYBE_TRAPPING, Opcode
+from repro.dataflow.framework import solve
 from repro.dataflow.mincut import INFINITY, FlowNetwork
+from repro.dataflow.problems import definite_assignment_problem
 from repro.passes.pre import PREReport, apply_placement, solve_lcm_placement
 from repro.passes.pre_common import PREContext, prepare_pre
 from repro.passes.pre_mr import solve_mr_placement
@@ -118,14 +118,16 @@ def lospre_transform(func: Function, *, store=None) -> PREReport:
     freq = resolve_frequencies(func, store=store)
     witness.profile_source = freq.source
 
-    lcm_ins, lcm_del = solve_lcm_placement(ctx)
-    mr_ins, mr_del, mr_end = solve_mr_placement(ctx)
+    lcm = solve_lcm_placement(ctx)
+    mr = solve_mr_placement(ctx)
     cut_witness = SpeculationWitness(
         function=func.name, profile_source=freq.source
     )
     cut_ins, cut_del, cut_end, per_key = solve_lospre_placement(
-        ctx, freq, cut_witness
+        ctx, freq, cut_witness, lcm, mr
     )
+    lcm_ins, lcm_del = lcm
+    mr_ins, mr_del, mr_end = mr
 
     candidates = {
         "lcm": (
@@ -225,17 +227,22 @@ def _weighted_ops(func, freq) -> int:
     return total
 
 
-def solve_lospre_placement(ctx: PREContext, freq, witness):
+def solve_lospre_placement(ctx: PREContext, freq, witness, lcm, mr):
     """Per-expression 3-way minimum: min cut vs. LCM vs. Morel–Renvoise.
 
-    Returns ``(insert_on_edge, delete_in_block, insert_at_end)`` as
-    per-edge/per-block key frozensets (the :func:`apply_placement`
-    input shape) plus a strategy histogram, filling ``witness`` with
-    one entry per inserted site along the way.
+    ``lcm`` and ``mr`` are the mask placements of
+    :func:`solve_lcm_placement` and :func:`solve_mr_placement` over the
+    same ``ctx``.  Returns ``(insert_on_edge, delete_in_block,
+    insert_at_end)`` as per-edge/per-block key frozensets (the
+    :func:`apply_placement` input shape) plus a strategy histogram,
+    filling ``witness`` with one entry per inserted site along the way.
     """
-    lcm_ins, lcm_del = solve_lcm_placement(ctx)
-    mr_ins, mr_del, mr_end = solve_mr_placement(ctx)
-    defined_out = _solve_defined_registers(ctx)
+    lcm_ins, lcm_del = lcm
+    mr_ins, mr_del, mr_end = mr
+    # an inserted computation may only read registers every path to the
+    # insertion point has defined, else it would read an undefined one
+    # on paths the original never took
+    defined_out = solve(definite_assignment_problem(ctx.func), ctx.cfg).out
 
     insert_on_edge: dict[tuple[str, str], set] = {}
     delete_in_block: dict[str, set] = {}
@@ -347,46 +354,3 @@ def _operand_registers(ctx, key) -> frozenset:
     """The source registers the expression reads (for definedness)."""
     representative = ctx.table.occurrences[key][0][1]
     return frozenset(representative.srcs)
-
-
-def _solve_defined_registers(ctx) -> dict[str, frozenset]:
-    """Registers defined on *every* path to each block's exit.
-
-    Forward, intersection-meet, over plain sets (the register universe
-    is small and this runs once per function).  Guards speculation: an
-    inserted computation may only read registers every path has
-    defined, else the insertion itself would trap the interpreter with
-    an undefined-register read on paths the original never took.
-    """
-    func = ctx.func
-    order = ctx.cfg.reverse_postorder
-    preds = {
-        label: [p for p in ctx.cfg.preds[label] if p in ctx.reachable]
-        for label in order
-    }
-    gen = {}
-    for label in order:
-        gen[label] = {
-            inst.target
-            for inst in func.block(label).instructions
-            if inst.target is not None
-        }
-    params = frozenset(func.params)
-    out: dict[str, Optional[frozenset]] = {label: None for label in order}
-
-    changed = True
-    while changed:
-        changed = False
-        for label in order:
-            if label == ctx.entry:
-                live_in: frozenset = params
-            else:
-                incoming = [out[p] for p in preds[label] if out[p] is not None]
-                live_in = (
-                    frozenset.intersection(*incoming) if incoming else params
-                )
-            new = live_in | gen[label]
-            if new != out[label]:
-                out[label] = new
-                changed = True
-    return {label: out[label] or frozenset() for label in order}

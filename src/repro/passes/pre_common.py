@@ -109,9 +109,8 @@ def prepare_pre(func: Function) -> PREContext | None:
 def build_context(func: Function) -> PREContext | None:
     """The mask-level context of an already-normalized function.
 
-    Split from :func:`prepare_pre` so ``repro bench dataflow`` can time
-    the solver stage (interning, lowering, the availability and
-    anticipability solves) apart from the IR normalization.
+    The builder :func:`prepare_pre` hands the analysis manager: it runs
+    only on a cache miss, after the normalization.
     """
     manager = analyses(func)
     cfg = manager.cfg()

@@ -27,11 +27,13 @@ Two findings, split by the any-path analysis:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator, NamedTuple, Optional
 
 from repro.analysis.manager import analyses
 from repro.cfg.graph import ControlFlowGraph
 from repro.dataflow.framework import DataflowProblem, solve
+from repro.dataflow.problems import definite_assignment_problem
 from repro.ir.function import Function
 from repro.ir.opcodes import Opcode
 from repro.verify.checkers import register_checker
@@ -49,39 +51,9 @@ class UndefinedUse(NamedTuple):
 
 
 def _assignment_problems(func: Function, cfg: ControlFlowGraph):
-    """Solve definite (must) and possible (may) assignment in one sweep."""
-    universe = frozenset(func.all_registers())
-    gen = {
-        blk.label: frozenset(
-            target for inst in blk.instructions for target in inst.defs()
-        )
-        for blk in func.blocks
-    }
-    kill = {blk.label: frozenset() for blk in func.blocks}
-    boundary = frozenset(func.params)
-    must = solve(
-        DataflowProblem(
-            direction="forward",
-            meet="intersection",
-            universe=universe,
-            gen=gen,
-            kill=kill,
-            boundary=boundary,
-        ),
-        cfg,
-    )
-    may = solve(
-        DataflowProblem(
-            direction="forward",
-            meet="union",
-            universe=universe,
-            gen=gen,
-            kill=kill,
-            boundary=boundary,
-        ),
-        cfg,
-    )
-    return must, may
+    """Solve definite (must) and possible (may) assignment."""
+    must = definite_assignment_problem(func)
+    return solve(must, cfg), solve(replace(must, meet="union"), cfg)
 
 
 def undefined_uses(func: Function) -> Iterator[UndefinedUse]:

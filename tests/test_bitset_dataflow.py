@@ -1,44 +1,41 @@
-"""The bitset dataflow engine against the reference solver.
+"""The bitset dataflow engine against the frozenset solver.
 
 Property tests: on randomized CFGs (the same fuel-bounded generator the
-IR fuzzer uses) the mask engine and the retained frozenset solver must
-be result-identical for all four problem shapes (forward/backward ×
-union/intersection), the PRE context's mask solves must match reference
-frozenset solves, and both PRE passes must emit bit-identical IR
-whichever engine the framework routes through.
+IR fuzzer uses) the mask engine and :func:`repro.dataflow.framework.solve`
+must be result-identical for all four problem shapes (forward/backward
+× union/intersection), and the PRE context's mask solves must match
+frozenset solves of the same problems.  No production code lowers a
+``DataflowProblem`` to masks, so the lowering these tests need lives
+here.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import deep_copy_function
 from tests.test_ir_fuzz import build_fuzz_function
 
-import repro.dataflow.framework as framework
 from repro.analysis.manager import analyses
 from repro.dataflow.bitset import (
     GLOBAL_STATS,
     FactUniverse,
+    MaskProblem,
     SparseSet,
     solve_masks,
 )
 from repro.dataflow.framework import (
     DataflowConvergenceError,
     DataflowProblem,
-    _lift_result,
-    lower_problem,
-    solve_reference,
+    solve,
 )
 from repro.dataflow.problems import (
     anticipable_expression_problem,
     available_expression_problem,
     live_variable_problem,
+    live_variables,
 )
-from repro.ir import parse_function, print_function
-from repro.passes.pre import partial_redundancy_elimination
+from repro.ir import parse_function
 from repro.passes.pre_common import prepare_pre
-from repro.passes.pre_mr import morel_renvoise_pre
 
 # -- FactUniverse / SparseSet units -----------------------------------------
 
@@ -79,11 +76,42 @@ def test_sparse_set_add_pop_remove():
 # -- engine equivalence on randomized CFGs ----------------------------------
 
 
+def _solve_on_masks(problem, cfg):
+    """Lower ``problem`` to masks, solve it with the mask engine and lift
+    the fixpoint back: ``(inn, out)`` as per-block frozensets."""
+    forward = problem.direction == "forward"
+    order = cfg.reverse_postorder if forward else cfg.postorder
+    reachable = set(order)
+    neighbours = cfg.preds if forward else cfg.succs
+    universe = FactUniverse(sorted(problem.universe, key=repr))
+    masked = solve_masks(
+        MaskProblem(
+            universe=universe,
+            meet=problem.meet,
+            order=order,
+            sources={
+                lbl: [n for n in neighbours[lbl] if n in reachable]
+                for lbl in order
+            },
+            boundary_blocks=frozenset(
+                lbl
+                for lbl in order
+                if (lbl == cfg.entry if forward else not cfg.succs[lbl])
+            ),
+            gen={lbl: universe.mask_of(problem.gen[lbl]) for lbl in order},
+            kill={lbl: universe.mask_of(problem.kill[lbl]) for lbl in order},
+            boundary=universe.mask_of(problem.boundary),
+        )
+    )
+    before = {lbl: universe.facts_of(m) for lbl, m in masked.before.items()}
+    after = {lbl: universe.facts_of(m) for lbl, m in masked.after.items()}
+    # for backward problems "before" is the value at block *exit*
+    return (before, after) if forward else (after, before)
+
+
 def _assert_engines_agree(problem, cfg):
-    reference = solve_reference(problem, cfg)
-    masked = _lift_result(problem, solve_masks(lower_problem(problem, cfg)))
-    assert masked.inn == reference.inn
-    assert masked.out == reference.out
+    result = solve(problem, cfg)
+    assert _solve_on_masks(problem, cfg) == (result.inn, result.out)
 
 
 def _fuzz_problems(func):
@@ -127,36 +155,43 @@ def test_pre_context_solves_match_reference_solver(n_blocks, choices):
     ctx = prepare_pre(func)
     if ctx is None:
         return
-    # the context normalized the function; reference-solve the same IR
-    avail = solve_reference(available_expression_problem(func), ctx.cfg)
-    ant = solve_reference(anticipable_expression_problem(func), ctx.cfg)
+    # the context normalized the function; frozenset-solve the same IR
+    avail = solve(available_expression_problem(func), ctx.cfg)
+    ant = solve(anticipable_expression_problem(func), ctx.cfg)
     assert ctx.lift_blocks(ctx.avail_in) == avail.inn
     assert ctx.lift_blocks(ctx.avail_out) == avail.out
     assert ctx.lift_blocks(ctx.ant_in) == ant.inn
     assert ctx.lift_blocks(ctx.ant_out) == ant.out
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    n_blocks=st.integers(min_value=1, max_value=8),
-    choices=st.lists(st.integers(min_value=0, max_value=10_000), max_size=60),
-)
-def test_pre_passes_emit_identical_ir_across_engines(n_blocks, choices):
-    func = build_fuzz_function(n_blocks, choices)
-    printed = {}
-    for engine in ("reference", "bitset"):
-        old = framework.ENGINE
-        framework.ENGINE = engine
-        try:
-            lcm = partial_redundancy_elimination(deep_copy_function(func))
-            mr = morel_renvoise_pre(deep_copy_function(func))
-        finally:
-            framework.ENGINE = old
-        printed[engine] = (print_function(lcm), print_function(mr))
-    assert printed["reference"] == printed["bitset"]
+# -- one solver per problem -------------------------------------------------
 
 
-# -- auto engine routing -----------------------------------------------------
+def _wide_loop(n_blocks: int) -> str:
+    """A loop of ``n_blocks`` blocks, each defining one new register."""
+    lines = ["function wide(r0) {"]
+    for i in range(n_blocks):
+        lines += [f"b{i}:", f"    r{i + 1} <- add r{i}, r0"]
+        if i + 1 < n_blocks:
+            lines.append(f"    jmp -> b{i + 1}")
+    lines += [f"    cbr r{n_blocks} -> b1, done", "done:", f"    ret r{n_blocks}", "}"]
+    return "\n".join(lines)
+
+
+def test_wide_liveness_solves_on_frozensets_and_counts_sweeps():
+    func = parse_function(_wide_loop(64))
+    problem = live_variable_problem(func, analyses(func).cfg())
+    assert len(problem.universe) * len(problem.gen) >= 4096
+    solves = GLOBAL_STATS.solves
+    result = live_variables(func)
+    assert GLOBAL_STATS.solves == solves  # the mask engine never ran
+    # sweeps, not worklist pops: the first visits b63 before b1, its
+    # back-edge successor; the second carries r1 from b1 around the loop
+    assert result.iterations == 2
+    assert "r1" in result.at_exit("b63")
+
+
+# -- convergence cap ---------------------------------------------------------
 
 LOOP = """
 function f(r0, r1) {
@@ -172,42 +207,12 @@ done:
 """
 
 
-def test_auto_engine_routes_small_problems_to_reference(monkeypatch):
-    func = parse_function(LOOP)
-    cfg = analyses(func).cfg()
-    problem = live_variable_problem(func, cfg)
-    monkeypatch.setattr(framework, "ENGINE", "auto")
-
-    GLOBAL_STATS.reset()
-    framework.solve(problem, cfg)
-    assert GLOBAL_STATS.solves == 0  # below threshold: frozenset solver
-
-    monkeypatch.setattr(framework, "AUTO_THRESHOLD", 0)
-    framework.solve(problem, cfg)
-    assert GLOBAL_STATS.solves == 1  # forced over threshold: bitset
-
-
-def test_engine_settings_agree_on_small_function(monkeypatch):
-    results = {}
-    for engine in ("auto", "bitset", "reference"):
-        func = parse_function(LOOP)
-        monkeypatch.setattr(framework, "ENGINE", engine)
-        result = framework.solve(
-            live_variable_problem(func), analyses(func).cfg()
-        )
-        results[engine] = (result.inn, result.out)
-    assert results["auto"] == results["bitset"] == results["reference"]
-
-
-# -- convergence cap ---------------------------------------------------------
-
-
 def test_reference_solver_convergence_cap():
     func = parse_function(LOOP)
     cfg = analyses(func).cfg()
     problem = live_variable_problem(func, cfg)
     with pytest.raises(DataflowConvergenceError) as excinfo:
-        solve_reference(problem, cfg, max_sweeps=0)
+        solve(problem, cfg, max_sweeps=0)
     diag = excinfo.value.diagnostic
     assert diag.checker == "dataflow"
     assert diag.function == "f"

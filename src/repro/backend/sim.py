@@ -1,9 +1,9 @@
 """Cycle-counting simulator for rvk machine code.
 
-Value semantics mirror :mod:`repro.interp.machine` exactly — the
-differential harness in ``tests/test_backend.py`` holds the two equal on
-the whole suite — while the clock follows the :class:`Target` cost
-model:
+Value semantics are the interpreter's: the simulator runs the same
+decoded core (:mod:`repro.interp.core`) — the differential harness in
+``tests/test_backend.py`` holds the two equal on the whole suite — while
+the clock follows the :class:`Target` cost model:
 
 * single issue, in order: each instruction issues one cycle after the
   previous one at the earliest;
@@ -27,13 +27,13 @@ can lose *cycles* once their longer live ranges start spilling.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.backend.lower import is_machine_form
 from repro.backend.target import Target
-from repro.interp.machine import INTRINSICS, TrapError, fortran_mod, trunc_div
+from repro.interp.core import INTRINSICS, Decoder, count_visits, reset_visits
 from repro.interp.memory import Memory, Value
 from repro.ir.function import Module
 from repro.ir.opcodes import Opcode
@@ -59,40 +59,95 @@ class SimResult:
     counters: dict = field(default_factory=dict)
 
 
-#: Binary ALU evaluators, kept literally in sync with the interpreter.
-_BINARY = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.IDIV: trunc_div,
-    Opcode.MOD: fortran_mod,
-    Opcode.MIN: min,
-    Opcode.MAX: max,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: lambda a, b: a << b,
-    Opcode.SHR: lambda a, b: a >> b,
-    Opcode.CMPLT: lambda a, b: int(a < b),
-    Opcode.CMPLE: lambda a, b: int(a <= b),
-    Opcode.CMPGT: lambda a, b: int(a > b),
-    Opcode.CMPGE: lambda a, b: int(a >= b),
-    Opcode.CMPEQ: lambda a, b: int(a == b),
-    Opcode.CMPNE: lambda a, b: int(a != b),
-}
+class _MachineDecoder(Decoder):
+    """The core's decoder plus frame slots and per-instruction timing.
 
-_UNARY = {
-    Opcode.COPY: lambda a: a,
-    Opcode.NEG: lambda a: -a,
-    Opcode.ABS: abs,
-    Opcode.NOT: lambda a: int(a == 0),
-    Opcode.ITOF: float,
-    Opcode.FTOI: math.trunc,
-}
+    A frame is one dict: registers under their names, frame slots under
+    their integer index (so a slot and a register can never collide).
+    Each body item is ``(op, srcs, target, latency)``.
+    """
+
+    error = SimulationError
+
+    def __init__(self, target: Target) -> None:
+        super().__init__(INTRINSICS)
+        self.latencies = target.latencies
+
+    def operation(self, inst, where):
+        if inst.opcode is Opcode.LDS:
+            return _load_slot(inst, where)
+        if inst.opcode is Opcode.STS:
+            return _store_slot(inst.imm, inst.srcs[0])
+        return super().operation(inst, where)
+
+    def pack(self, op, inst):
+        latency = max(1, self.latencies[inst.opcode])
+        return (op, tuple(inst.srcs), inst.target, latency)
+
+    def decode(self, func):
+        """Decode, then drop every source operand that cannot stall.
+
+        Each instruction issues at least one cycle after the one before,
+        so a value defined ``d`` instructions earlier in the same block
+        with a latency of at most ``d`` is always ready; only the rest
+        are checked at run time.  (A call's result is ready one cycle
+        after the call returns, so its latency counts one more.)
+        """
+        code = super().decode(func)
+        call_latency = self.latencies[Opcode.CALL] + 1
+        for block in code.blocks:
+            ready_at: dict[str, int] = {}  # register -> first stall-free position
+            position = 0
+            runs = []
+            for items, call in block.runs:
+                pruned = []
+                for op, srcs, dest, latency in items:
+                    waits = tuple(
+                        src for src in srcs if ready_at.get(src, position + 1) > position
+                    )
+                    pruned.append((op, waits, dest, latency))
+                    if dest is not None:
+                        ready_at[dest] = position + latency
+                    position += 1
+                if call is not None:
+                    if call.target is not None:
+                        ready_at[call.target] = position + call_latency
+                    position += 1
+                runs.append((tuple(pruned), call))
+            block.runs = tuple(runs)
+        return code
+
+
+def _load_slot(inst, where):
+    target, slot = inst.target, inst.imm
+
+    def op(frame, memory):
+        try:
+            frame[target] = frame[slot]
+        except KeyError:
+            raise SimulationError(
+                f"{where}: read of uninitialized frame slot {slot} in {inst}"
+            ) from None
+
+    return op
+
+
+def _store_slot(slot, src):
+    def op(frame, memory):
+        frame[slot] = frame[src]
+
+    return op
 
 
 class Simulator:
-    """Executes rvk machine code, counting cycles under the cost model."""
+    """Executes rvk machine code, counting cycles under the cost model.
+
+    Each routine is decoded on its first call and kept for the life of
+    the instance, so a module must not change between runs of one
+    instance.  The instruction limit is checked on block entry, against
+    the whole block: a run that completes raises if and only if its
+    instruction count exceeds ``max_instructions``.
+    """
 
     def __init__(
         self,
@@ -103,6 +158,8 @@ class Simulator:
         self.module = module
         self.target = target if target is not None else Target()
         self.max_instructions = max_instructions
+        self._code: dict = {}
+        self._decoder = _MachineDecoder(self.target)
 
     def run(
         self,
@@ -113,21 +170,22 @@ class Simulator:
         """Simulate routine ``name``; cycles cover the whole call tree."""
         memory = memory if memory is not None else Memory()
         self._instructions = 0
-        self._stalls = 0
         self._branch = 0
         self._call_cycles = 0
-        self._lds = 0
-        self._sts = 0
+        reset_visits(self._code.values())
         value, clock = self._call(name, list(args), memory, depth=0, clock=0)
+        counts: Counter = Counter()
+        count_visits(self._code.values(), counts)
         return SimResult(
             value=value,
             cycles=clock,
             instructions=self._instructions,
-            stall_cycles=self._stalls,
+            # every cycle is an issue, a stall, a taken-branch or a call cycle
+            stall_cycles=clock - self._instructions - self._branch - self._call_cycles,
             branch_cycles=self._branch,
             call_cycles=self._call_cycles,
-            lds_ops=self._lds,
-            sts_ops=self._sts,
+            lds_ops=counts[Opcode.LDS],
+            sts_ops=counts[Opcode.STS],
             memory=memory,
         )
 
@@ -138,6 +196,94 @@ class Simulator:
     ) -> tuple[Optional[Value], int]:
         if depth > 200:
             raise SimulationError(f"call depth exceeded calling {name!r}")
+        code = self._code.get(name)
+        if code is None:
+            code = self._code[name] = self._decode(name)
+        if len(args) != len(code.params):
+            raise SimulationError(
+                f"{name} expects {len(code.params)} args, got {len(args)}"
+            )
+        frame: dict = dict(enumerate(args))
+        ready: dict[str, int] = {}
+        target = self.target
+        penalty = target.branch_penalty
+        limit = self.max_instructions
+        block = code.entry
+
+        while True:
+            block.visits += 1
+            self._instructions += block.steps
+            if self._instructions > limit:
+                raise SimulationError(
+                    f"instruction limit {limit} exceeded in {name}"
+                )
+            try:
+                for items, call in block.runs:
+                    for op, srcs, dest, latency in items:
+                        # operand stall: wait until every source is ready
+                        start = clock
+                        for src in srcs:
+                            when = ready.get(src, 0)
+                            if when > start:
+                                start = when
+                        clock = start + 1  # issue
+                        op(frame, memory)
+                        if dest is not None:
+                            ready[dest] = start + latency
+                    if call is not None:
+                        start = clock
+                        for src in call.srcs:
+                            when = ready.get(src, 0)
+                            if when > start:
+                                start = when
+                        clock = start + 1
+                        overhead = (
+                            target.call_overhead
+                            + target.call_arg_cost * len(call.srcs)
+                        )
+                        self._call_cycles += overhead
+                        result, clock = self._call(
+                            call.callee,
+                            [frame[s] for s in call.srcs],
+                            memory,
+                            depth + 1,
+                            clock + overhead,
+                        )
+                        if call.target is not None:
+                            if result is None:
+                                raise SimulationError(
+                                    f"{call.callee} returned no value "
+                                    "but one was expected"
+                                )
+                            frame[call.target] = result
+                            ready[call.target] = clock + target.latencies[Opcode.CALL]
+                # the terminator reads at most one register
+                reg = block.reg
+                if reg is not None:
+                    when = ready.get(reg, 0)
+                    if when > clock:
+                        clock = when
+                clock += 1
+                term = block.term
+                if term is Opcode.CBR:
+                    taken, other = block.succ
+                    nxt = taken if frame[reg] != 0 else other
+                elif term is Opcode.JMP:
+                    nxt = block.succ[0]
+                elif term is Opcode.RET:
+                    return (frame[reg] if reg is not None else None), clock
+                else:
+                    raise SimulationError(
+                        f"{block.where}: fell off the end of a block"
+                    )
+            except KeyError as exc:
+                raise block.undefined(exc, frame) from None
+            if nxt is not block.layout_next:
+                self._branch += penalty
+                clock += penalty
+            block = nxt
+
+    def _decode(self, name: str):
         if name not in self.module:
             raise SimulationError(f"call to unknown routine {name!r}")
         func = self.module[name]
@@ -145,141 +291,7 @@ class Simulator:
             raise SimulationError(
                 f"{name}: not machine code (run 'repro codegen' stages first)"
             )
-        if len(args) != len(func.params):
-            raise SimulationError(
-                f"{name} expects {len(func.params)} args, got {len(args)}"
-            )
-        slots: dict[int, Value] = dict(enumerate(args))
-        regs: dict[str, Value] = {}
-        ready: dict[str, int] = {}
-        target = self.target
-        latency = target.latencies
-        blocks = func.block_map()
-        layout_next = {
-            blk.label: func.blocks[i + 1].label if i + 1 < len(func.blocks) else None
-            for i, blk in enumerate(func.blocks)
-        }
-        label = func.entry.label
-
-        while True:
-            block = blocks[label]
-            next_label: Optional[str] = None
-            for inst in block.instructions:
-                self._instructions += 1
-                if self._instructions > self.max_instructions:
-                    raise SimulationError(
-                        f"instruction limit {self.max_instructions} exceeded in {name}"
-                    )
-                op = inst.opcode
-                srcs = inst.srcs
-                # operand stall: wait until every source register is ready
-                start = clock
-                for src in srcs:
-                    when = ready.get(src, 0)
-                    if when > start:
-                        start = when
-                self._stalls += start - clock
-                clock = start + 1  # issue
-
-                try:
-                    if op in _BINARY:
-                        regs[inst.target] = _BINARY[op](regs[srcs[0]], regs[srcs[1]])
-                    elif op in _UNARY:
-                        regs[inst.target] = _UNARY[op](regs[srcs[0]])
-                    elif op is Opcode.LOADI:
-                        regs[inst.target] = inst.imm
-                    elif op is Opcode.LDS:
-                        self._lds += 1
-                        try:
-                            regs[inst.target] = slots[inst.imm]
-                        except KeyError:
-                            raise SimulationError(
-                                f"{name}/{label}: read of uninitialized frame "
-                                f"slot {inst.imm} in {inst}"
-                            ) from None
-                    elif op is Opcode.STS:
-                        self._sts += 1
-                        slots[inst.imm] = regs[srcs[0]]
-                    elif op is Opcode.LOAD:
-                        addr = regs[srcs[0]]
-                        if not isinstance(addr, int):
-                            raise TrapError(
-                                f"load from non-integer address {addr!r}"
-                            )
-                        regs[inst.target] = memory.read(addr)
-                    elif op is Opcode.STORE:
-                        addr = regs[srcs[1]]
-                        if not isinstance(addr, int):
-                            raise TrapError(f"store to non-integer address {addr!r}")
-                        memory.write(addr, regs[srcs[0]])
-                    elif op is Opcode.CBR:
-                        cond = regs[srcs[0]]
-                        next_label = inst.labels[0] if cond != 0 else inst.labels[1]
-                        break
-                    elif op is Opcode.JMP:
-                        next_label = inst.labels[0]
-                        break
-                    elif op is Opcode.RET:
-                        value = regs[srcs[0]] if srcs else None
-                        return value, clock
-                    elif op is Opcode.INTRIN:
-                        fn = INTRINSICS.get(inst.callee)
-                        if fn is None:
-                            raise SimulationError(
-                                f"unknown intrinsic {inst.callee!r}"
-                            )
-                        try:
-                            regs[inst.target] = fn(*(regs[s] for s in srcs))
-                        except ValueError as exc:
-                            raise TrapError(
-                                f"intrinsic {inst.callee}: {exc}"
-                            ) from None
-                    elif op is Opcode.FDIV:
-                        divisor = regs[srcs[1]]
-                        if divisor == 0:
-                            raise TrapError("floating-point division by zero")
-                        regs[inst.target] = regs[srcs[0]] / divisor
-                    elif op is Opcode.CALL:
-                        overhead = (
-                            target.call_overhead
-                            + target.call_arg_cost * len(srcs)
-                        )
-                        self._call_cycles += overhead
-                        clock += overhead
-                        result, clock = self._call(
-                            inst.callee,
-                            [regs[s] for s in srcs],
-                            memory,
-                            depth + 1,
-                            clock,
-                        )
-                        if inst.target is not None:
-                            if result is None:
-                                raise SimulationError(
-                                    f"{inst.callee} returned no value "
-                                    "but one was expected"
-                                )
-                            regs[inst.target] = result
-                            ready[inst.target] = clock + latency[Opcode.CALL]
-                        continue
-                    else:
-                        raise SimulationError(
-                            f"{name}/{label}: cannot simulate {inst}"
-                        )
-                except KeyError as exc:
-                    raise SimulationError(
-                        f"{name}/{label}: read of undefined register {exc} in {inst}"
-                    ) from None
-
-                if inst.target is not None:
-                    ready[inst.target] = start + max(1, latency[op])
-
-            if next_label is None:
-                raise SimulationError(f"{name}/{label}: fell off the end of a block")
-            if next_label != layout_next[label]:
-                self._branch += target.branch_penalty
-                clock += target.branch_penalty
-            label = next_label
+        return self._decoder.decode(func)
 
 
 def simulate_function(func, args: Sequence[Value] = (), **kwargs) -> SimResult:

@@ -1,6 +1,7 @@
 """Certifier benchmark (``repro bench certify``).
 
-How much does proving a pass statically save over replaying it?
+What does proving a pass statically cost next to replaying it, and what
+does each verdict buy?
 
 For every benchmark-suite routine the distribution-level pipeline is
 unrolled into its individual pass runs — (before, after) function
@@ -12,14 +13,16 @@ face — and both verifiers are timed over the same pairs, best-of-N:
   with program *size*.
 * **transval** — :func:`repro.verify.transval.validate_translation`:
   interpret both sides on generated inputs and compare observations.
-  Dynamic; cost scales with program *running time* (loop trip counts),
-  which is why the static certifier wins on loop nests.
+  Dynamic; cost scales with program *running time* (loop trip counts).
 
-Verdict quality is reported next to the timing (proved / inconclusive
-/ refuted counts, and how many pairs replay flags) so the speedup
-can't silently come from the certifier giving up early: an
-inconclusive verdict costs the pipeline a replay *on top of* the
-proof attempt, which the end-to-end section below measures.
+Certify's case is verdict quality, not speed: a proof holds for every
+input, where replay samples a few, and the exact-arithmetic proof
+licenses float reassociation that replay rejects.  On time, replay over
+the decoded execution core (:mod:`repro.interp.core`) costs about as
+much as the proof.  Verdict quality is reported next to the timing
+(proved / inconclusive / refuted counts, and how many pairs replay
+flags): an inconclusive verdict costs the pipeline a replay *on top of*
+the proof attempt, which the end-to-end section below measures.
 
 * **End-to-end pipeline wall time** — the full suite compiled under
   ``verify=off`` / ``certify`` / ``transval``, i.e. with the fallback
@@ -29,8 +32,8 @@ proof attempt, which the end-to-end section below measures.
   exact-arithmetic certifier licenses it — see ``docs/CERTIFY.md``)
   are counted, not hidden.
 
-``--min-speedup X`` is the CI gate: exit 1 unless certify beats
-transval by ``X``× on the pass pairs.  Writes ``BENCH_certify.json``.
+Both times and their ratio are reported, not gated; the command exits 1
+on any refutation.  Writes ``BENCH_certify.json``.
 """
 
 from __future__ import annotations
@@ -86,7 +89,6 @@ def main(
     quick: bool = False,
     repeat: int = 3,
     json_out: Optional[str] = "BENCH_certify.json",
-    min_speedup: Optional[float] = None,
 ) -> int:
     from repro.pm.manager import PassVerificationError
     from repro.verify.certify import certify_pass
@@ -129,8 +131,8 @@ def main(
         f"{verdicts['refuted']} refuted; replay flags {replay_flagged})"
     )
 
-    # end-to-end wall clock, one shot per policy (an observational
-    # metric, not the gate; the pair sweeps above are the tracked number)
+    # end-to-end wall clock, one shot per policy (observational, like
+    # the pair times above)
     pipeline = {}
     for policy in ("off", "certify", "transval"):
         failures = 0
@@ -170,10 +172,9 @@ def main(
             handle.write("\n")
         print(f"wrote {json_out}")
 
-    if min_speedup is not None and speedup < min_speedup:
+    if verdicts["refuted"]:
         print(
-            f"FAIL: certify/transval speedup {speedup:.2f}x is below the "
-            f"--min-speedup gate {min_speedup:.2f}x",
+            f"FAIL: the certifier refuted {verdicts['refuted']} pass run(s)",
             file=sys.stderr,
         )
         return 1

@@ -11,62 +11,42 @@ FORTRAN expectations of the front end:
   dynamically preceding block (so SSA-form code can be tested
   differentially) and cost zero dynamic operations — they never survive
   into final code.
+
+The value semantics live in one table, :data:`repro.interp.core.
+OPERATIONS`; this module runs the decoded blocks of
+:mod:`repro.interp.core` and counts per block visit.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.interp.core import (
+    INTRINSICS,
+    Decoder,
+    InterpreterError,
+    TrapError,
+    count_visits,
+    fortran_mod,
+    reset_visits,
+    trunc_div,
+)
 from repro.interp.memory import Memory, Value
 from repro.ir.function import Function, Module
 from repro.ir.opcodes import Opcode
 
-
-class InterpreterError(RuntimeError):
-    """Raised on malformed code or resource exhaustion."""
-
-
-class TrapError(InterpreterError):
-    """Raised on a run-time trap (zero divisor, bad address)."""
-
-
-def trunc_div(a: int, b: int) -> int:
-    """Integer division truncating toward zero (FORTRAN semantics)."""
-    if b == 0:
-        raise TrapError("integer division by zero")
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def fortran_mod(a: int, b: int) -> int:
-    """FORTRAN MOD: remainder with the sign of the dividend."""
-    return a - trunc_div(a, b) * b
-
-
-def _sign_transfer(a: float, b: float) -> float:
-    """FORTRAN SIGN(a, b): |a| with the sign of b."""
-    magnitude = abs(a)
-    return magnitude if b >= 0 else -magnitude
-
-
-#: Pure intrinsics callable through ``intrin``.
-INTRINSICS: dict[str, Callable[..., Value]] = {
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "atan": math.atan,
-    "atan2": math.atan2,
-    "exp": math.exp,
-    "log": math.log,
-    "log10": math.log10,
-    "pow": math.pow,
-    "sign": _sign_transfer,
-    "isign": lambda a, b: int(_sign_transfer(a, b)),
-}
+__all__ = [
+    "INTRINSICS",
+    "ExecutionResult",
+    "Interpreter",
+    "InterpreterError",
+    "TrapError",
+    "fortran_mod",
+    "run_function",
+    "trunc_div",
+]
 
 
 @dataclass
@@ -89,7 +69,16 @@ _FREE_OPS = frozenset({Opcode.PHI, Opcode.NOP})
 
 
 class Interpreter:
-    """Executes routines of a module, counting every executed operation."""
+    """Executes routines of a module, counting every executed operation.
+
+    Each routine is decoded (:mod:`repro.interp.core`) on its first call
+    and kept for the life of the instance, so a module must not change
+    between runs of one instance.  A step is any executed instruction but
+    a φ-node.  The step limit is checked on block entry, against the
+    steps of the whole block: a run that completes raises if and only if
+    its total step count exceeds ``max_steps``.  When a trap and the
+    limit fall in the same block, the limit wins.
+    """
 
     def __init__(
         self,
@@ -105,11 +94,12 @@ class Interpreter:
             self.intrinsics.update(intrinsics)
         #: Optional profile sink with a ``record(function, prev, label)``
         #: method (see :class:`repro.profile.collect.ProfileRecorder`);
-        #: called once per basic block executed, ``prev`` being ``None``
-        #: on function entry.
+        #: called on entry to every basic block executed, ``prev`` being
+        #: ``None`` on function entry.
         self.recorder = recorder
         self._steps = 0
-        self._op_counts: Counter = Counter()
+        self._code: dict = {}
+        self._decoder = Decoder(self.intrinsics)
 
     def run(
         self,
@@ -123,15 +113,17 @@ class Interpreter:
         matching the paper's whole-execution measurements.
         """
         self._steps = 0
-        self._op_counts = Counter()
+        reset_visits(self._code.values())
         memory = memory if memory is not None else Memory()
         value = self._call(name, list(args), memory, depth=0)
+        op_counts: Counter = Counter()
+        count_visits(self._code.values(), op_counts)
         return ExecutionResult(
             value=value,
             dynamic_count=sum(
-                count for op, count in self._op_counts.items() if op not in _FREE_OPS
+                count for op, count in op_counts.items() if op not in _FREE_OPS
             ),
-            op_counts=self._op_counts,
+            op_counts=op_counts,
             memory=memory,
         )
 
@@ -142,215 +134,64 @@ class Interpreter:
     ) -> Optional[Value]:
         if depth > 200:
             raise InterpreterError(f"call depth exceeded calling {name!r}")
-        if name not in self.module:
-            raise InterpreterError(f"call to unknown routine {name!r}")
-        func = self.module[name]
-        if len(args) != len(func.params):
+        code = self._code.get(name)
+        if code is None:
+            if name not in self.module:
+                raise InterpreterError(f"call to unknown routine {name!r}")
+            code = self._code[name] = self._decoder.decode(self.module[name])
+        if len(args) != len(code.params):
             raise InterpreterError(
-                f"{name} expects {len(func.params)} args, got {len(args)}"
+                f"{name} expects {len(code.params)} args, got {len(args)}"
             )
-        regs: dict[str, Value] = dict(zip(func.params, args))
-        blocks = func.block_map()
-        label = func.entry.label
-        prev_label: Optional[str] = None
-        counts = self._op_counts
+        regs: dict[str, Value] = dict(zip(code.params, args))
         recorder = self.recorder
+        limit = self.max_steps
+        block = code.entry
+        prev: Optional[str] = None
 
         while True:
             if recorder is not None:
-                recorder.record(name, prev_label, label)
-            block = blocks[label]
-            instructions = block.instructions
-            index = 0
-            # φ-nodes execute as one parallel copy based on the edge taken
-            if instructions and instructions[0].is_phi:
-                phi_values: list[tuple[str, Value]] = []
-                while index < len(instructions) and instructions[index].is_phi:
-                    phi = instructions[index]
-                    try:
-                        pos = phi.phi_labels.index(prev_label)
-                    except ValueError:
-                        raise InterpreterError(
-                            f"{name}/{label}: phi has no input for edge from {prev_label}"
-                        ) from None
-                    phi_values.append((phi.target, self._read(regs, phi.srcs[pos], phi)))
-                    counts[Opcode.PHI] += 1
-                    index += 1
-                for target, value in phi_values:
-                    regs[target] = value
-
-            next_label: Optional[str] = None
-            return_value: Optional[Value] = None
-            returned = False
-            while index < len(instructions):
-                inst = instructions[index]
-                index += 1
-                self._steps += 1
-                if self._steps > self.max_steps:
-                    raise InterpreterError(
-                        f"step limit {self.max_steps} exceeded in {name}"
-                    )
-                op = inst.opcode
-                counts[op] += 1
-                if op is Opcode.CBR:
-                    cond = self._read(regs, inst.srcs[0], inst)
-                    next_label = inst.labels[0] if cond != 0 else inst.labels[1]
-                    break
-                if op is Opcode.JMP:
-                    next_label = inst.labels[0]
-                    break
-                if op is Opcode.RET:
-                    returned = True
-                    if inst.srcs:
-                        return_value = self._read(regs, inst.srcs[0], inst)
-                    break
-                self._execute(inst, regs, memory, depth, name, label)
-
-            if returned:
-                return return_value
-            if next_label is None:
-                raise InterpreterError(f"{name}/{label}: fell off the end of a block")
-            prev_label, label = label, next_label
-
-    def _read(self, regs: dict[str, Value], reg: str, inst) -> Value:
-        try:
-            return regs[reg]
-        except KeyError:
-            raise InterpreterError(f"read of undefined register {reg} in {inst}") from None
-
-    def _execute(
-        self,
-        inst,
-        regs: dict[str, Value],
-        memory: Memory,
-        depth: int,
-        name: str,
-        label: str,
-    ) -> None:
-        op = inst.opcode
-        read = regs.__getitem__
-
-        try:
-            if op is Opcode.LOADI:
-                regs[inst.target] = inst.imm
-                return
-            if op is Opcode.COPY:
-                regs[inst.target] = self._read(regs, inst.srcs[0], inst)
-                return
-            if op is Opcode.ADD:
-                regs[inst.target] = read(inst.srcs[0]) + read(inst.srcs[1])
-                return
-            if op is Opcode.SUB:
-                regs[inst.target] = read(inst.srcs[0]) - read(inst.srcs[1])
-                return
-            if op is Opcode.MUL:
-                regs[inst.target] = read(inst.srcs[0]) * read(inst.srcs[1])
-                return
-            if op is Opcode.LOAD:
-                addr = read(inst.srcs[0])
-                if not isinstance(addr, int):
-                    raise TrapError(f"load from non-integer address {addr!r}")
-                regs[inst.target] = memory.read(addr)
-                return
-            if op is Opcode.STORE:
-                addr = read(inst.srcs[1])
-                if not isinstance(addr, int):
-                    raise TrapError(f"store to non-integer address {addr!r}")
-                memory.write(addr, read(inst.srcs[0]))
-                return
-            if op is Opcode.CMPLT:
-                regs[inst.target] = int(read(inst.srcs[0]) < read(inst.srcs[1]))
-                return
-            if op is Opcode.CMPLE:
-                regs[inst.target] = int(read(inst.srcs[0]) <= read(inst.srcs[1]))
-                return
-            if op is Opcode.CMPGT:
-                regs[inst.target] = int(read(inst.srcs[0]) > read(inst.srcs[1]))
-                return
-            if op is Opcode.CMPGE:
-                regs[inst.target] = int(read(inst.srcs[0]) >= read(inst.srcs[1]))
-                return
-            if op is Opcode.CMPEQ:
-                regs[inst.target] = int(read(inst.srcs[0]) == read(inst.srcs[1]))
-                return
-            if op is Opcode.CMPNE:
-                regs[inst.target] = int(read(inst.srcs[0]) != read(inst.srcs[1]))
-                return
-            if op is Opcode.IDIV:
-                regs[inst.target] = trunc_div(read(inst.srcs[0]), read(inst.srcs[1]))
-                return
-            if op is Opcode.FDIV:
-                divisor = read(inst.srcs[1])
-                if divisor == 0:
-                    raise TrapError("floating-point division by zero")
-                regs[inst.target] = read(inst.srcs[0]) / divisor
-                return
-            if op is Opcode.MOD:
-                regs[inst.target] = fortran_mod(read(inst.srcs[0]), read(inst.srcs[1]))
-                return
-            if op is Opcode.NEG:
-                regs[inst.target] = -read(inst.srcs[0])
-                return
-            if op is Opcode.MIN:
-                regs[inst.target] = min(read(inst.srcs[0]), read(inst.srcs[1]))
-                return
-            if op is Opcode.MAX:
-                regs[inst.target] = max(read(inst.srcs[0]), read(inst.srcs[1]))
-                return
-            if op is Opcode.ABS:
-                regs[inst.target] = abs(read(inst.srcs[0]))
-                return
-            if op is Opcode.AND:
-                regs[inst.target] = read(inst.srcs[0]) & read(inst.srcs[1])
-                return
-            if op is Opcode.OR:
-                regs[inst.target] = read(inst.srcs[0]) | read(inst.srcs[1])
-                return
-            if op is Opcode.XOR:
-                regs[inst.target] = read(inst.srcs[0]) ^ read(inst.srcs[1])
-                return
-            if op is Opcode.NOT:
-                regs[inst.target] = int(read(inst.srcs[0]) == 0)
-                return
-            if op is Opcode.SHL:
-                regs[inst.target] = read(inst.srcs[0]) << read(inst.srcs[1])
-                return
-            if op is Opcode.SHR:
-                regs[inst.target] = read(inst.srcs[0]) >> read(inst.srcs[1])
-                return
-            if op is Opcode.ITOF:
-                regs[inst.target] = float(read(inst.srcs[0]))
-                return
-            if op is Opcode.FTOI:
-                regs[inst.target] = math.trunc(read(inst.srcs[0]))
-                return
-            if op is Opcode.INTRIN:
-                fn = self.intrinsics.get(inst.callee)
-                if fn is None:
-                    raise InterpreterError(f"unknown intrinsic {inst.callee!r}")
-                try:
-                    regs[inst.target] = fn(*(read(s) for s in inst.srcs))
-                except ValueError as exc:  # e.g. sqrt of a negative
-                    raise TrapError(f"intrinsic {inst.callee}: {exc}") from None
-                return
-            if op is Opcode.CALL:
-                result = self._call(
-                    inst.callee, [read(s) for s in inst.srcs], memory, depth + 1
-                )
-                if inst.target is not None:
-                    if result is None:
-                        raise InterpreterError(
-                            f"{inst.callee} returned no value but one was expected"
+                recorder.record(name, prev, block.label)
+            block.visits += 1
+            self._steps += block.steps
+            if self._steps > limit:
+                raise InterpreterError(f"step limit {limit} exceeded in {name}")
+            if block.enter is not None:
+                block.enter(prev, regs)
+            try:
+                for ops, call in block.runs:
+                    for op in ops:
+                        op(regs, memory)
+                    if call is not None:
+                        result = self._call(
+                            call.callee,
+                            [regs[s] for s in call.srcs],
+                            memory,
+                            depth + 1,
                         )
-                    regs[inst.target] = result
-                return
-            if op is Opcode.NOP:
-                return
-        except KeyError as exc:
-            raise InterpreterError(
-                f"{name}/{label}: read of undefined register {exc} in {inst}"
-            ) from None
-        raise InterpreterError(f"{name}/{label}: cannot execute {inst}")
+                        if call.target is not None:
+                            if result is None:
+                                raise InterpreterError(
+                                    f"{call.callee} returned no value but one "
+                                    "was expected"
+                                )
+                            regs[call.target] = result
+                term = block.term
+                if term is Opcode.CBR:
+                    taken, other = block.succ
+                    nxt = taken if regs[block.reg] != 0 else other
+                elif term is Opcode.JMP:
+                    nxt = block.succ[0]
+                elif term is Opcode.RET:
+                    return regs[block.reg] if block.reg is not None else None
+                else:
+                    raise InterpreterError(
+                        f"{block.where}: fell off the end of a block"
+                    )
+            except KeyError as exc:
+                raise block.undefined(exc, regs) from None
+            prev = block.label
+            block = nxt
 
 
 def run_function(

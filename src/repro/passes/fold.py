@@ -1,47 +1,21 @@
 """Compile-time evaluation of pure operations.
 
 Shared by constant propagation, peephole optimization and local value
-numbering.  Folding mirrors the interpreter's semantics exactly; anything
-that could trap at run time (zero divisors, sqrt of a negative) refuses to
-fold so the optimizer never hides or invents a trap.
+numbering.  Folding evaluates through the interpreter's own table
+(:data:`repro.interp.core.OPERATIONS`), so a folded value is exactly the
+value the code computes at run time; anything that traps at run time
+(zero divisors, sqrt of a negative) refuses to fold so the optimizer
+never hides or invents a trap.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Union
 
-from repro.interp.machine import INTRINSICS, fortran_mod, trunc_div
+from repro.interp.core import INTRINSICS, OPERATIONS, TrapError
 from repro.ir.opcodes import Opcode
 
 Const = Union[int, float]
-
-_BINARY = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.MIN: min,
-    Opcode.MAX: max,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: lambda a, b: a << b,
-    Opcode.SHR: lambda a, b: a >> b,
-    Opcode.CMPLT: lambda a, b: int(a < b),
-    Opcode.CMPLE: lambda a, b: int(a <= b),
-    Opcode.CMPGT: lambda a, b: int(a > b),
-    Opcode.CMPGE: lambda a, b: int(a >= b),
-    Opcode.CMPEQ: lambda a, b: int(a == b),
-    Opcode.CMPNE: lambda a, b: int(a != b),
-}
-
-_UNARY = {
-    Opcode.NEG: lambda a: -a,
-    Opcode.ABS: abs,
-    Opcode.NOT: lambda a: int(a == 0),
-    Opcode.ITOF: float,
-    Opcode.FTOI: math.trunc,
-}
 
 
 def fold_operation(
@@ -54,25 +28,10 @@ def fold_operation(
     Trapping cases (division by zero, domain errors) return ``None`` —
     the trap must stay in the program.
     """
-    try:
-        if opcode in _BINARY and len(operands) == 2:
-            return _BINARY[opcode](operands[0], operands[1])
-        if opcode in _UNARY and len(operands) == 1:
-            return _UNARY[opcode](operands[0])
-        if opcode is Opcode.IDIV and len(operands) == 2:
-            if operands[1] == 0:
-                return None
-            return trunc_div(int(operands[0]), int(operands[1]))
-        if opcode is Opcode.FDIV and len(operands) == 2:
-            if operands[1] == 0:
-                return None
-            return operands[0] / operands[1]
-        if opcode is Opcode.MOD and len(operands) == 2:
-            if operands[1] == 0:
-                return None
-            return fortran_mod(int(operands[0]), int(operands[1]))
-        if opcode is Opcode.INTRIN and callee in INTRINSICS:
-            return INTRINSICS[callee](*operands)
-    except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+    fn = INTRINSICS.get(callee) if opcode is Opcode.INTRIN else OPERATIONS.get(opcode)
+    if fn is None:
         return None
-    return None
+    try:
+        return fn(*operands)
+    except (TrapError, ValueError, OverflowError, ZeroDivisionError, TypeError):
+        return None

@@ -777,8 +777,8 @@ class PassManager:
         violation) is fatal immediately.  A ``proved`` verdict is final
         — nothing is executed.  ``inconclusive`` falls back to the
         interpreting :func:`~repro.verify.transval.validate_translation`
-        oracle, so ``verify="certify"`` is never weaker than replay —
-        just cheaper wherever the static proof lands.  The fallback
+        oracle, so ``verify="certify"`` is never weaker than replay, and
+        a proof holds for every input.  The fallback
         reuses the fingerprints the proof already put on the snapshots.
         """
         from repro.verify.certify import certify_pass

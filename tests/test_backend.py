@@ -501,6 +501,56 @@ def test_sim_charges_call_overhead_per_argument():
     assert two_args.lds_ops == 2
 
 
+def test_sim_accounts_calls_inside_a_loop_through_nested_calls():
+    result = _sim(
+        "function main(n) {\n"
+        "entry:\n"
+        "    n <- lds 0\n"
+        "    i <- loadi 0\n"
+        "    s <- loadi 0\n"
+        "    one <- loadi 1\n"
+        "    jmp -> head\n"
+        "head:\n"
+        "    c <- cmplt i, n\n"
+        "    cbr c -> body, done\n"
+        "body:\n"
+        "    v <- call mid(i)\n"
+        "    s <- add s, v\n"
+        "    i <- add i, one\n"
+        "    jmp -> head\n"
+        "done:\n"
+        "    ret s\n"
+        "}\n"
+        "function mid(a) {\n"
+        "entry:\n"
+        "    a <- lds 0\n"
+        "    b <- call leaf(a, a)\n"
+        "    c <- add a, b\n"
+        "    ret c\n"
+        "}\n"
+        "function leaf(a, b) {\n"
+        "entry:\n"
+        "    a <- lds 0\n"
+        "    b <- lds 1\n"
+        "    r <- mul a, b\n"
+        "    ret r\n"
+        "}",
+        "main",
+        [3],
+    )
+    assert result.value == 0 + 2 + 6  # sum of i + i*i
+    assert result.instructions == 26 + 3 * 4 + 3 * 4
+    # per call: leaf 1 (lds b) + 3 (mul); mid 1 (lds a) + 1 (call result);
+    # main 1 per iteration (call result)
+    assert result.stall_cycles == 3 * 4 + 3 * 2 + 3
+    # body -> head three times, head -> done once
+    assert result.branch_cycles == 4 * Target().branch_penalty
+    # 3 x (6 + 1 arg) into mid, 3 x (6 + 2 args) into leaf
+    assert result.call_cycles == 3 * 7 + 3 * 8
+    assert result.cycles == 124
+    assert (result.lds_ops, result.sts_ops) == (1 + 3 + 6, 0)
+
+
 def test_sim_rejects_uninitialized_frame_slot():
     with pytest.raises(SimulationError, match="uninitialized frame"):
         _sim(

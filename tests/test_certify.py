@@ -713,6 +713,29 @@ def test_cli_bench_certify_quick(tmp_path):
     assert report["pipeline"]["certify"]["failures"] == 0
 
 
+def test_cli_bench_certify_fails_on_a_refutation(tmp_path, monkeypatch, capsys):
+    import repro.bench.certify as certify_bench
+    import repro.verify.certify as certify_module
+
+    monkeypatch.setattr(certify_bench, "QUICK_ROUTINES", 1)
+    monkeypatch.setattr(
+        certify_module,
+        "certify_pass",
+        lambda before, after, **kwargs: certify_module.CertifyResult(
+            "refuted", "placement", "planted"
+        ),
+    )
+    out = tmp_path / "BENCH_certify.json"
+    code = cli_main([
+        "bench", "certify", "--quick", "--repeat", "1", "--json", str(out),
+    ])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["refuted"] == report["pairs"] > 0
+    assert "certify_seconds" in report and "speedup" in report
+    assert "refuted" in capsys.readouterr().err
+
+
 # -- Function.clone ------------------------------------------------------------
 
 

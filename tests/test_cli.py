@@ -70,6 +70,42 @@ def test_run_counts(source_file, capsys):
     assert "mul" in out
 
 
+def test_run_counts_orders_ties_by_mnemonic(source_file, capsys):
+    main(
+        [
+            "run",
+            source_file,
+            "scale",
+            "3",
+            "2.0",
+            "--array",
+            "1.0,2.0,3.0,0,0,0,0,0:8",
+            "--counts",
+            "--level",
+            "none",
+        ]
+    )
+    rows = [
+        line.split()
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  ")
+    ]
+    counts = [(mnemonic, int(count)) for mnemonic, count in rows]
+    assert counts == sorted(counts, key=lambda row: (-row[1], row[0]))
+    # mul executes before add, and both run 9 times
+    assert counts[1:3] == [("add", 9), ("mul", 9)]
+
+
+def test_compile_ir_folds_float_integer_division(tmp_path, capsys):
+    path = tmp_path / "x.ir"
+    path.write_text(
+        "function f() {\nentry:\n    r0 <- loadi 7.9\n    r1 <- loadi 0.5\n"
+        "    r2 <- idiv r0, r1\n    ret r2\n}\n"
+    )
+    assert main(["compile", str(path), "--ir", "--level", "baseline"]) == 0
+    assert "loadi 15.0" in capsys.readouterr().out
+
+
 def test_bad_array_spec_rejected(source_file):
     with pytest.raises(SystemExit):
         main(["run", source_file, "scale", "1", "1.0", "--array", "1,2,3"])

@@ -291,6 +291,7 @@ def test_phi_costs_nothing():
     src_with_phi = """
     function f(r0) {
     entry:
+        nop
         jmp -> next
     next:
         r1 <- phi [entry: r0]
@@ -299,8 +300,9 @@ def test_phi_costs_nothing():
     """
     result = run_src(src_with_phi, [5])
     assert result.value == 5
-    assert result.dynamic_count == 2  # jmp + ret; the phi is free
+    assert result.dynamic_count == 2  # jmp + ret; the phi and nop are free
     assert result.op_counts[Opcode.PHI] == 1
+    assert result.op_counts[Opcode.NOP] == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -326,3 +328,155 @@ def test_arith_matches_python(a, b, c):
 
     expected = math.trunc(((a + b) * c - a) / c) + fortran_mod((a + b) * c - a, c)
     assert run_src(src, [a, b, c]).value == expected
+
+
+# -- semantics the execution core must keep -----------------------------------
+
+
+def test_instructions_after_the_first_terminator_neither_run_nor_count():
+    src = """
+    function f() {
+    entry:
+        r0 <- loadi 1
+        ret r0
+        r1 <- idiv r0, rz
+        ret r1
+    }
+    """
+    result = run_src(src)
+    assert result.value == 1
+    assert result.dynamic_count == 2
+    assert Opcode.IDIV not in result.op_counts
+    assert result.op_counts[Opcode.RET] == 1
+
+
+def test_phi_without_an_input_for_the_edge_taken_raises():
+    src = """
+    function f(r0) {
+    entry:
+        jmp -> next
+    next:
+        r1 <- phi [elsewhere: r0]
+        ret r1
+    }
+    """
+    with pytest.raises(
+        InterpreterError, match="f/next: phi has no input for edge from entry"
+    ):
+        run_src(src, [1])
+
+
+_COUNTED_LOOP = """
+function main(r0) {
+entry:
+    r1 <- call loop(r0)
+    ret r1
+}
+
+function loop(r0) {
+entry:
+    ri <- loadi 0
+    r1 <- loadi 1
+    jmp -> header
+header:
+    rc <- cmplt ri, r0
+    cbr rc -> body, exit
+body:
+    ri <- add ri, r1
+    jmp -> header
+exit:
+    ret ri
+}
+"""
+
+
+def test_a_run_of_exactly_max_steps_succeeds():
+    module = parse_module(_COUNTED_LOOP)
+    total = Interpreter(module).run("main", [5]).dynamic_count
+    assert total == 2 + 3 + 6 * 2 + 5 * 2 + 1
+    assert Interpreter(module, max_steps=total).run("main", [5]).value == 5
+    with pytest.raises(InterpreterError, match="step limit"):
+        Interpreter(module, max_steps=total - 1).run("main", [5])
+    # the callee's steps count against the same limit
+    with pytest.raises(InterpreterError, match="step limit 10 exceeded in loop"):
+        Interpreter(module, max_steps=10).run("main", [5])
+
+
+class _EventStream:
+    def __init__(self):
+        self.events = []
+
+    def record(self, function, prev, label):
+        self.events.append((function, prev, label))
+
+
+def test_recorder_sees_every_block_entry_in_order():
+    module = parse_module(
+        """
+        function main(r0) {
+        entry:
+            ri <- loadi 0
+            r1 <- loadi 1
+            jmp -> header
+        header:
+            rc <- cmplt ri, r0
+            cbr rc -> body, exit
+        body:
+            rv <- call sign(ri)
+            ri <- add ri, r1
+            jmp -> header
+        exit:
+            ret ri
+        }
+
+        function sign(r0) {
+        entry:
+            cbr r0 -> pos, zero
+        pos:
+            r1 <- loadi 1
+            ret r1
+        zero:
+            r2 <- loadi 0
+            ret r2
+        }
+        """
+    )
+    stream = _EventStream()
+    assert Interpreter(module, recorder=stream).run("main", [2]).value == 2
+    assert stream.events == [
+        ("main", None, "entry"),
+        ("main", "entry", "header"),
+        ("main", "header", "body"),
+        ("sign", None, "entry"),
+        ("sign", "entry", "zero"),
+        ("main", "body", "header"),
+        ("main", "header", "body"),
+        ("sign", None, "entry"),
+        ("sign", "entry", "pos"),
+        ("main", "body", "header"),
+        ("main", "header", "exit"),
+    ]
+
+
+def test_running_one_instance_twice_gives_identical_results():
+    module = parse_module(_COUNTED_LOOP)
+    interp = Interpreter(module)
+    first = interp.run("main", [4])
+    second = interp.run("main", [4])
+    assert (first.value, first.dynamic_count) == (second.value, second.dynamic_count)
+    assert first.op_counts == second.op_counts
+    assert interp.run("main", [2]).dynamic_count < first.dynamic_count
+
+
+def test_branch_to_a_missing_block_raises_only_when_taken():
+    src = """
+    function f(r0) {
+    entry:
+        cbr r0 -> nowhere, out
+    out:
+        ret r0
+    }
+    """
+    assert run_src(src, [0]).value == 0
+    with pytest.raises(InterpreterError, match="branch to unknown block 'nowhere'"):
+        run_src(src, [1])

@@ -4,6 +4,7 @@ from tests.helpers import assert_pass_preserves_behavior, observe
 
 from repro.ir import Opcode, parse_function
 from repro.passes import sparse_conditional_constant_propagation as sccp
+from repro.passes.fold import fold_operation
 
 
 def test_folds_straight_line_constants():
@@ -116,6 +117,34 @@ def test_does_not_fold_division_by_zero():
     # the trapping division must survive
     assert any(inst.opcode is Opcode.IDIV for inst in out.instructions())
     assert observe(out, args=[0]).value == 1
+
+
+def test_fold_evaluates_as_execution_does():
+    # float operands of idiv fold to the value the code computes at run time
+    assert fold_operation(Opcode.IDIV, [7.9, 0.5]) == 15.0
+    folded = fold_operation(Opcode.IDIV, [7.5, 2.0])
+    assert folded == 3.0 and isinstance(folded, float)
+    # a trap refuses to fold
+    assert fold_operation(Opcode.IDIV, [1, 0]) is None
+    assert fold_operation(Opcode.MOD, [1, 0]) is None
+    assert fold_operation(Opcode.FDIV, [1.0, 0.0]) is None
+
+
+def test_folds_float_integer_division():
+    func = parse_function(
+        """
+        function f() {
+        entry:
+            r0 <- loadi 7.9
+            r1 <- loadi 0.5
+            r2 <- idiv r0, r1
+            ret r2
+        }
+        """
+    )
+    out = assert_pass_preserves_behavior(func, sccp, [{}])
+    assert not any(inst.opcode is Opcode.IDIV for inst in out.instructions())
+    assert observe(out).value == 15.0
 
 
 def test_loop_invariant_constant():

@@ -48,7 +48,15 @@ are priced by block frequency.  Under a measured profile that score
 makes lospre never worse than either conservative solver on any
 function, by construction.  Ties prefer LCM, then Morel–Renvoise:
 output stays identical to ``pre`` wherever speculation does not
-strictly pay.
+strictly pay.  A candidate identical to an earlier one is priced once.
+
+Each whole LCM or Morel–Renvoise solution defines an expression's name
+before the inserted expressions that read it; the per-expression mix
+need not, since it may take one expression from one solver and an
+expression reading its name from another.  So a candidate whose placed
+code reads a register at a point some path leaves it unassigned (a
+read the input did not already make) is not eligible, whatever it
+costs.
 
 Frequencies come from :func:`repro.analysis.freq.resolve_frequencies`:
 a measured profile when the store has one for this exact body hash,
@@ -117,6 +125,11 @@ def lospre_transform(func: Function, *, store=None) -> PREReport:
 
     freq = resolve_frequencies(func, store=store)
     witness.profile_source = freq.source
+    # an inserted computation may only read registers every path to the
+    # insertion point has defined, else it would read an undefined one
+    # on paths the original never took: the cut's arcs and the
+    # arbitration both hold placements to this
+    assigned = solve(definite_assignment_problem(ctx.func), ctx.cfg)
 
     lcm = solve_lcm_placement(ctx)
     mr = solve_mr_placement(ctx)
@@ -124,7 +137,7 @@ def lospre_transform(func: Function, *, store=None) -> PREReport:
         function=func.name, profile_source=freq.source
     )
     cut_ins, cut_del, cut_end, per_key = solve_lospre_placement(
-        ctx, freq, cut_witness, lcm, mr
+        ctx, freq, cut_witness, lcm, mr, assigned.out
     )
     lcm_ins, lcm_del = lcm
     mr_ins, mr_del, mr_end = mr
@@ -142,13 +155,27 @@ def lospre_transform(func: Function, *, store=None) -> PREReport:
         ),
         "mincut": (cut_ins, cut_del, cut_end),
     }
-    costs = {
-        name: _final_cost(ctx, placement, freq)
-        for name, placement in candidates.items()
-    }
+    undefined = _undefined_reads(ctx.func, ctx.cfg, assigned)
+    costs: dict[str, int] = {}
+    rejected: list[str] = []
+    priced: dict[tuple, int | None] = {}  # placement -> cost or None
+    for name, placement in candidates.items():
+        shape = tuple(
+            frozenset((site, keys) for site, keys in part.items() if keys)
+            for part in placement
+        )
+        if shape not in priced:
+            priced[shape] = _final_cost(ctx, placement, freq, undefined)
+        if priced[shape] is None:
+            rejected.append(name)
+        else:
+            costs[name] = priced[shape]
     # Ties prefer the conservative placements: LCM (identical output to
     # ``pre``), then Morel–Renvoise.  Speculate only when it strictly pays.
-    strategy = min(("lcm", "mr", "mincut"), key=lambda name: costs[name])
+    strategy = min(
+        (name for name in ("lcm", "mr", "mincut") if name in costs),
+        key=costs.__getitem__,
+    )
     insert_on_edge, delete_in_block, insert_at_end = candidates[strategy]
     if strategy == "mincut":
         witness.insertions.update(cut_witness.insertions)
@@ -163,6 +190,7 @@ def lospre_transform(func: Function, *, store=None) -> PREReport:
         insert_at_end=insert_at_end,
     )
     record_witness(witness)
+    extra = {"rejected": rejected} if rejected else {}
     remarks.emit(
         "placement",
         insertions=report.insertions,
@@ -171,17 +199,18 @@ def lospre_transform(func: Function, *, store=None) -> PREReport:
         profile=freq.source,
         strategy=strategy,
         cost=costs[strategy],
-        cost_lcm=costs["lcm"],
-        cost_mr=costs["mr"],
+        cost_lcm=costs.get("lcm"),
+        cost_mr=costs.get("mr"),
         speculative=sum(
             1 for entry in witness.insertions.values() if entry.speculative
         ),
         strategies=per_key,
+        **extra,
     )
     return report
 
 
-def _final_cost(ctx, placement, freq) -> int:
+def _final_cost(ctx, placement, freq, undefined) -> int | None:
     """Profile-weighted op count of a candidate's *finished* function.
 
     Applies the placement to a clone, runs the baseline cleanup suffix
@@ -190,6 +219,11 @@ def _final_cost(ctx, placement, freq) -> int:
     surviving instruction by its block's frequency.  With a measured
     profile this is exactly the dynamic operation count the function
     will exhibit, copies and coalescing included.
+
+    ``None`` when the placed code reads a register, outside
+    ``undefined`` (the registers the input already reads undefined),
+    at a point where some path leaves it unassigned: that candidate is
+    not eligible.
     """
     from repro.analysis.manager import analyses
     from repro.pipeline.levels import BASELINE_SPECS
@@ -207,8 +241,25 @@ def _final_cost(ctx, placement, freq) -> int:
         PREReport(),
         insert_at_end=insert_at_end,
     )
+    # placement only adds to existing blocks: the trial has ctx's CFG
+    assigned = solve(definite_assignment_problem(trial), ctx.cfg)
+    if not _undefined_reads(trial, ctx.cfg, assigned) <= undefined:
+        return None
     PassManager(list(BASELINE_SPECS), verify="off").run_function(trial)
     return _weighted_ops(trial, freq)
+
+
+def _undefined_reads(func, cfg, assigned) -> set:
+    """Registers ``func`` reads where ``assigned`` (its definite
+    assignment over ``cfg``) says some path leaves them unassigned."""
+    blocks = func.block_map()
+    undefined = set()
+    for label in cfg.reverse_postorder:
+        defined = set(assigned.at_entry(label))
+        for inst in blocks[label].instructions:
+            undefined.update(use for use in inst.uses() if use not in defined)
+            defined.update(inst.defs())
+    return undefined
 
 
 def _weighted_ops(func, freq) -> int:
@@ -227,22 +278,24 @@ def _weighted_ops(func, freq) -> int:
     return total
 
 
-def solve_lospre_placement(ctx: PREContext, freq, witness, lcm, mr):
+def solve_lospre_placement(
+    ctx: PREContext, freq, witness, lcm, mr, defined_out
+):
     """Per-expression 3-way minimum: min cut vs. LCM vs. Morel–Renvoise.
 
     ``lcm`` and ``mr`` are the mask placements of
     :func:`solve_lcm_placement` and :func:`solve_mr_placement` over the
-    same ``ctx``.  Returns ``(insert_on_edge, delete_in_block,
-    insert_at_end)`` as per-edge/per-block key frozensets (the
-    :func:`apply_placement` input shape) plus a strategy histogram,
-    filling ``witness`` with one entry per inserted site along the way.
+    same ``ctx``; ``defined_out`` maps each block to the registers
+    definitely assigned at its exit.  Returns ``(insert_on_edge,
+    delete_in_block, insert_at_end)`` as per-edge/per-block key
+    frozensets (the :func:`apply_placement` input shape) plus a
+    strategy histogram, filling ``witness`` with one entry per inserted
+    site along the way.  The per-expression picks can disagree on where
+    a name is defined, so the result is a candidate that the caller
+    must still check for undefined reads.
     """
     lcm_ins, lcm_del = lcm
     mr_ins, mr_del, mr_end = mr
-    # an inserted computation may only read registers every path to the
-    # insertion point has defined, else it would read an undefined one
-    # on paths the original never took
-    defined_out = solve(definite_assignment_problem(ctx.func), ctx.cfg).out
 
     insert_on_edge: dict[tuple[str, str], set] = {}
     delete_in_block: dict[str, set] = {}

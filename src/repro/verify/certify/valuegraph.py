@@ -513,7 +513,16 @@ def _poly_multiply(p: dict, q: dict) -> Optional[dict]:
 
 
 class _Prover:
-    """One joint optimistic RPO value-numbering problem."""
+    """One joint optimistic RPO value-numbering problem.
+
+    Canonicalizing an instruction is split in two.  The *form* is a
+    pure step: ``(value, None)`` for a finished value (a constant,
+    polynomial, chain or operand), ``(None, key)`` for a structural key
+    to intern under the instruction's own name, or ``(None, None)`` for
+    ⊤.  Interning is the second step, which :meth:`run` takes in order,
+    every round.  Only forms are memoized (:meth:`_memo_form`), and the
+    memo lives and dies with this prover.
+    """
 
     def __init__(self, a: _Side, b: _Side, pairs) -> None:
         self.sides = (a, b)
@@ -521,21 +530,22 @@ class _Prover:
         self.values = _ValueTable()
         self.vn: tuple[dict, dict] = ({}, {})
         self.rounds = 0
+        self._last: list = []  # position -> (operand values, form)
+        self._by_input: dict = {}  # structural input -> form
 
     def val(self, side_index: int, name: str) -> Optional[tuple]:
         return self.vn[side_index].get(name)
 
     # -- canonicalization ------------------------------------------------------
 
-    def _canon_phi(self, side_index, inst, label) -> Optional[tuple]:
+    def _phi_form(self, side_index, inst, label, operands) -> tuple:
         side = self.sides[side_index]
         self_rep = ("n", side_index, inst.target)
         entries = set()
-        for src, pred in zip(inst.srcs, inst.phi_labels):
+        for src, pred, value in zip(inst.srcs, inst.phi_labels, operands):
             origins = side.phi_origins.get((label, pred))
             if not origins:
                 continue  # the edge was pruned or is unreachable
-            value = self.val(side_index, src)
             if value is None:
                 continue  # optimistic: ⊤ operands don't constrain the φ
             if src == inst.target or value == self_rep:
@@ -548,15 +558,12 @@ class _Prover:
             for origin in origins:
                 entries.add((origin, value))
         if not entries:
-            return None
+            return None, None
         distinct = {value for _, value in entries}
         if len(distinct) == 1:
-            return next(iter(distinct))
+            return next(iter(distinct)), None
         pair = side.pair_of[label]
-        return self.values.intern(
-            ("phi", pair, tuple(sorted(entries, key=repr))),
-            ("n", side_index, inst.target),
-        )
+        return None, ("phi", pair, tuple(sorted(entries, key=repr)))
 
     def _canon_chain(self, opcode: Opcode, operands) -> tuple:
         values = self.values
@@ -633,71 +640,94 @@ class _Prover:
                 return mono[0]
         return values.poly(acc)
 
-    def _canon_expression(self, side_index, inst, operands) -> tuple:
+    def _expression_form(self, inst, operands) -> tuple:
         values = self.values
-        owner = ("n", side_index, inst.target)
         opcode = inst.opcode
         consts = [values.const_of[v] for v in operands if v in values.const_of]
         if len(consts) == len(operands):
             folded = fold_operation(opcode, consts, callee=inst.callee)
             if folded is not None:
-                return values.const(folded)
+                return values.const(folded), None
         if opcode in _POLY_OPS:
             poly = self._canon_poly(opcode, operands)
             if poly is not None:
-                return poly
+                return poly, None
         if opcode in _CHAIN_OPS:
-            return self._canon_chain(opcode, operands)
+            return self._canon_chain(opcode, operands), None
         if opcode in (Opcode.SHL, Opcode.SHR) and (
             operands[1] in values.const_of
             and values.const_of[operands[1]] == 0
         ):
-            return operands[0]
+            return operands[0], None
         if opcode is Opcode.NOT:
             inner = values.canon.get(operands[0])
             if inner is not None and inner[:2] == ("op", Opcode.NOT.value):
-                return inner[2][0]
+                return inner[2][0], None
         if opcode in COMPARISONS:
             if operands[0] == operands[1]:
                 reflexive = opcode in (Opcode.CMPEQ, Opcode.CMPLE, Opcode.CMPGE)
-                return values.const(1 if reflexive else 0)
+                return values.const(1 if reflexive else 0), None
             swapped = SWAPPED_COMPARISON[opcode]
             forward = (opcode.value, tuple(operands))
             backward = (swapped.value, (operands[1], operands[0]))
-            return values.intern(
-                ("op",) + min(forward, backward, key=repr), owner
-            )
+            return None, ("op",) + min(forward, backward, key=repr)
         if opcode in COMMUTATIVE:
             operands = sorted(operands, key=repr)
         if opcode is Opcode.INTRIN:
-            return values.intern(
-                ("intrin", inst.callee, tuple(operands)), owner
-            )
-        return values.intern(("op", opcode.value, tuple(operands)), owner)
+            return None, ("intrin", inst.callee, tuple(operands))
+        return None, ("op", opcode.value, tuple(operands))
 
-    def _canon(self, side_index, inst, label, effects_before) -> Optional[tuple]:
-        side = self.sides[side_index]
-        values = self.values
+    def _form(self, side_index, inst, label, token, operands) -> tuple:
+        """The pure step for ``inst`` given its operand values.
+
+        ``token`` is the memory token of a ``load`` or ``call`` (else
+        ``None``).  Reads no value-table state but the persistent
+        registries, except that ``not`` reads ``values.canon``.
+        """
         opcode = inst.opcode
         if opcode is Opcode.PHI:
-            return self._canon_phi(side_index, inst, label)
-        if opcode is Opcode.COPY:
-            return self.val(side_index, inst.srcs[0])
+            return self._phi_form(side_index, inst, label, operands)
         if opcode is Opcode.LOADI:
-            return values.const(inst.imm)
-        operands = [self.val(side_index, src) for src in inst.srcs]
-        if any(value is None for value in operands):
-            return None
-        owner = ("n", side_index, inst.target)
+            return self.values.const(inst.imm), None
+        if None in operands:
+            return None, None
+        if opcode is Opcode.COPY:
+            return operands[0], None
         if opcode is Opcode.LOAD:
-            token = _block_token(side, label, effects_before)
-            return values.intern(("load", operands[0], token), owner)
+            return None, ("load", operands[0], token)
         if opcode is Opcode.CALL:
-            token = _block_token(side, label, effects_before)
-            return values.intern(
-                ("call", inst.callee, tuple(operands), token), owner
-            )
-        return self._canon_expression(side_index, inst, operands)
+            return None, ("call", inst.callee, operands, token)
+        return self._expression_form(inst, operands)
+
+    def _memo_form(self, position, side_index, inst, label, token, operands):
+        """:meth:`_form`, reused where its inputs repeat.
+
+        A form is reused when the instruction at ``position`` sees the
+        operand values it saw in an earlier round, or when another
+        instruction (usually its twin on the other side) had the same
+        opcode, callee, operand values and memory token (values compare
+        with ``==``, the equality the table keys on).  A φ's form
+        embeds its pair and edge origins and a ``loadi``'s its
+        immediate, so only their own position reuses them.  ``not``
+        reads the key its operand was interned under, which a later
+        round can rebind, so it is never memoized.
+        """
+        opcode = inst.opcode
+        if opcode is Opcode.NOT:
+            return self._form(side_index, inst, label, token, operands)
+        last = self._last[position]
+        if last is not None and last[0] == operands:
+            return last[1]
+        if opcode is Opcode.PHI or opcode is Opcode.LOADI:
+            form = self._form(side_index, inst, label, token, operands)
+        else:
+            structure = (opcode, inst.callee, operands, token)
+            form = self._by_input.get(structure)
+            if form is None:
+                form = self._form(side_index, inst, label, token, operands)
+                self._by_input[structure] = form
+        self._last[position] = (operands, form)
+        return form
 
     # -- iteration -------------------------------------------------------------
 
@@ -716,6 +746,14 @@ class _Prover:
         representatives are stable names and canonical forms (never
         positional ids), a previous-round value means the same thing
         this round, across both sides.
+
+        What repeats between rounds and sides is the arithmetic of a
+        form — polynomial products, ``repr``-sorted chains, φ entry
+        sets — so forms are memoized (:meth:`_memo_form`).  Every key
+        is still interned, in the same order, into the fresh table
+        every round, and a form depends on nothing the table's reset
+        changes, so representatives, rounds and obligations come out
+        exactly as without the memo.
         """
         order = []
         leaders: list[tuple[int, object]] = []  # (side, param/opaque seeds)
@@ -741,12 +779,18 @@ class _Prover:
                 effects = 0
                 for inst in side.blocks[label].instructions:
                     if inst.target:
-                        order.append((side_index, inst, label, effects))
+                        token = None
+                        if inst.opcode in (Opcode.LOAD, Opcode.CALL):
+                            token = _block_token(side, label, effects)
+                        owner = ("n", side_index, inst.target)
+                        order.append((side_index, inst, label, token, owner))
                     if inst.opcode in _EFFECT_OPS:
                         effects += 1
+        self._last = [None] * len(order)
+        values = self.values
         for round_index in range(_MAX_ROUNDS):
             self.rounds = round_index + 1
-            self.values.new_round()
+            values.new_round()
             changed = False
             for side_index, seeds in leaders:
                 for name, key in seeds:
@@ -754,12 +798,20 @@ class _Prover:
                     if self.vn[side_index].get(name) != key:
                         self.vn[side_index][name] = key
                         changed = True
-            for side_index, inst, label, effects_before in order:
-                value = self._canon(side_index, inst, label, effects_before)
+            for position, (side_index, inst, label, token, owner) in enumerate(
+                order
+            ):
+                vn = self.vn[side_index]
+                operands = tuple(map(vn.get, inst.srcs))
+                value, key = self._memo_form(
+                    position, side_index, inst, label, token, operands
+                )
+                if key is not None:
+                    value = values.intern(key, owner)
                 if value is None:
                     continue  # ⊤ keeps any previous optimistic estimate
-                if self.vn[side_index].get(inst.target) != value:
-                    self.vn[side_index][inst.target] = value
+                if vn.get(inst.target) != value:
+                    vn[inst.target] = value
                     changed = True
             if not changed:
                 return True
@@ -893,21 +945,20 @@ def prove_equivalence(
 
     Neither argument is mutated (everything runs on private copies).
     Either side may be an :class:`~repro.verify.transval.IRSnapshot`,
-    whose fingerprint and SSA form are reused (and filled in on first
-    use).  ``proved=False`` never means "refuted" — only that no proof
-    was found; callers fall back to
+    whose fingerprint, SSA form and backend check are reused (and filled
+    in on first use).  ``proved=False`` never means "refuted" — only
+    that no proof was found; callers fall back to
     :func:`repro.verify.transval.validate_translation` for a dynamic
     verdict.  ``skip_fingerprint`` is for callers (``certify_pass``)
     that already compared the sides' semantic fingerprints and found
     them different.
     """
-    from repro.verify.lint import is_backend_function
     from repro.verify.transval import IRSnapshot
 
     before, after = IRSnapshot.of(before), IRSnapshot.of(after)
     if not skip_fingerprint and before.fingerprint == after.fingerprint:
         return EquivalenceProof(True, "alpha-equivalent printings")
-    if is_backend_function(before.func) or is_backend_function(after.func):
+    if before.is_backend or after.is_backend:
         return EquivalenceProof(
             False, "machine-level IR (gated by the cycle simulator instead)"
         )

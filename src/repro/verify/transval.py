@@ -99,20 +99,21 @@ class IRSnapshot:
 
     Wraps a function nothing may mutate any more — the pass manager
     hands it a fresh :meth:`~repro.ir.function.Function.clone` — and
-    derives its α-fingerprint and the value graph's SSA-normalized form
-    on first use, once.  The pass manager hands pass *i*'s after-state
-    on as pass *i+1*'s before-state, so each state between two passes
-    is copied, printed, hashed and converted to SSA once, however many
-    verdicts read it.  :func:`validate_translation` and the certifier's
+    derives its α-fingerprint, the value graph's SSA-normalized form and
+    whether it is machine-level IR on first use, once.  The pass manager
+    hands pass *i*'s after-state on as pass *i+1*'s before-state, so
+    each state between two passes is copied, printed, hashed, classified
+    and converted to SSA once, however many verdicts read it.  :func:`validate_translation` and the certifier's
     entry points wrap a plain :class:`Function` argument (:meth:`of`).
     """
 
-    __slots__ = ("func", "_fingerprint", "_ssa")
+    __slots__ = ("func", "_fingerprint", "_ssa", "_backend")
 
     def __init__(self, func: Function) -> None:
         self.func = func
         self._fingerprint: Optional[str] = None
         self._ssa: Optional[Function] = None
+        self._backend: Optional[bool] = None
 
     @classmethod
     def of(cls, state: Function | IRSnapshot) -> IRSnapshot:
@@ -125,6 +126,15 @@ class IRSnapshot:
         if self._fingerprint is None:
             self._fingerprint = semantic_fingerprint(self.func)
         return self._fingerprint
+
+    @property
+    def is_backend(self) -> bool:
+        """:func:`repro.verify.lint.is_backend_function` of the state, once."""
+        if self._backend is None:
+            from repro.verify.lint import is_backend_function
+
+            self._backend = is_backend_function(self.func)
+        return self._backend
 
     def ssa_form(self) -> Function:
         """The state in SSA, CFG-normalized for the value graph; built once.
@@ -290,15 +300,13 @@ def validate_translation(
     before, after = IRSnapshot.of(before), IRSnapshot.of(after)
     if before.fingerprint == after.fingerprint:
         return []
-    before, after = before.func, after.func
-    from repro.verify.lint import is_backend_function
-
-    if is_backend_function(before) or is_backend_function(after):
+    if before.is_backend or after.is_backend:
         # machine-level IR: the interpreter cannot execute lds/sts, so
         # every case would be a reference trap — inconclusive by the
         # outcome discipline.  The backend is gated by the cycle
         # simulator (docs/BACKEND.md), not by replay.
         return []
+    before, after = before.func, after.func
     if cases is None:
         cases = generate_cases(before)
     conclusive = 0

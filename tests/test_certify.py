@@ -31,7 +31,9 @@ from repro.verify import (
     prove_equivalence,
     validate_translation,
 )
+from repro.verify.certify import valuegraph
 from repro.verify.certify.fuzz import corpus, random_program
+from repro.verify.transval import IRSnapshot
 
 SAXPY = """
 routine saxpy(n: int, a: real, x: real[64], y: real[64])
@@ -149,6 +151,167 @@ entry:
     proof = prove_equivalence(backend, mutated)
     assert not proof.proved
     assert "machine-level" in proof.reason
+
+
+# -- the value graph's memo ----------------------------------------------------
+#
+# ``_Prover`` memoizes the pure step of canonicalization across rounds
+# and sides.  The reference below computes every form afresh, every
+# round; every field of every proof must come out the same.
+
+
+class _UnmemoizedProver(valuegraph._Prover):
+    def _memo_form(self, position, side_index, inst, label, token, operands):
+        return self._form(side_index, inst, label, token, operands)
+
+
+def _proof_fields(proof):
+    return (
+        proof.proved,
+        proof.reason,
+        proof.obligations,
+        proof.rounds,
+        [diagnostic.as_dict() for diagnostic in proof.diagnostics],
+    )
+
+
+def _proofs(pairs):
+    return [_proof_fields(prove_equivalence(b, a)) for b, a in pairs]
+
+
+def _reference_proofs(pairs, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(valuegraph, "_Prover", _UnmemoizedProver)
+        return _proofs(pairs)
+
+
+def _certified_pairs(source, level, store=None):
+    """Every (before, after) state pair the manager certifies."""
+    steps = [PassManager([spec], verify="off") for spec in get_sequence(level)]
+    pairs = []
+    with set_default_store(store if store is not None else ProfileStore(None)):
+        for func in compile_program(source):
+            before = IRSnapshot(func.clone())
+            for manager in steps:
+                manager.run_function(func)
+                after = IRSnapshot(func.clone())
+                pairs.append((before, after))
+                before = after
+    return pairs
+
+
+#: not(not(i)) folds back to i only through the table's key for the
+#: inner ``not``, and i is loop-carried: the inner ``not`` keeps its
+#: name while its key changes between rounds
+NOT_NOT_BEFORE = """
+function f(v_x, v_n) {
+entry:
+    one <- loadi 1
+    i <- copy v_x
+    jmp -> loop
+loop:
+    s <- not i
+    t <- not s
+    i <- add t, one
+    c <- cmplt i, v_n
+    cbr c -> loop, exit
+exit:
+    ret i
+}
+"""
+
+NOT_NOT_AFTER = """
+function f(v_x, v_n) {
+entry:
+    one <- loadi 1
+    i <- copy v_x
+    jmp -> loop
+loop:
+    i <- add i, one
+    c <- cmplt i, v_n
+    cbr c -> loop, exit
+exit:
+    ret i
+}
+"""
+
+
+#: the same address loaded before and after a store: only the memory
+#: token tells the two loads apart, so it is part of the memo's key
+RELOAD_BEFORE = """
+function f(v_a, v_v) {
+entry:
+    x <- load v_a
+    store v_v, v_a
+    y <- load v_a
+    r <- add x, y
+    ret r
+}
+"""
+
+#: two intrinsics of one operand: only the callee tells them apart
+CALLEES_BEFORE = """
+function f(v_x) {
+entry:
+    a <- intrin sqrt(v_x)
+    b <- intrin sin(v_x)
+    r <- add a, b
+    ret r
+}
+"""
+
+
+def _second_read_as_first(text, line, second, first):
+    """``text`` without ``line``, reading ``first`` where it read ``second``."""
+    return parse_function(
+        text.replace(line, "").replace(f"add {first}, {second}",
+                                       f"add {first}, {first}")
+    )
+
+
+def test_memo_is_exact_on_loop_carried_not_of_not_and_keys(monkeypatch):
+    pairs = [
+        (parse_function(NOT_NOT_BEFORE), parse_function(NOT_NOT_AFTER)),
+        (parse_function(PHI_LOOP), parse_function(PHI_LOOP.replace(
+            "t2 <- add p, t1", "t2 <- add t1, p"
+        ))),
+        (parse_function(RELOAD_BEFORE), _second_read_as_first(
+            RELOAD_BEFORE, "    y <- load v_a\n", "y", "x"
+        )),
+        (parse_function(CALLEES_BEFORE), _second_read_as_first(
+            CALLEES_BEFORE, "    b <- intrin sin(v_x)\n", "b", "a"
+        )),
+    ]
+    late = []  # rounds after the first in which a form was recomputed
+    real_form = valuegraph._Prover._form
+
+    def noting(self, *args):
+        if self.rounds > 1:
+            late.append(self.rounds)
+        return real_form(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(valuegraph._Prover, "_form", noting)
+        memoized = _proofs(pairs)
+    assert memoized == _reference_proofs(pairs, monkeypatch)
+    assert [fields[0] for fields in memoized] == [True, True, False, False]
+    assert memoized[0][3] >= 3 and memoized[1][3] >= 3
+    assert late  # operands changed between rounds: the memo had to miss
+
+
+@pytest.mark.parametrize("level", ["distribution", "spec"])
+def test_memo_is_exact_over_suite_and_fuzz_pairs(level, monkeypatch):
+    pairs = []
+    for name in ("sgemm", "zeroin", "fpppp", "fehl"):
+        routine, store = _profiled(name)
+        pairs += _certified_pairs(routine.source, level, store)
+    for _, source in corpus(6):
+        pairs += _certified_pairs(source, level)
+    memoized = _proofs(pairs)
+    assert memoized == _reference_proofs(pairs, monkeypatch)
+    # the sample reaches 3-round proofs and counterexample notes
+    assert max(fields[3] for fields in memoized) >= 3
+    assert any(fields[4] for fields in memoized)
 
 
 # -- the seeded miscompile-injection suite ------------------------------------

@@ -1,11 +1,15 @@
 """lospre tests: speculation wins, trap safety, differential fuzz
 against both conservative solvers, and the certify witness contract."""
 
+import pytest
+
 from tests.helpers import observe
 
+import repro.passes.lospre as lospre
+from repro.bench.suite import suite_routines
 from repro.frontend import compile_program
 from repro.ir import parse_function
-from repro.pipeline import compile_source
+from repro.pipeline import compile_source, run_routine
 from repro.pipeline.levels import LEVEL_SEQUENCES, SPEC_LEVEL
 from repro.pm.manager import PassManager
 from repro.pm.remarks import RemarkCollector
@@ -78,6 +82,10 @@ def _refuted(collector):
     ]
 
 
+def _placements(collector):
+    return [r.data for r in collector.remarks if r.event == "placement"]
+
+
 def test_speculation_wins_with_measured_profile():
     """The branch is always taken on the driver inputs, so hoisting the
     guarded multiply out of the loop strictly pays — and certify must
@@ -101,6 +109,8 @@ def test_speculation_wins_with_measured_profile():
         if r.event == "placement"
     )
     assert speculated > 0
+    # the placement remark names rejected candidates only when there are
+    assert not any("rejected" in data for data in _placements(collector))
 
 
 def test_trapping_expression_never_speculated():
@@ -166,6 +176,59 @@ def test_certify_spec_level_clean():
         )
     assert not _refuted(collector)
     assert any(r.event == "certify" for r in collector.remarks)
+
+
+def test_static_estimates_reject_a_mix_with_an_undefined_read():
+    """With an empty profile store lospre prices with the static
+    estimate.  On spline and fuzz38 the per-expression mix then takes
+    Morel–Renvoise's hoist of an expression that reads another
+    expression's name, but LCM's later placement of that name, so the
+    hoisted code reads an unassigned register.  The arbitration must
+    reject that candidate: certify refuted it, and spline's build read
+    an undefined register at run time."""
+    spline = next(r for r in suite_routines() if r.name == "spline")
+    modules = []
+    for source in (spline.source, random_program(38)):
+        collector = RemarkCollector()
+        modules.append(_compile(
+            source, "spec", store=ProfileStore(None), collector=collector,
+            verify="certify",
+        ))
+        assert not _refuted(collector)
+        rejected = [
+            data["rejected"] for data in _placements(collector)
+            if "rejected" in data
+        ]
+        assert rejected == [["mincut"]]
+    run = run_routine(
+        modules[0], spline.entry_name, spline.args, spline.fresh_arrays()
+    )
+    expected = [list(values) for values, _ in spline.arrays]
+    assert spline.reference(*spline.args, *expected) is None
+    for got, want in zip(run.arrays, expected):
+        assert got == pytest.approx(want)
+
+
+def test_identical_candidates_are_priced_once(monkeypatch):
+    """Every expression of fuzz0 picks LCM's placement, so the min-cut
+    candidate is the LCM candidate and is not priced a second time."""
+    priced = []
+    real = lospre._final_cost
+
+    def counting(ctx, placement, *args):
+        priced.append(placement)
+        return real(ctx, placement, *args)
+
+    monkeypatch.setattr(lospre, "_final_cost", counting)
+    collector = RemarkCollector()
+    _compile(random_program(0), "spec", store=ProfileStore(None),
+             collector=collector)
+    (placement,) = _placements(collector)
+    strategies = placement["strategies"]
+    assert strategies["mincut"] == strategies["mr"] == 0
+    assert placement["strategy"] == "lcm"
+    assert placement["cost_lcm"] < placement["cost_mr"]
+    assert len(priced) == 2  # LCM, which is also the min cut, and MR
 
 
 BEFORE_IR = """

@@ -351,7 +351,6 @@ def main(
     daemon_config = DaemonConfig(
         socket_path=os.path.join(tmp, "daemon.sock"),
         workers=1,
-        batch_window=0.002,
         cache_dir=os.path.join(tmp, "daemon-cache"),
         request_timeout=120.0,
         max_pending=4096,

@@ -481,19 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile worker processes (default: 2)",
     )
     serve_cmd.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=4.0,
-        metavar="MS",
-        help="batching window: max extra latency paid to fill a batch "
-        "(default: 4ms)",
-    )
-    serve_cmd.add_argument(
         "--max-batch",
         type=int,
         default=16,
         metavar="N",
-        help="max requests per worker batch (default: 16)",
+        help="max pending requests sent to a free worker as one batch "
+        "(default: 16)",
     )
     serve_cmd.add_argument(
         "--max-pending",
@@ -532,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         metavar="MB",
-        help="LRU size cap for the disk cache (default: 256 MB)",
+        help="LRU size cap for the disk cache and for each worker's "
+        "in-memory cache (default: 256 MB)",
     )
     serve_cmd.add_argument(
         "--metrics-json",
@@ -593,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=512,
         metavar="MB",
-        help="LRU size cap for the artifact store (default: 512 MB)",
+        help="LRU size cap for the artifact store, on disk and in the "
+        "gateway's memory (default: 512 MB)",
     )
     fleet_serve_cmd.add_argument(
         "--cache-dir",
@@ -1134,7 +1129,6 @@ def _cmd_serve(options) -> int:
     config = DaemonConfig(
         socket_path=options.socket or default_socket_path(),
         workers=options.workers,
-        batch_window=options.batch_window_ms / 1e3,
         max_batch=options.max_batch,
         max_pending=options.max_pending,
         request_timeout=options.timeout,

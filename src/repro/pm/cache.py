@@ -45,10 +45,11 @@ def cache_key(ir_text: str, fingerprint: str) -> str:
 class PassCache(ContentStore):
     """In-memory (and optionally on-disk) printed-IR cache with counters.
 
-    ``max_bytes`` caps the disk directory's total ``.iloc`` payload;
-    ``max_entries`` caps both the disk entry count and the in-memory
-    tier (which otherwise grows without bound in a long-lived worker).
-    Either cap evicts least-recently-*accessed* entries first.
+    ``max_bytes`` caps the disk directory's total ``.iloc`` bytes and
+    the in-memory tier's payload bytes; ``max_entries`` caps the entry
+    count of both tiers.  Without a cap the memory tier grows without
+    bound in a long-lived worker.  Either cap evicts
+    least-recently-*accessed* entries first.
     """
 
     suffix = ".iloc"

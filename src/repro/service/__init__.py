@@ -14,7 +14,8 @@ those pieces into sustained throughput (see ``docs/SERVICE.md``):
   preloads the pass registry and keeps a warm ``PassCache`` and
   per-``(level, verify)`` ``PassManager`` in every worker;
 * :mod:`repro.service.scheduler` — content-hash dedup of in-flight
-  identical work, batching windows, hash-sharding across the pool,
+  identical work, batches sent whenever a worker is free,
+  hash-sharding across the pool,
   per-request deadlines, bounded retry on worker death;
 * :mod:`repro.service.faults` — retry policy, load-shedding
   backpressure, and the crash/hang/error injection hooks the tests and

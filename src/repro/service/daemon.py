@@ -35,7 +35,6 @@ class DaemonConfig:
 
     socket_path: str = field(default_factory=protocol.default_socket_path)
     workers: int = 2
-    batch_window: float = 0.004
     max_batch: int = 16
     max_pending: int = 256
     request_timeout: float = 30.0
@@ -66,7 +65,6 @@ class CompileDaemon:
         self.scheduler = Scheduler(
             pool,
             self.metrics,
-            batch_window=self.config.batch_window,
             max_batch=self.config.max_batch,
             max_pending=self.config.max_pending,
             request_timeout=self.config.request_timeout,

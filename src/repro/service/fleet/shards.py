@@ -41,7 +41,6 @@ class ShardSettings:
     """Everything one shard daemon needs at spawn time."""
 
     workers: int = 1
-    batch_window: float = 0.002
     max_batch: int = 16
     max_pending: int = 1024
     request_timeout: float = 60.0
@@ -57,7 +56,6 @@ def _shard_main(socket_path: str, settings: ShardSettings) -> None:
     config = DaemonConfig(
         socket_path=socket_path,
         workers=settings.workers,
-        batch_window=settings.batch_window,
         max_batch=settings.max_batch,
         max_pending=settings.max_pending,
         request_timeout=settings.request_timeout,

@@ -1,4 +1,4 @@
-"""Request scheduling: dedup, batching windows, sharding, retries.
+"""Request scheduling: dedup, dispatch-on-idle batching, sharding, retries.
 
 The path of a compile request through the daemon:
 
@@ -9,13 +9,14 @@ The path of a compile request through the daemon:
    (``dedup_hits``); the compile runs once and fans its reply out.
    When the table is at ``max_pending``, the request is shed with
    :class:`~repro.service.faults.OverloadedError` instead of queueing.
-2. **batch** — accepted jobs buffer until the oldest has waited
-   ``batch_window`` seconds or ``max_batch`` jobs are pending, then the
-   window flushes.  Batching amortizes pipe round-trips; the window is
-   the latency price and is a few milliseconds by default.
-3. **shard** — each flushed job goes to worker ``hash(key) %
-   pool.size``.  Hash affinity means a repeated request always lands on
-   the worker whose in-memory cache already holds it.
+2. **batch** — an accepted job joins its shard's pending list; no
+   timer holds it.  Whenever the shard's worker is free, the shard's
+   dispatcher sends everything pending, up to ``max_batch`` jobs, as
+   one batch.  A lone request leaves at once; requests that queue
+   behind a busy worker share one pipe round trip.
+3. **shard** — a job's shard is worker ``hash(key) % pool.size``.
+   Hash affinity means a repeated request always lands on the worker
+   whose in-memory cache already holds it.
 4. **dispatch** — one dispatcher thread per shard sends batches down
    the pipe and collects per-job results.  Worker death (EOF) retries
    the batch's unfinished jobs elsewhere in time (same shard, fresh
@@ -39,7 +40,6 @@ driven directly by the unit tests.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from typing import Callable, Optional
@@ -123,7 +123,6 @@ class Scheduler:
         pool: WorkerPool,
         metrics: Optional[Metrics] = None,
         *,
-        batch_window: float = 0.004,
         max_batch: int = 16,
         max_pending: int = 256,
         request_timeout: float = 30.0,
@@ -131,7 +130,6 @@ class Scheduler:
     ) -> None:
         self.pool = pool
         self.metrics = metrics if metrics is not None else Metrics()
-        self.batch_window = batch_window
         self.max_batch = max(1, int(max_batch))
         self.max_pending = max(1, int(max_pending))
         self.request_timeout = request_timeout
@@ -143,9 +141,11 @@ class Scheduler:
         #: the quarantined level instead of killing workers all over
         #: again (``quarantine_hits``).
         self._quarantine: dict[str, str] = {}
-        self._buffer: list[Job] = []
-        self._wake = threading.Condition()
-        self._queues: list[queue.Queue] = [queue.Queue() for _ in range(pool.size)]
+        self._lock = threading.Lock()
+        #: per shard: accepted jobs not yet sent to its worker, and the
+        #: condition (over ``_lock``) its dispatcher waits on
+        self._pending: list[list[Job]] = [[] for _ in range(pool.size)]
+        self._ready = [threading.Condition(self._lock) for _ in range(pool.size)]
         self._seq = 0
         self._stopped = False
         self._threads: list[threading.Thread] = []
@@ -155,33 +155,32 @@ class Scheduler:
     def start(self) -> None:
         self.pool.start()
         self._threads = [
-            threading.Thread(target=self._batch_loop, name="repro-batcher",
-                             daemon=True)
-        ]
-        for index in range(self.pool.size):
-            self._threads.append(
-                threading.Thread(
-                    target=self._dispatch_loop,
-                    args=(index,),
-                    name=f"repro-dispatch-{index}",
-                    daemon=True,
-                )
+            threading.Thread(
+                target=self._dispatch_loop,
+                args=(index,),
+                name=f"repro-dispatch-{index}",
+                daemon=True,
             )
+            for index in range(self.pool.size)
+        ]
         for thread in self._threads:
             thread.start()
 
     def stop(self) -> None:
-        with self._wake:
+        with self._lock:
             self._stopped = True
-            self._wake.notify_all()
+            for ready in self._ready:
+                ready.notify_all()
         for thread in self._threads:
             thread.join(timeout=2.0)
         self.pool.stop()
-        # anything still queued will never run; fail it cleanly
-        with self._wake:
+        # anything pending or still running will never be answered by a
+        # worker; fail it cleanly
+        with self._lock:
             orphans = list(self._jobs.values())
             self._jobs.clear()
-            self._buffer.clear()
+            for pending in self._pending:
+                pending.clear()
         for job in orphans:
             self._fail(job, "worker-crash", "daemon shutting down", track=False)
 
@@ -204,7 +203,7 @@ class Scheduler:
             request["kind"], request["text"], request["level"], request["verify"]
         )
         future = JobFuture()
-        with self._wake:
+        with self._lock:
             if self._stopped:
                 raise OverloadedError("scheduler stopped")
             self.metrics.inc("requests_total")
@@ -232,15 +231,15 @@ class Scheduler:
             job.shard = int(key[:8], 16) % self.pool.size
             job.futures.append(future)
             self._jobs[key] = job
-            self._buffer.append(job)
-            self._wake.notify_all()
+            self._pending[job.shard].append(job)
+            self._ready[job.shard].notify()
         return future
 
     def gauges(self) -> dict:
         """Point-in-time scheduler state for the ``stats`` reply."""
-        with self._wake:
+        with self._lock:
             inflight = len(self._jobs)
-            buffered = len(self._buffer)
+            buffered = sum(len(pending) for pending in self._pending)
             quarantined = len(self._quarantine)
         return {
             "inflight": inflight,
@@ -251,42 +250,21 @@ class Scheduler:
             "quarantined_keys": quarantined,
         }
 
-    # -- batching ----------------------------------------------------------------
-
-    def _batch_loop(self) -> None:
-        while True:
-            with self._wake:
-                while not self._stopped and not self._buffer:
-                    self._wake.wait(0.1)
-                if self._stopped:
-                    return
-                now = time.monotonic()
-                flush_at = self._buffer[0].enqueued + self.batch_window
-                if len(self._buffer) < self.max_batch and now < flush_at:
-                    self._wake.wait(flush_at - now)
-                    continue
-                batch = self._buffer[: self.max_batch]
-                del self._buffer[: self.max_batch]
-            self._flush(batch)
-
-    def _flush(self, batch: list[Job]) -> None:
-        shards: dict[int, list[Job]] = {}
-        for job in batch:
-            shards.setdefault(job.shard, []).append(job)
-        for shard, jobs in shards.items():
-            self.metrics.inc("batches")
-            self.metrics.inc("batched_jobs", len(jobs))
-            self._queues[shard].put(jobs)
-
     # -- dispatch ----------------------------------------------------------------
 
     def _dispatch_loop(self, index: int) -> None:
-        while not self._stopped:
-            try:
-                jobs = self._queues[index].get(timeout=0.1)
-            except queue.Empty:
-                continue
-            jobs = [job for job in jobs if not job.done]
+        """Shard ``index``'s dispatcher: send what is pending when idle."""
+        pending, ready = self._pending[index], self._ready[index]
+        while True:
+            with self._lock:
+                while not self._stopped and not pending:
+                    ready.wait()
+                if self._stopped:
+                    return
+                jobs = pending[: self.max_batch]
+                del pending[: self.max_batch]
+            self.metrics.inc("batches")
+            self.metrics.inc("batched_jobs", len(jobs))
             while jobs and not self._stopped:
                 jobs = self._run_batch(index, jobs)
                 if jobs:
@@ -365,7 +343,7 @@ class Scheduler:
                     # there with a fresh attempt budget
                     job.request["level"] = step
                     job.attempt = 0
-                    with self._wake:
+                    with self._lock:
                         self._quarantine[job.key] = step
                     self.metrics.inc("quarantined")
                     retry.append(job)
@@ -384,14 +362,19 @@ class Scheduler:
 
     # -- completion --------------------------------------------------------------
 
-    def _finish(self, job: Job) -> None:
-        with self._wake:
+    def _finish(self, job: Job) -> bool:
+        """Retire ``job``; False if it was already answered."""
+        with self._lock:
+            if job.done:
+                return False
             job.done = True
             if self._jobs.get(job.key) is job:
                 del self._jobs[job.key]
+            return True
 
     def _fulfill(self, job: Job, reply: dict) -> None:
-        self._finish(job)
+        if not self._finish(job):
+            return  # stop() failed it while a worker was still answering
         latency = time.monotonic() - job.enqueued
         self.metrics.latency.observe(latency)
         self.metrics.inc("replies_ok" if reply.get("ok") else "replies_error")
@@ -419,7 +402,8 @@ class Scheduler:
         if track:
             self._fulfill(job, reply)
             return
-        job.done = True
+        if not self._finish(job):
+            return
         for future in job.futures:
             future.set_reply({**reply, "attempts": job.attempt + 1,
                               "deduped": future.deduped})

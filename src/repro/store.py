@@ -17,8 +17,9 @@ live here and nowhere else (docs/ROBUSTNESS.md):
   put heals the slot.
 * **Never a failed put.**  The disk tier is an optimization: a write
   that fails keeps the entry in memory and bumps ``write_failures``.
-* **A memory tier of decoded values**, optionally LRU-bounded by
-  ``memory_entries``, so a memory hit decodes nothing.
+* **A memory tier of decoded values**, so a memory hit decodes
+  nothing.  It is LRU-bounded by ``memory_entries`` when set, and by
+  ``max_bytes`` of encoded payload, the same byte cap as the disk.
 * **Bounded disk.**  ``max_bytes`` / ``max_entries`` caps prune the
   directory least-recently-*accessed* first after every put.  Each disk
   hit re-touches its file (``os.utime``), so recency survives
@@ -115,7 +116,9 @@ class ContentStore:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self.memory_entries = memory_entries
-        self._memory: OrderedDict[str, Any] = OrderedDict()
+        #: key → (decoded value, encoded payload bytes)
+        self._memory: OrderedDict[str, tuple[Any, int]] = OrderedDict()
+        self._memory_bytes = 0
         self._lock = threading.Lock()
         self.hits = self.misses = self.puts = 0
         self.evictions = self.write_failures = 0
@@ -140,15 +143,14 @@ class ContentStore:
 
     def save(self, key: str, value: Any) -> None:
         """Publish ``value`` under ``key``: memory now, disk when it can."""
+        payload = self.encode(value)
         with self._lock:
             self.puts += 1
-            self._remember(key, value)
+            self._remember(key, value, payload)
         if not self.directory:
             return
         try:
-            atomic_write_text(
-                self.directory, self._path(key), seal(self.encode(value))
-            )
+            atomic_write_text(self.directory, self._path(key), seal(payload))
         except OSError:
             with self._lock:
                 self.write_failures += 1
@@ -159,16 +161,17 @@ class ContentStore:
     def _fetch(self, key: str) -> Any:
         """Memory, then disk; uncounted.  Bad disk entries are dropped."""
         with self._lock:
-            value = self._memory.get(key)
-            if value is not None:
+            entry = self._memory.get(key)
+            if entry is not None:
                 self._memory.move_to_end(key)
-                return value
+                return entry[0]
         if not self.directory:
             return None
         path = self._path(key)
         try:
             with open(path) as handle:
-                value = self.decode(unseal(handle.read()))
+                payload = unseal(handle.read())
+            value = self.decode(payload)
         except OSError:
             return None  # absent, or evicted/cleared mid-read: plain miss
         except (ValueError, KeyError, TypeError):
@@ -180,16 +183,28 @@ class ContentStore:
         with contextlib.suppress(OSError):
             os.utime(path)
         with self._lock:
-            self._remember(key, value)
+            self._remember(key, value, payload)
         return value
 
-    def _remember(self, key: str, value: Any) -> None:
-        """Insert into the LRU-bounded memory tier (caller holds the lock)."""
-        self._memory[key] = value
-        self._memory.move_to_end(key)
-        if self.memory_entries is not None:
-            while len(self._memory) > self.memory_entries:
-                self._memory.popitem(last=False)
+    def _remember(self, key: str, value: Any, payload: str) -> None:
+        """Insert into the memory tier, evicting LRU past either cap.
+
+        ``payload`` is ``value`` encoded; its bytes count against
+        ``max_bytes``.  The caller holds the lock.
+        """
+        size = len(payload.encode())
+        previous = self._memory.pop(key, None)
+        if previous is not None:
+            self._memory_bytes -= previous[1]
+        self._memory[key] = (value, size)
+        self._memory_bytes += size
+        cap = self.memory_entries
+        while self._memory and (
+            (cap is not None and len(self._memory) > cap)
+            or (self.max_bytes is not None and self._memory_bytes > self.max_bytes)
+        ):
+            _, (_, evicted) = self._memory.popitem(last=False)
+            self._memory_bytes -= evicted
 
     # -- maintenance -------------------------------------------------------------
 
@@ -238,6 +253,7 @@ class ContentStore:
         """Drop every entry (memory and disk) and zero the counters."""
         with self._lock:
             self._memory.clear()
+            self._memory_bytes = 0
             self.hits = self.misses = self.puts = 0
             self.evictions = self.write_failures = 0
         for name in self._listdir():

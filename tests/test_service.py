@@ -10,6 +10,8 @@ tests, per the service hardening work.
 from __future__ import annotations
 
 import os
+import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -188,12 +190,14 @@ def test_cache_byte_cap_and_stats(tmp_path):
 
 
 def test_cache_memory_tier_is_bounded():
-    cache = PassCache(max_entries=2)
-    for tag in "abcd":
-        cache.store(f"input {tag}", "fp", f"optimized {tag}")
-    assert len(cache) == 2
-    assert cache.lookup("input d", "fp") == "optimized d"
-    assert cache.lookup("input a", "fp") is None
+    # an entry cap, and a byte cap that holds two 11-byte payloads
+    for caps in ({"max_entries": 2}, {"max_bytes": 2 * len("optimized a")}):
+        cache = PassCache(**caps)
+        for tag in "abcd":
+            cache.store(f"input {tag}", "fp", f"optimized {tag}")
+        assert len(cache) == 2, caps
+        assert cache.lookup("input d", "fp") == "optimized d"
+        assert cache.lookup("input a", "fp") is None
 
 
 def _hammer_cache(args):
@@ -234,7 +238,6 @@ def scheduler():
     sched = Scheduler(
         pool,
         Metrics(),
-        batch_window=0.002,
         max_pending=8,
         request_timeout=5.0,
         retry=RetryPolicy(max_attempts=3, backoff=0.01),
@@ -260,6 +263,115 @@ def test_scheduler_dedups_inflight_identical_requests(scheduler):
     assert scheduler.metrics.counter("dedup_hits").value == 1
     # the compile ran once: one scheduled job, two replies
     assert scheduler.metrics.counter("replies_ok").value == 1
+
+
+def test_scheduler_batches_what_queues_behind_a_busy_worker(scheduler):
+    busy = scheduler.submit(
+        {
+            "op": "compile",
+            "source": SOURCE,
+            "fault": {"kind": "hang", "seconds": 0.5},
+        }
+    )
+    queued = [
+        ("source", SOURCE, "partial"),
+        ("source", SOURCE2, "distribution"),
+        ("source", SOURCE2, "baseline"),
+    ]
+    futures = []
+    for kind, text, level in queued:
+        time.sleep(0.02)
+        futures.append(
+            scheduler.submit({"op": "compile", kind: text, "level": level})
+        )
+    assert busy.result(10)["ir"] == direct("source", SOURCE)
+    for future, (kind, text, level) in zip(futures, queued):
+        assert future.result(10)["ir"] == direct(kind, text, level)
+    # the idle worker took the first job at once; the three that queued
+    # behind it left together when it was free again
+    assert scheduler.metrics.counter("batches").value == 2
+    assert scheduler.metrics.counter("batched_jobs").value == 4
+
+
+def test_scheduler_dispatches_each_accepted_job_once_under_contention():
+    texts = [
+        f"routine f{n}(x: int) -> int\n  return {n} * x\nend\n" for n in range(8)
+    ]
+    requests = [(text, level) for text in texts for level in ("none", "baseline")]
+    expected = {request: direct("source", *request) for request in requests}
+    pool = WorkerPool(3, WorkerConfig(cache_dir=None))  # more workers than cores
+    sched = Scheduler(pool, Metrics(), max_batch=4, request_timeout=30.0)
+    sched.start()
+    replies, errors = [], []
+
+    def client(offset):
+        try:
+            futures = [
+                (request, sched.submit(
+                    {"op": "compile", "source": request[0], "level": request[1]}
+                ))
+                for request in requests[offset:] + requests[:offset]
+            ]
+            replies.extend((request, f.result(30)) for request, f in futures)
+        except Exception as error:  # noqa: BLE001 — reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=client, args=(3 * n,)) for n in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        sched.stop()
+    assert errors == []
+    assert len(replies) == 6 * len(requests)
+    for request, reply in replies:
+        assert reply["ir"] == expected[request]
+    counters = sched.metrics.counter
+    # every accepted request either joined a job or was sent exactly once
+    assert counters("batched_jobs").value + counters("dedup_hits").value == len(
+        replies
+    )
+    assert counters("replies_ok").value == counters("batched_jobs").value
+    assert sched.gauges()["buffered"] == 0
+
+
+def test_scheduler_stop_answers_every_accepted_job():
+    pool = WorkerPool(1, WorkerConfig(cache_dir=None))
+    sched = Scheduler(pool, Metrics(), request_timeout=60.0)
+    sched.start()
+    wedged = sched.submit(
+        {
+            "op": "compile",
+            "source": SOURCE,
+            "fault": {"kind": "hang", "seconds": 30},
+        }
+    )
+    deadline = time.monotonic() + 10
+    while (
+        not sched.metrics.counter("batches").value
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.01)
+    pending = [
+        sched.submit({"op": "compile", "source": SOURCE2, "level": level})
+        for level in ("partial", "distribution")
+    ]
+    sched.stop()
+    for future in [wedged, *pending]:
+        reply = future.result(5)
+        assert not reply["ok"]
+        assert reply["error"] == {
+            "kind": "worker-crash",
+            "message": "daemon shutting down",
+        }
 
 
 def test_scheduler_sheds_load_when_full():
@@ -341,7 +453,6 @@ def daemon(tmp_path):
     config = DaemonConfig(
         socket_path=str(tmp_path / "d.sock"),
         workers=2,
-        batch_window=0.002,
         cache_dir=str(tmp_path / "cache"),
         request_timeout=30.0,
         retry=RetryPolicy(max_attempts=3, backoff=0.01),

@@ -364,7 +364,6 @@ def daemon(tmp_path):
     config = DaemonConfig(
         socket_path=str(tmp_path / "d.sock"),
         workers=2,
-        batch_window=0.002,
         cache_dir=str(tmp_path / "cache"),
         incident_dir=str(tmp_path / "incidents"),
         request_timeout=60.0,

@@ -8,7 +8,9 @@
 * :mod:`repro.bench.table2` — static code expansion caused by forward
   propagation (Table 2);
 * :mod:`repro.bench.ablation` — ablations of the design choices;
-* :mod:`repro.bench.report` — the paper-style percentage formatting.
+* :mod:`repro.bench.report` — the paper-style percentage formatting,
+  and :func:`~repro.bench.report.finish`, the one report writer of the
+  ``repro bench`` gate runners.
 """
 
 from repro.bench.suite import SUITE, SuiteRoutine, suite_routines

@@ -23,7 +23,6 @@ level × k grid so the spill effect is visible per level.
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -31,7 +30,13 @@ from typing import Iterable, Optional
 from repro.backend import Target, codegen_module
 from repro.backend.sim import Simulator
 from repro.backend.target import BENCH_KS
-from repro.bench.report import format_count, format_pct, format_table, improvement
+from repro.bench.report import (
+    finish,
+    format_count,
+    format_pct,
+    format_table,
+    improvement,
+)
 from repro.bench.suite import SuiteRoutine, suite_routines
 from repro.interp import Interpreter, Memory
 from repro.ir.parser import parse_module
@@ -232,13 +237,13 @@ def report_jsonable(
 
 def main(
     quick: bool = False,
-    json_out: Optional[str] = "BENCH_backend.json",
+    json_out: str = "BENCH_backend.json",
     schedule: bool = True,
-    ks: Iterable[int] = BENCH_KS,
+    ks: Optional[Iterable[int]] = None,
 ) -> int:  # pragma: no cover - exercised via CLI
     """Run the backend benchmark; exit 1 on any sim/interp mismatch."""
     routines = quick_subset() if quick else suite_routines()
-    ks = list(ks)
+    ks = list(ks or BENCH_KS)
     rows = generate_backend_rows(routines, ks=ks, schedule=schedule)
     print(format_backend_table(rows, ks))
     summary = summarize_backend(rows, ks)
@@ -253,17 +258,14 @@ def main(
             )
         print(f"{level.value:>14} vs baseline cycles — " + "; ".join(parts))
     report = report_jsonable(rows, ks, schedule=schedule)
-    if json_out:
-        with open(json_out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    failures = []
     if report["mismatches"]:
-        print(
-            f"FAIL: {report['mismatches']} simulator/interpreter mismatches",
+        failures.append(
+            f"{report['mismatches']} simulator/interpreter mismatches"
         )
-        return 1
-    print(
-        f"{len(rows)} routines × {len(list(OptLevel))} levels × k∈{ks}: "
-        "all simulator results match the interpreter"
-    )
-    return 0
+    else:
+        print(
+            f"{len(rows)} routines × {len(list(OptLevel))} levels × k∈{ks}: "
+            "all simulator results match the interpreter"
+        )
+    return finish(report, failures, json_out)

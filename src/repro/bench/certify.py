@@ -1,48 +1,35 @@
-"""Certifier benchmark (``repro bench certify``).
+"""Certifier gate runner (``repro bench certify``).
 
-What does proving a pass statically cost next to replaying it, and what
-does each verdict buy?
-
-For every benchmark-suite routine the distribution-level pipeline is
-unrolled into its individual pass runs — (before, after) function
-pairs, the exact workload ``verify=certify`` and ``verify=transval``
-face — and both verifiers are timed over the same pairs, best-of-N:
+What does each verdict buy?  For every benchmark-suite routine the
+distribution-level pipeline is unrolled into its individual pass runs —
+(before, after) function pairs, the exact workload ``verify=certify``
+and ``verify=transval`` face — and both verifiers judge every pair:
 
 * **certify** — :func:`repro.verify.certify.certify_pass`: the joint
-  value-graph proof plus the PRE placement audit.  Static; cost scales
-  with program *size*.
+  value-graph proof plus the PRE placement audit.  Static; a proof
+  holds for every input.
 * **transval** — :func:`repro.verify.transval.validate_translation`:
   interpret both sides on generated inputs and compare observations.
-  Dynamic; cost scales with program *running time* (loop trip counts).
+  Dynamic; it samples a few inputs.
 
-Certify's case is verdict quality, not speed: a proof holds for every
-input, where replay samples a few, and the exact-arithmetic proof
-licenses float reassociation that replay rejects.  On time, replay over
-the decoded execution core (:mod:`repro.interp.core`) costs about as
-much as the proof.  Verdict quality is reported next to the timing
-(proved / inconclusive / refuted counts, and how many pairs replay
-flags): an inconclusive verdict costs the pipeline a replay *on top of*
-the proof attempt, which the end-to-end section below measures.
+The report counts certify's verdicts (proved / inconclusive / refuted)
+and the pairs replay flags: the exact-arithmetic proof licenses float
+reassociation that replay rejects.  It then compiles the whole suite
+under ``verify=certify`` and ``verify=transval``, with the fallback
+replays and the fingerprint fast path engaged, and counts the programs
+each policy rejects (``reassociate[distribute=True]`` really changes
+float rounding; the replay oracle rejects that, the exact-arithmetic
+certifier licenses it — see ``docs/CERTIFY.md``).
 
-* **End-to-end pipeline wall time** — the full suite compiled under
-  ``verify=off`` / ``certify`` / ``transval``, i.e. with the fallback
-  replays and the fingerprint fast path both engaged.  Programs where
-  ``transval`` hard-fails (``reassociate[distribute=True]`` really
-  changes float rounding; the replay oracle rejects that, the
-  exact-arithmetic certifier licenses it — see ``docs/CERTIFY.md``)
-  are counted, not hidden.
-
-Both times and their ratio are reported, not gated; the command exits 1
-on any refutation.  Writes ``BENCH_certify.json``.
+Every count depends only on the code, so ``BENCH_certify.json``
+regenerates byte for byte.  The command exits 1 on any refutation.
+What verification costs is measured by perfbench's verified-spec
+workload (``verify.s``, ``verify.transval.s``).
 """
 
 from __future__ import annotations
 
-import json
-import sys
-import time
-from typing import Optional
-
+from repro.bench.report import finish
 from repro.bench.suite import suite_routines
 from repro.frontend import compile_program
 from repro.ir.parser import parse_function
@@ -75,21 +62,7 @@ def _pass_pairs(routines):
     return pairs
 
 
-def _best_of(repeat, fn):
-    best = None
-    for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
-def main(
-    quick: bool = False,
-    repeat: int = 3,
-    json_out: Optional[str] = "BENCH_certify.json",
-) -> int:
+def main(quick: bool = False, json_out: str = "BENCH_certify.json") -> int:
     from repro.pm.manager import PassVerificationError
     from repro.verify.certify import certify_pass
     from repro.verify.transval import validate_translation
@@ -100,43 +73,24 @@ def main(
     pairs = _pass_pairs(routines)
     print(
         f"certify bench: {len(routines)} routines, {len(pairs)} pass "
-        f"pairs at level {_LEVEL} (best of {repeat})"
+        f"pairs at level {_LEVEL}"
     )
 
     verdicts = {"proved": 0, "inconclusive": 0, "refuted": 0}
-    flagged = [0]
-
-    def certify_sweep():
-        for key in verdicts:
-            verdicts[key] = 0
-        for base, before, after in pairs:
-            verdicts[certify_pass(before, after, pass_name=base).verdict] += 1
-
-    def transval_sweep():
-        flagged[0] = sum(
-            1 for _, before, after in pairs
-            if validate_translation(before, after)
-        )
-
-    certify_time = _best_of(repeat, certify_sweep)
-    transval_time = _best_of(repeat, transval_sweep)
-    replay_flagged = flagged[0]
-    speedup = transval_time / certify_time if certify_time else 0.0
-    total = len(pairs)
+    for base, before, after in pairs:
+        verdicts[certify_pass(before, after, pass_name=base).verdict] += 1
+    replay_flagged = sum(
+        1 for _, before, after in pairs if validate_translation(before, after)
+    )
     print(
-        f"  pairs: certify {certify_time:.3f}s vs transval "
-        f"{transval_time:.3f}s -> {speedup:.2f}x "
-        f"({verdicts['proved']}/{total} proved, "
+        f"  pairs: {verdicts['proved']}/{len(pairs)} proved, "
         f"{verdicts['inconclusive']} inconclusive, "
-        f"{verdicts['refuted']} refuted; replay flags {replay_flagged})"
+        f"{verdicts['refuted']} refuted; replay flags {replay_flagged}"
     )
 
-    # end-to-end wall clock, one shot per policy (observational, like
-    # the pair times above)
     pipeline = {}
-    for policy in ("off", "certify", "transval"):
-        failures = 0
-        start = time.perf_counter()
+    for policy in ("certify", "transval"):
+        rejected = 0
         for routine in routines:
             try:
                 compile_source(
@@ -145,37 +99,22 @@ def main(
                     verify=policy,
                 )
             except PassVerificationError:
-                failures += 1
-        elapsed = time.perf_counter() - start
-        pipeline[policy] = {"seconds": elapsed, "failures": failures}
-        print(
-            f"  pipeline verify={policy}: {elapsed:.3f}s"
-            + (f" ({failures} rejected)" if failures else "")
-        )
+                rejected += 1
+        pipeline[policy] = {"failures": rejected}
+        print(f"  pipeline verify={policy}: {rejected} rejected")
 
     report = {
         "level": _LEVEL,
         "quick": bool(quick),
-        "repeat": repeat,
         "routines": len(routines),
-        "pairs": total,
+        "pairs": len(pairs),
         "verdicts": verdicts,
         "replay_flagged": replay_flagged,
-        "certify_seconds": certify_time,
-        "transval_seconds": transval_time,
-        "speedup": speedup,
         "pipeline": pipeline,
     }
-    if json_out:
-        with open(json_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {json_out}")
-
+    failures = []
     if verdicts["refuted"]:
-        print(
-            f"FAIL: the certifier refuted {verdicts['refuted']} pass run(s)",
-            file=sys.stderr,
+        failures.append(
+            f"the certifier refuted {verdicts['refuted']} pass run(s)"
         )
-        return 1
-    return 0
+    return finish(report, failures, json_out)

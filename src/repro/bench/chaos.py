@@ -35,14 +35,13 @@ triaged.  ``--quick`` is the CI smoke configuration.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
-import sys
 import tempfile
 import time
 from typing import Optional
 
+from repro.bench.report import finish
 from repro.bench.suite import suite_routines
 from repro.ir.printer import print_module
 from repro.pipeline.driver import compile_payload, compile_source, run_routine
@@ -210,7 +209,7 @@ def triage_loop(store: IncidentStore, sample: int) -> dict:
 
 def service_chaos(routines, workdir: str, incident_dir: str) -> dict:
     """Poison pills, crash faults and a worker SIGKILL against a daemon."""
-    from repro.service.client import DaemonClient
+    from repro.service.client import DaemonClient, DaemonError
     from repro.service.daemon import CompileDaemon, DaemonConfig
     from repro.service.faults import RetryPolicy
 
@@ -227,22 +226,25 @@ def service_chaos(routines, workdir: str, incident_dir: str) -> dict:
     failed: list[str] = []
     wrong: list[str] = []
     quarantined_replies = 0
+    pill_fault = {"kind": "crash", "attempts": 99, "levels": ["distribution"]}
     try:
         with DaemonClient(config.socket_path, timeout=120.0) as client:
+
+            def ask(label: str, *args, **kwargs) -> Optional[dict]:
+                """One compile; an error reply or a lost connection is a
+                failed request, recorded under ``label``."""
+                try:
+                    return client.compile(*args, **kwargs)
+                except (DaemonError, OSError) as error:
+                    failed.append(f"{label}: {error}")
+                    return None
+
             # 1. poison pill: kills every worker at the requested level,
             # harmless one rung down — the scheduler must quarantine it
             pill = routines[0]
-            reply = client.compile(
-                "source",
-                pill.source,
-                "distribution",
-                "final",
-                fault={"kind": "crash", "attempts": 99,
-                       "levels": ["distribution"]},
-            )
-            if not reply.get("ok"):
-                failed.append(f"poison-pill: {reply.get('error')}")
-            else:
+            reply = ask("poison-pill", "source", pill.source, "distribution",
+                        "final", fault=pill_fault)
+            if reply is not None:
                 if not reply.get("degraded"):
                     failed.append("poison-pill reply not marked degraded")
                 achieved = reply.get("level", "distribution")
@@ -254,31 +256,18 @@ def service_chaos(routines, workdir: str, incident_dir: str) -> dict:
                 else:
                     quarantined_replies += 1
             # a resubmit must hit the quarantine map, not kill workers
-            again = client.compile(
-                "source",
-                pill.source,
-                "distribution",
-                "final",
-                fault={"kind": "crash", "attempts": 99,
-                       "levels": ["distribution"]},
-            )
-            if not again.get("ok") or not again.get("degraded"):
+            again = ask("poison-pill resubmit", "source", pill.source,
+                        "distribution", "final", fault=pill_fault)
+            if again is not None and not again.get("degraded"):
                 failed.append("poison-pill resubmit not served degraded")
             # 2. transient crash: one worker death, retry must answer
             sample = routines[1 % len(routines)]
-            reply = client.compile(
-                "source",
-                sample.source,
-                "partial",
-                "final",
-                fault={"kind": "crash", "attempts": 1},
-            )
+            reply = ask("crash-retry", "source", sample.source, "partial",
+                        "final", fault={"kind": "crash", "attempts": 1})
             direct = print_module(
                 compile_payload("source", sample.source, "partial", "final")
             )
-            if not reply.get("ok"):
-                failed.append(f"crash-retry: {reply.get('error')}")
-            elif reply.get("ir") != direct:
+            if reply is not None and reply.get("ir") != direct:
                 wrong.append("crash-retry vs direct partial")
             # 3. SIGKILL a live worker, then keep compiling
             pool = daemon.scheduler.pool
@@ -286,18 +275,14 @@ def service_chaos(routines, workdir: str, incident_dir: str) -> dict:
             os.kill(victim.process.pid, signal.SIGKILL)
             time.sleep(0.05)
             for routine in routines[:4]:
-                reply = client.compile(
-                    "source", routine.source, "baseline", "final"
-                )
+                reply = ask(f"post-kill {routine.name}", "source",
+                            routine.source, "baseline", "final")
                 direct = print_module(
                     compile_payload(
                         "source", routine.source, "baseline", "final"
                     )
                 )
-                if not reply.get("ok"):
-                    failed.append(f"post-kill {routine.name}: "
-                                  f"{reply.get('error')}")
-                elif reply.get("ir") != direct:
+                if reply is not None and reply.get("ir") != direct:
                     wrong.append(f"post-kill {routine.name}")
             stats = client.stats()
             counters = stats.get("counters", {})
@@ -410,8 +395,7 @@ def main(
     baselines: dict = {}
 
     print(f"chaos: {len(routines)} routines, incidents -> {incident_dir}")
-    started = time.perf_counter()
-    report: dict = {"quick": quick, "incident_dir": incident_dir}
+    report: dict = {"quick": quick}
     report["targeted_crash"] = targeted_crash(
         routines, crash_pass, store, baselines
     )
@@ -455,7 +439,6 @@ def main(
             len(report["torn_writes"]["problems"]),
         )
     )
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
 
     gates = {
         "no_compile_failures": not report["targeted_crash"]["compile_failures"]
@@ -474,19 +457,9 @@ def main(
         >= 1,
         "torn_writes_are_misses": not report["torn_writes"]["problems"],
     }
-    gates["pass"] = all(gates.values())
+    failures = [f"gate not met: {name}" for name, ok in gates.items() if not ok]
+    gates["pass"] = not failures
     report["gates"] = gates
-
-    with open(json_out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"wrote {json_out}")
-    if not gates["pass"]:
-        bad = [name for name, ok in gates.items() if name != "pass" and not ok]
-        print(f"FAIL: gates not met: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    print("all chaos gates passed")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main(quick="--quick" in sys.argv))
+    if not failures:
+        print("all chaos gates passed")
+    return finish(report, failures, json_out)

@@ -1,7 +1,7 @@
-"""Dataflow-solver microbenchmark (``repro bench dataflow``).
+"""Dataflow-solver gate runner (``repro bench dataflow``).
 
 Every dataflow problem in the pipeline has one solver, so the bench
-times and counts two stages over the benchmark suite:
+counts the work of two stages over the benchmark suite:
 
 * **PRE stage** — for every suite function that computes an
   expression, the PRE + liveness portion of the pipeline from a cold
@@ -9,29 +9,27 @@ times and counts two stages over the benchmark suite:
   the availability and anticipability solves on the mask engine), both
   placement systems (the lazy-code-motion LATER system and the
   bidirectional Morel–Renvoise PPIN/PPOUT system) and a liveness
-  request, as the passes make them.  The analysis manager's caching is
-  part of what is timed.
+  request, as the passes make them.
 * **Framework stage** — every suite function's liveness, availability
   and anticipability problems, stated as
   :class:`~repro.dataflow.framework.DataflowProblem`\\ s and solved with
   :func:`repro.dataflow.framework.solve`.
 
-Each stage reports a best-of-``repeat`` time and a work counter that
-depends only on the IR and the iteration order, never on machine speed:
-the mask engine's worklist pops and updates over the PRE stage (CI
-gates the pops with ``--max-pops``) and the frozenset solver's sweeps
-over the framework stage.  The analysis-manager hit rate over a full
-suite compile rides along.  ``--json`` writes the report.
+Each stage reports a work counter that depends only on the IR and the
+iteration order, never on machine speed: the mask engine's worklist
+pops and updates over the PRE stage (CI gates the pops with
+``--max-pops``) and the frozenset solver's sweeps over the framework
+stage.  The analysis-manager hit rate over a full suite compile rides
+along.  The report regenerates byte for byte; the solvers' time is
+measured by perfbench.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-import time
 from typing import Optional
 
 from repro.analysis import manager as analysis_manager
+from repro.bench.report import finish
 from repro.bench.suite import suite_routines
 from repro.cfg.graph import ControlFlowGraph
 from repro.dataflow import bitset
@@ -69,8 +67,8 @@ def _framework_problems(funcs) -> list:
 
 
 def _pre_inputs(funcs) -> list:
-    """Clones normalized once up front, so the IR shape is stable across
-    repetitions; functions without expressions have no PRE stage."""
+    """Normalized clones of the functions that have a PRE stage (those
+    that compute an expression)."""
     from repro.passes.pre_common import normalize_for_pre
 
     inputs = []
@@ -102,16 +100,6 @@ def _run_pre_stage(func) -> None:
     manager.liveness()
 
 
-def _best_of(repeat: int, run) -> float:
-    """The fastest of ``repeat`` timed calls of ``run``, in seconds."""
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _cache_rates() -> dict:
     """Analysis-cache counters for one suite compile at ``distribution``."""
     analysis_manager.GLOBAL_STATS.reset()
@@ -122,39 +110,24 @@ def _cache_rates() -> dict:
     return stats
 
 
-def run_bench(repeat: int = 3) -> dict:
+def run_bench() -> dict:
     """Run both stages and the cache compile; return the JSON-ready report."""
     funcs = _workload()
     problems = _framework_problems(funcs)
     inputs = _pre_inputs(funcs)
 
-    def pre_stage() -> None:
-        for func in inputs:
-            _run_pre_stage(func)
-
-    def framework_stage() -> int:
-        return sum(solve(problem, cfg).iterations for cfg, problem in problems)
-
     bitset.GLOBAL_STATS.reset()
-    pre_stage()
+    for func in inputs:
+        _run_pre_stage(func)
     work = bitset.GLOBAL_STATS.as_dict()
     bitset.GLOBAL_STATS.reset()
-    sweeps = framework_stage()
+    sweeps = sum(solve(problem, cfg).iterations for cfg, problem in problems)
 
     return {
         "benchmark": "dataflow",
-        "repeat": repeat,
         "functions": len(funcs),
-        "pre_stage": {
-            "functions": len(inputs),
-            "seconds": round(_best_of(repeat, pre_stage), 6),
-            **work,
-        },
-        "framework_stage": {
-            "problems": len(problems),
-            "seconds": round(_best_of(repeat, framework_stage), 6),
-            "sweeps": sweeps,
-        },
+        "pre_stage": {"functions": len(inputs), **work},
+        "framework_stage": {"problems": len(problems), "sweeps": sweeps},
         "analysis_cache": _cache_rates(),
     }
 
@@ -164,14 +137,12 @@ def _format(report: dict) -> str:
     framework = report["framework_stage"]
     cache = report["analysis_cache"]
     return "\n".join([
-        f"dataflow bench: {report['functions']} functions, "
-        f"best of {report['repeat']}",
+        f"dataflow bench: {report['functions']} functions",
         f"  PRE stage, mask engine ({pre['functions']} functions): "
-        f"{pre['seconds']:.4f} s, {pre['solves']} solves, "
-        f"{pre['pops']} worklist pops, {pre['updates']} updates",
+        f"{pre['solves']} solves, {pre['pops']} worklist pops, "
+        f"{pre['updates']} updates",
         f"  framework stage, frozenset solver ({framework['problems']} "
-        f"problems): {framework['seconds']:.4f} s, "
-        f"{framework['sweeps']} sweeps",
+        f"problems): {framework['sweeps']} sweeps",
         f"  analysis cache: {cache['hits']} hits / {cache['misses']} misses "
         f"({100 * cache['hit_rate']:.1f}% hit rate, "
         f"{cache['invalidations']} invalidations)",
@@ -179,24 +150,18 @@ def _format(report: dict) -> str:
 
 
 def main(
-    repeat: int = 3,
-    json_out: Optional[str] = None,
-    max_pops: Optional[int] = None,
+    json_out: str = "BENCH_dataflow.json", max_pops: Optional[int] = None
 ) -> int:
-    report = run_bench(repeat=repeat)
+    report = run_bench()
     print(_format(report))
-    if json_out:
-        with open(json_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+    failures = []
+    pops = report["pre_stage"]["pops"]
     if max_pops is not None:
-        pops = report["pre_stage"]["pops"]
         if pops > max_pops:
-            print(
-                f"dataflow bench: FAIL — {pops} worklist pops exceed the "
-                f"--max-pops bound of {max_pops} (solver regression)",
-                file=sys.stderr,
+            failures.append(
+                f"{pops} worklist pops exceed the --max-pops bound of "
+                f"{max_pops} (solver regression)"
             )
-            return 1
-        print(f"  pop bound: {pops} <= {max_pops} (ok)")
-    return 0
+        else:
+            print(f"  pop bound: {pops} <= {max_pops} (ok)")
+    return finish(report, failures, json_out)

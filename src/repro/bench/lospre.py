@@ -30,11 +30,10 @@ Writes ``BENCH_lospre.json``.
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import Optional
 
-from repro.bench.report import format_count, format_pct, format_table
+from repro.bench.report import finish, format_count, format_pct, format_table
 from repro.bench.suite import suite_routines
 from repro.frontend import compile_program
 from repro.pipeline.driver import run_routine
@@ -66,7 +65,7 @@ def _observation(module, routine):
 
 def main(
     quick: bool = False,
-    json_out: Optional[str] = "BENCH_lospre.json",
+    json_out: str = "BENCH_lospre.json",
     profile_dir: Optional[str] = None,
 ) -> int:
     routines = list(suite_routines())
@@ -198,15 +197,6 @@ def main(
         "profile_store": store.stats(),
         "gates_passed": not failures,
     }
-    if json_out:
-        with open(json_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {json_out}")
-
     for detail in mismatches + refutations + regressions:
         print(f"  {detail}", file=sys.stderr)
-    if failures:
-        print(f"FAIL: {'; '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return finish(report, failures, json_out)

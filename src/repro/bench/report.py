@@ -1,4 +1,4 @@
-"""Paper-style report formatting.
+"""Paper-style report formatting, and the one report writer of ``repro bench``.
 
 Table 1 reports percentage improvements with the conventions of the
 paper: "Empty entries indicate no improvement, whereas entries of 0% and
@@ -7,6 +7,8 @@ paper: "Empty entries indicate no improvement, whereas entries of 0% and
 
 from __future__ import annotations
 
+import json
+import sys
 from typing import Optional, Sequence
 
 
@@ -59,3 +61,18 @@ def format_table(
     lines = [render(headers), render(["-" * w for w in widths])]
     lines.extend(render(row) for row in rows)
     return "\n".join(lines)
+
+
+def finish(report: dict, failures: Sequence[str], json_out: str) -> int:
+    """Write a bench report and print its failed gates; return the exit status.
+
+    Every ``repro bench`` command ends here.  The report goes to
+    ``json_out`` as indented JSON with sorted keys and a trailing
+    newline, each failure goes to stderr as a ``FAIL:`` line, and the
+    status is 1 when any gate failed.
+    """
+    with open(json_out, "w") as handle:
+        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0

@@ -1,39 +1,37 @@
-"""Load generator for the compile daemon (``repro bench serve``).
+"""Gate runner for the compile daemon (``repro bench serve``).
 
 Drives a self-hosted :class:`~repro.service.daemon.CompileDaemon` with a
 mixed corpus — every benchmark-suite routine (as frontend source, levels
 cycled) plus deterministic fuzz CFGs (as printed IR, the shapes the
-frontend cannot produce) — and writes ``BENCH_service.json``:
+frontend cannot produce) — and checks every reply byte for byte against
+the direct in-process compile of the same request:
 
-* **correctness** — every reply is compared byte-for-byte against the
-  direct in-process :class:`~repro.pm.manager.PassManager` compile of
-  the same request, across the cold pass, the warm/dedup pass *and*
-  ``--crash`` injected worker crashes (the retry path).  ``wrong_replies``
-  must be zero; the process exits 1 otherwise.
-* **throughput** — the warm pass sends every request ``--duplicates``
-  times from ``--clients`` concurrent connections: requests/second,
-  client-observed p50/p99 latency, and the daemon's own stats snapshot
-  (dedup hits, cache hit ratio, per-pass rollup).
-* **baseline** — seconds-per-request of the one-shot CLI
-  (``python -m repro compile`` subprocess per request: interpreter
-  start, imports, cold caches), sampled on a corpus prefix.
-  ``speedup_vs_oneshot`` is the headline the daemon exists for;
-  ``--min-speedup`` turns it into a CI gate.
+* **cold pass** — every unique request once; the first ``--crash`` of
+  them carry a crash-once fault, so worker recovery and the retry path
+  run under load;
+* **warm pass** — every request :data:`DUPLICATES` times, shuffled
+  across :data:`CLIENTS` connections: the dedup and cache path.
+
+Writes ``BENCH_service.json`` (reply counts and the daemon's counters)
+and exits 1 on any wrong or unanswered reply, or when an injected crash
+did not register.  The daemon's latency and throughput are measured by
+perfbench's ``serve-mixed`` workload, not here.
+
+:func:`drive` and :func:`expected_outputs` are the client driver and
+oracle that ``repro bench fleet`` shares.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import random
-import subprocess
 import sys
 import tempfile
 import threading
 import time
-from typing import Optional
 
+from repro.bench.report import finish
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode
@@ -147,123 +145,116 @@ def build_corpus(quick: bool) -> list[dict]:
     return requests
 
 
-def _expected_outputs(corpus: list[dict]) -> tuple[list[str], float]:
-    """Direct in-process compiles: the byte-identity oracle + timing."""
-    outputs = []
-    started = time.perf_counter()
-    for request in corpus:
-        module = compile_payload(
-            request["kind"], request["text"], request["level"], request["verify"]
-        )
-        outputs.append(print_module(module))
-    return outputs, (time.perf_counter() - started) / len(corpus)
+#: Concurrent client connections, in this bench and in ``bench fleet``.
+CLIENTS = 4
+#: How many times the warm pass sends each request (full run, ``--quick``).
+DUPLICATES = 3
+QUICK_DUPLICATES = 2
 
 
-def _oneshot_baseline(
-    corpus: list[dict], expected: list[str], sample: int
-) -> tuple[float, int]:
-    """Seconds/request of one CLI subprocess per request, and mismatches."""
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["repro"].__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    wrong = 0
-    started = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        for index, request in enumerate(corpus[:sample]):
-            suffix = ".f" if request["kind"] == "source" else ".iloc"
-            path = os.path.join(tmp, f"req{index}{suffix}")
-            with open(path, "w") as handle:
-                handle.write(request["text"])
-            command = [
-                sys.executable, "-m", "repro", "compile", path,
-                "--level", request["level"], "--verify", request["verify"],
-            ]
-            if request["kind"] == "ir":
-                command.append("--ir")
-            proc = subprocess.run(
-                command, capture_output=True, text=True, env=env, check=True
-            )
-            if proc.stdout != expected[index] + "\n":
-                wrong += 1
-    return (time.perf_counter() - started) / sample, wrong
+def expected_outputs(corpus: list[dict]) -> list[str]:
+    """Direct in-process compiles of ``corpus``: the byte-identity oracle."""
+    return [
+        print_module(compile_payload(
+            request["kind"], request["text"], request["level"],
+            request["verify"],
+        ))
+        for request in corpus
+    ]
 
 
-def _drive(
-    daemon_socket: str,
-    work: list[tuple[dict, Optional[dict], str]],
-    clients: int,
-) -> tuple[float, list[float], int]:
-    """Send ``(request, fault, expected)`` jobs from ``clients`` threads.
+def drive(
+    socket_path: str,
+    work: list[tuple[dict, dict]],
+    *,
+    on_progress=None,
+) -> tuple[dict, int]:
+    """Send ``(request, expected_by_tier)`` jobs from :data:`CLIENTS` threads.
 
-    Returns (wall seconds, per-request client-side latencies, wrong count).
+    A request may carry the protocol's ``fault`` and ``no_store``
+    fields.  ``expected_by_tier`` maps each acceptable reply tier to its
+    expected bytes; a plain daemon's reply carries no tier, so it counts
+    as tier 2, the level it was asked for.  A reply at any other tier or
+    with other bytes is wrong, and so is a request that raised (an error
+    reply, a dropped connection): the client reports it, counts it and
+    takes the next job.  A job no client took (every client failed to
+    connect) counts as wrong too, so zero wrong means every request was
+    answered and checked.  Returns (client-observed seconds per reply
+    tier, wrong count); ``on_progress`` is called with the number of
+    replies judged.
     """
     from repro.service.client import DaemonClient
 
     jobs: "queue.Queue" = queue.Queue()
     for item in work:
         jobs.put(item)
-    latencies: list[float] = []
+    latencies: dict = {}
     wrong = [0]
+    done = [0]
     lock = threading.Lock()
 
     def client_loop() -> None:
-        client = DaemonClient(daemon_socket, timeout=120.0)
+        try:
+            client = DaemonClient(socket_path, timeout=120.0, connect_retries=8)
+        except OSError as error:
+            print(f"client could not connect: {error}", file=sys.stderr)
+            return
         try:
             while True:
                 try:
-                    request, fault, expected = jobs.get_nowait()
+                    request, expected_by_tier = jobs.get_nowait()
                 except queue.Empty:
                     return
                 t0 = time.perf_counter()
-                reply = client.compile(
-                    request["kind"], request["text"], request["level"],
-                    request["verify"], fault=fault,
-                )
-                elapsed = time.perf_counter() - t0
-                with lock:
-                    latencies.append(elapsed)
-                    if reply["ir"] != expected:
+                try:
+                    reply = client.compile(
+                        request["kind"], request["text"], request["level"],
+                        request["verify"],
+                        fault=request.get("fault"),
+                        no_store=request.get("no_store", False),
+                    )
+                except Exception as error:  # noqa: BLE001 — a failed request is a wrong reply here
+                    print(f"request failed: {type(error).__name__}: {error}",
+                          file=sys.stderr)
+                    with lock:
                         wrong[0] += 1
+                        done[0] += 1
+                    continue
+                elapsed = time.perf_counter() - t0
+                tier = reply.get("tier", 2)
+                with lock:
+                    latencies.setdefault(tier, []).append(elapsed)
+                    if reply.get("ir") != expected_by_tier.get(tier):
+                        wrong[0] += 1
+                    done[0] += 1
+                    if on_progress is not None:
+                        on_progress(done[0])
         finally:
             client.close()
 
     threads = [
         threading.Thread(target=client_loop, daemon=True)
-        for _ in range(max(1, clients))
+        for _ in range(CLIENTS)
     ]
-    started = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    return time.perf_counter() - started, latencies, wrong[0]
-
-
-def _percentile(samples: list[float], fraction: float) -> float:
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(fraction * (len(ordered) - 1)))]
+    return latencies, wrong[0] + jobs.qsize()
 
 
 def main(
     *,
     quick: bool = False,
-    clients: int = 4,
-    workers: Optional[int] = None,
-    duplicates: Optional[int] = None,
     crashes: int = 1,
     json_out: str = "BENCH_service.json",
-    min_speedup: Optional[float] = None,
 ) -> int:
-    from repro.service.daemon import CompileDaemon, DaemonConfig
     from repro.service.client import DaemonClient
+    from repro.service.daemon import CompileDaemon, DaemonConfig
     from repro.service.faults import RetryPolicy
 
-    workers = workers if workers else min(4, os.cpu_count() or 2)
-    duplicates = duplicates if duplicates else (2 if quick else 3)
-
+    workers = min(4, os.cpu_count() or 2)
+    duplicates = QUICK_DUPLICATES if quick else DUPLICATES
     corpus = build_corpus(quick)
     print(
         f"corpus: {len(corpus)} requests "
@@ -271,18 +262,7 @@ def main(
         f"{sum(r['kind'] == 'ir' for r in corpus)} fuzz CFGs)",
         file=sys.stderr,
     )
-    expected, direct_per_request = _expected_outputs(corpus)
-
-    sample = min(len(corpus), 3 if quick else 6)
-    baseline_per_request, baseline_wrong = _oneshot_baseline(
-        corpus, expected, sample
-    )
-    print(
-        f"one-shot CLI baseline: {baseline_per_request * 1e3:.1f} ms/request "
-        f"(sample {sample}); direct in-process: "
-        f"{direct_per_request * 1e3:.1f} ms/request",
-        file=sys.stderr,
-    )
+    expected = expected_outputs(corpus)
 
     tmp = tempfile.mkdtemp(prefix="repro-serve-")
     config = DaemonConfig(
@@ -296,28 +276,23 @@ def main(
     daemon = CompileDaemon(config)
     daemon.start()
     try:
-        # cold pass: every unique request once; the first --crash of them
-        # carry a crash-once fault, so recovery runs under real load
-        cold_work = []
-        for index, request in enumerate(corpus):
-            fault = (
-                {"kind": "crash", "attempts": 1} if index < max(0, crashes) else None
+        cold_work = [
+            (
+                dict(request, fault={"kind": "crash", "attempts": 1})
+                if index < crashes else request,
+                {2: expected[index]},
             )
-            cold_work.append((request, fault, expected[index]))
-        cold_seconds, _, cold_wrong = _drive(
-            config.socket_path, cold_work, clients
-        )
+            for index, request in enumerate(corpus)
+        ]
+        _, cold_wrong = drive(config.socket_path, cold_work)
 
-        # warm pass: duplicates shuffled across clients — dedup + cache path
         rng = random.Random(1)
         warm_work = [
-            (request, None, expected[index])
+            (request, {2: expected[index]})
             for index, request in enumerate(corpus)
         ] * duplicates
         rng.shuffle(warm_work)
-        warm_seconds, latencies, warm_wrong = _drive(
-            config.socket_path, warm_work, clients
-        )
+        _, warm_wrong = drive(config.socket_path, warm_work)
 
         with DaemonClient(config.socket_path) as client:
             stats = client.stats()
@@ -325,10 +300,8 @@ def main(
     finally:
         daemon.stop()
 
-    warm_per_request = warm_seconds / len(warm_work)
-    throughput = len(warm_work) / warm_seconds
-    speedup = baseline_per_request / warm_per_request
-    wrong_total = baseline_wrong + cold_wrong + warm_wrong
+    wrong_total = cold_wrong + warm_wrong
+    counters = stats["counters"]
     report = {
         "corpus": {
             "requests": len(corpus),
@@ -338,46 +311,17 @@ def main(
         },
         "config": {
             "workers": workers,
-            "clients": clients,
+            "clients": CLIENTS,
             "duplicates": duplicates,
             "injected_crashes": crashes,
         },
-        "baseline_oneshot": {
-            "sample": sample,
-            "seconds_per_request": round(baseline_per_request, 6),
-            "wrong": baseline_wrong,
-        },
-        "direct_inprocess": {
-            "seconds_per_request": round(direct_per_request, 6),
-        },
-        "cold": {
-            "requests": len(cold_work),
-            "seconds": round(cold_seconds, 4),
-            "wrong": cold_wrong,
-        },
-        "warm": {
-            "requests": len(warm_work),
-            "seconds": round(warm_seconds, 4),
-            "throughput_rps": round(throughput, 2),
-            "p50_ms": round(_percentile(latencies, 0.50) * 1e3, 3),
-            "p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
-            "wrong": warm_wrong,
-        },
-        "speedup_vs_oneshot": round(speedup, 2),
+        "cold": {"requests": len(cold_work), "wrong": cold_wrong},
+        "warm": {"requests": len(warm_work), "wrong": warm_wrong},
         "wrong_replies": wrong_total,
-        "daemon_stats": stats,
+        "daemon_stats": {
+            key: stats[key] for key in ("counters", "cache", "scheduler")
+        },
     }
-    with open(json_out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    counters = stats["counters"]
-    print(
-        f"warm daemon: {throughput:.1f} req/s "
-        f"(p50 {report['warm']['p50_ms']} ms, p99 {report['warm']['p99_ms']} ms) "
-        f"— {speedup:.1f}x the one-shot CLI",
-        file=sys.stderr,
-    )
     print(
         f"dedup {counters['dedup_hits']}, cache ratio "
         f"{stats['cache']['hit_ratio']}, worker crashes "
@@ -385,18 +329,9 @@ def main(
         f"wrong replies {wrong_total}",
         file=sys.stderr,
     )
-    print(f"report written to {json_out}", file=sys.stderr)
-
+    failures = []
     if wrong_total:
-        print(f"FAIL: {wrong_total} wrong replies", file=sys.stderr)
-        return 1
+        failures.append(f"{wrong_total} wrong replies")
     if crashes and not counters["worker_crashes"]:
-        print("FAIL: injected crash did not register", file=sys.stderr)
-        return 1
-    if min_speedup is not None and speedup < min_speedup:
-        print(
-            f"FAIL: speedup {speedup:.2f}x below gate {min_speedup}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        failures.append("injected crash did not register")
+    return finish(report, failures, json_out)

@@ -13,10 +13,14 @@
     python -m repro fleet serve --shards 4                     # compile fleet
     python -m repro compile prog.f --fleet                     # use the fleet
     python -m repro cache stats | clear | prune                # disk IR cache
-    python -m repro bench serve | fleet                        # service load tests
+    python -m repro bench serve | fleet                        # service gates
     python -m repro profile collect --suite                    # bank profiles
     python -m repro compile prog.f --level spec                # profile-guided PRE
     python -m repro bench lospre                               # speculative PRE gate
+
+Each ``bench`` subcommand is a gate runner: it writes its report
+(``BENCH_*.json`` by default, ``--json`` to move it) and exits 1 on a
+failed gate.  Throughput and latency are measured by ``perfbench/``.
 
 The source language is the mini-FORTRAN of :mod:`repro.frontend`; array
 arguments are comma-separated element lists suffixed with the element
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import importlib
 import json
 import os
 import re
@@ -60,6 +65,57 @@ from repro.triage.incidents import DEFAULT_INCIDENT_DIR
 
 #: Backward-compatible alias; the full policy grammar is ``VERIFY_POLICIES``.
 VERIFY_CHOICES = ("each", "final", "off")
+
+
+#: ``repro bench`` subcommands: name -> (module under ``repro.bench``,
+#: default report path, help, ``--quick`` help or None).  Each module's
+#: ``main`` takes the subcommand's options as keyword arguments.
+_BENCHES = {
+    "dataflow": (
+        "dataflow", "BENCH_dataflow.json",
+        "count the dataflow solvers' work: the mask engine over the PRE "
+        "stage, the frozenset solver over the suite's problems",
+        None,
+    ),
+    "table1": (
+        "backend", "BENCH_backend.json",
+        "cycles benchmark: sim vs interp over the suite (exit 1 on any "
+        "mismatch)",
+        "deterministic suite subset (the CI smoke run)",
+    ),
+    "serve": (
+        "serve", "BENCH_service.json",
+        "drive the compile daemon with a mixed corpus; exit 1 on any "
+        "wrong reply",
+        "small corpus (the CI smoke run)",
+    ),
+    "fleet": (
+        "fleet", "BENCH_fleet.json",
+        "drive the compile fleet: tiered latency, tier transition, "
+        "cross-shard warm hits, shard-kill failover",
+        "small corpus (the CI smoke run)",
+    ),
+    "lospre": (
+        "lospre", "BENCH_lospre.json",
+        "profile-guided speculative PRE vs both conservative solvers "
+        "over the suite",
+        "deterministic suite subset; waives the strict-aggregate gate "
+        "(the CI smoke run)",
+    ),
+    "certify": (
+        "certify", "BENCH_certify.json",
+        "certify and replay the suite's pass runs; exit 1 on any "
+        "refutation",
+        "small deterministic suite subset for fast iteration",
+    ),
+    "chaos": (
+        "chaos", "BENCH_chaos.json",
+        "inject pass crashes/miscompiles, poison pills, worker kills and "
+        "torn writes; gate on the never-fail contract",
+        "deterministic suite subset and a smaller triage sample (the CI "
+        "smoke run)",
+    ),
+}
 
 
 def _verify_spec(text: str) -> str:
@@ -686,28 +742,27 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     bench_cmd = commands.add_parser(
-        "bench", help="microbenchmarks (dataflow, serve, fleet)"
+        "bench",
+        help="gate runners (dataflow, table1, serve, fleet, lospre, "
+        "certify, chaos): each writes its BENCH_*.json report and exits 1 "
+        "on a failed gate",
     )
     bench_sub = bench_cmd.add_subparsers(dest="bench_command", required=True)
-    dataflow_cmd = bench_sub.add_parser(
-        "dataflow",
-        help="time and count the dataflow solvers: the mask engine over "
-        "the PRE stage, the frozenset solver over the suite's problems",
-    )
-    dataflow_cmd.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        metavar="N",
-        help="repetitions per timed section; best-of-N is reported (default: 3)",
-    )
-    dataflow_cmd.add_argument(
-        "--json",
-        dest="json_out",
-        metavar="OUT.JSON",
-        help="write the full report as JSON (BENCH_passes.json-style)",
-    )
-    dataflow_cmd.add_argument(
+    bench = {}
+    for name, (_, report, help_text, quick_help) in _BENCHES.items():
+        bench[name] = bench_sub.add_parser(name, help=help_text)
+        if quick_help:
+            bench[name].add_argument(
+                "--quick", action="store_true", help=quick_help
+            )
+        bench[name].add_argument(
+            "--json",
+            dest="json_out",
+            default=report,
+            metavar="OUT.JSON",
+            help=f"report path (default: {report})",
+        )
+    bench["dataflow"].add_argument(
         "--max-pops",
         type=int,
         default=None,
@@ -715,28 +770,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when the PRE stage's deterministic worklist-pop count "
         "exceeds BOUND (the CI regression gate)",
     )
-    bench_table1_cmd = bench_sub.add_parser(
-        "table1",
-        help="cycles benchmark: sim vs interp over the suite, writes "
-        "BENCH_backend.json (exit 1 on any mismatch)",
-    )
-    bench_table1_cmd.add_argument(
-        "--cycles",
-        action="store_true",
-        help="accepted for symmetry with 'repro table1 --cycles' "
-        "(this benchmark always measures cycles)",
-    )
-    bench_table1_cmd.add_argument(
-        "--quick",
-        action="store_true",
-        help="deterministic suite subset (the CI smoke run)",
-    )
-    bench_table1_cmd.add_argument(
+    bench["table1"].add_argument(
         "--no-schedule",
-        action="store_true",
+        action="store_false",
+        dest="schedule",
         help="skip post-allocation list scheduling",
     )
-    bench_table1_cmd.add_argument(
+    bench["table1"].add_argument(
         "--k",
         type=int,
         action="append",
@@ -745,44 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="ks",
         help="target register count (repeatable; default: 8 16 32)",
     )
-    bench_table1_cmd.add_argument(
-        "--json",
-        dest="json_out",
-        default="BENCH_backend.json",
-        metavar="OUT.JSON",
-        help="report path (default: BENCH_backend.json)",
-    )
-    serve_bench_cmd = bench_sub.add_parser(
-        "serve",
-        help="drive the compile daemon with a mixed corpus and write "
-        "BENCH_service.json",
-    )
-    serve_bench_cmd.add_argument(
-        "--quick", action="store_true", help="small corpus (the CI smoke run)"
-    )
-    serve_bench_cmd.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        metavar="N",
-        help="concurrent client connections (default: 4)",
-    )
-    serve_bench_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="daemon worker processes (default: min(4, cpus))",
-    )
-    serve_bench_cmd.add_argument(
-        "--duplicates",
-        type=int,
-        default=None,
-        metavar="N",
-        help="times each request is repeated in the warm pass "
-        "(default: 2 quick / 3 full)",
-    )
-    serve_bench_cmd.add_argument(
+    bench["serve"].add_argument(
         "--crash",
         type=int,
         default=1,
@@ -790,68 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="crashes",
         help="worker crashes to inject during the cold pass (default: 1)",
     )
-    serve_bench_cmd.add_argument(
-        "--json",
-        dest="json_out",
-        default="BENCH_service.json",
-        metavar="OUT.JSON",
-        help="report path (default: BENCH_service.json)",
-    )
-    serve_bench_cmd.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit 1 unless warm daemon throughput beats the one-shot CLI "
-        "baseline by this factor (the CI gate)",
-    )
-
-    fleet_bench_cmd = bench_sub.add_parser(
-        "fleet",
-        help="drive the compile fleet: tiered latency, cross-shard warm "
-        "hits, shard-kill failover; writes BENCH_fleet.json",
-    )
-    fleet_bench_cmd.add_argument(
-        "--quick", action="store_true", help="small corpus (the CI smoke run)"
-    )
-    fleet_bench_cmd.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        metavar="N",
-        help="concurrent client connections (default: 4)",
-    )
-    fleet_bench_cmd.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        metavar="N",
-        help="shards in the primary fleet (default: 4)",
-    )
-    fleet_bench_cmd.add_argument(
-        "--duplicates",
-        type=int,
-        default=None,
-        metavar="N",
-        help="times each request is repeated in the warm pass "
-        "(default: 2 quick / 3 full)",
-    )
-    fleet_bench_cmd.add_argument(
-        "--json",
-        dest="json_out",
-        default="BENCH_fleet.json",
-        metavar="OUT.JSON",
-        help="report path (default: BENCH_fleet.json)",
-    )
-    fleet_bench_cmd.add_argument(
-        "--min-warm-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit 1 unless warm fleet throughput beats the single-daemon "
-        "baseline by this factor",
-    )
-    fleet_bench_cmd.add_argument(
+    bench["fleet"].add_argument(
         "--min-hit-rate",
         type=float,
         default=None,
@@ -859,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless the cross-shard store hit rate reaches this "
         "fraction (the CI gate, e.g. 0.9)",
     )
-    fleet_bench_cmd.add_argument(
+    bench["fleet"].add_argument(
         "--max-tier1-p99-frac",
         type=float,
         default=None,
@@ -867,101 +809,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless tier-1 first-answer p99 is under this "
         "fraction of the same flood's O2-under-load p99 (e.g. 0.5)",
     )
-    fleet_bench_cmd.add_argument(
-        "--no-scaling",
-        action="store_true",
-        help="skip the 1/2/4-shard cold scaling section",
-    )
-
-    lospre_bench_cmd = bench_sub.add_parser(
-        "lospre",
-        help="profile-guided speculative PRE vs both conservative "
-        "solvers over the suite; writes BENCH_lospre.json",
-    )
-    lospre_bench_cmd.add_argument(
-        "--quick",
-        action="store_true",
-        help="deterministic suite subset; waives the strict-aggregate "
-        "gate (the CI smoke run)",
-    )
-    lospre_bench_cmd.add_argument(
-        "--json",
-        dest="json_out",
-        default="BENCH_lospre.json",
-        metavar="OUT.JSON",
-        help="report path (default: BENCH_lospre.json)",
-    )
-    lospre_bench_cmd.add_argument(
+    bench["lospre"].add_argument(
         "--profile-dir",
         default=None,
         metavar="DIR",
         help="persist the collected profiles to DIR (default: in-memory, "
         "nothing leaks between runs)",
     )
-
-    certify_bench_cmd = bench_sub.add_parser(
-        "certify",
-        help="time the static certifier against the replay oracle over "
-        "the suite's pass runs, exit 1 on any refutation; writes "
-        "BENCH_certify.json",
-    )
-    certify_bench_cmd.add_argument(
-        "--quick",
-        action="store_true",
-        help="small deterministic suite subset for fast iteration (its "
-        "tiny routines are replay's best case, so its times say little "
-        "about the full suite)",
-    )
-    certify_bench_cmd.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        metavar="N",
-        help="repetitions per timed section; best-of-N is reported "
-        "(default: 3)",
-    )
-    certify_bench_cmd.add_argument(
-        "--json",
-        dest="json_out",
-        default="BENCH_certify.json",
-        metavar="OUT.JSON",
-        help="report path (default: BENCH_certify.json)",
-    )
-
-    chaos_bench_cmd = bench_sub.add_parser(
-        "chaos",
-        help="inject pass crashes/miscompiles, poison pills, worker "
-        "kills and torn writes; gate on the never-fail contract; "
-        "writes BENCH_chaos.json",
-    )
-    chaos_bench_cmd.add_argument(
-        "--quick",
-        action="store_true",
-        help="deterministic suite subset and a smaller triage sample "
-        "(the CI smoke run)",
-    )
-    chaos_bench_cmd.add_argument(
-        "--json",
-        dest="json_out",
-        default="BENCH_chaos.json",
-        metavar="OUT.JSON",
-        help="report path (default: BENCH_chaos.json)",
-    )
-    chaos_bench_cmd.add_argument(
+    bench["chaos"].add_argument(
         "--crash-pass",
         default="pre",
         metavar="LABEL",
         help="the pass the targeted-crash section kills on every "
         "application (default: pre)",
     )
-    chaos_bench_cmd.add_argument(
+    bench["chaos"].add_argument(
         "--incident-dir",
         default=None,
         metavar="DIR",
         help="record incidents to DIR so `repro triage --dir DIR` can "
         "inspect them after the run (default: a temp dir)",
     )
-    chaos_bench_cmd.add_argument(
+    bench["chaos"].add_argument(
         "--rate",
         type=float,
         default=0.05,
@@ -969,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-(function, pass) crash AND corrupt probability for "
         "the random-chaos section (default: 0.05)",
     )
-    chaos_bench_cmd.add_argument(
+    bench["chaos"].add_argument(
         "--seed", type=int, default=0, metavar="N",
         help="chaos draw seed (default: 0)",
     )
@@ -1847,76 +1716,12 @@ def _dispatch(options) -> int:
         table2_main()
         return 0
     if options.command == "bench":
-        if options.bench_command == "table1":
-            from repro.backend.target import BENCH_KS
-            from repro.bench.backend import main as backend_main
-
-            return backend_main(
-                quick=options.quick,
-                json_out=options.json_out,
-                schedule=not options.no_schedule,
-                ks=options.ks or BENCH_KS,
-            )
-        if options.bench_command == "lospre":
-            from repro.bench.lospre import main as lospre_bench_main
-
-            return lospre_bench_main(
-                quick=options.quick,
-                json_out=options.json_out,
-                profile_dir=options.profile_dir,
-            )
-        if options.bench_command == "certify":
-            from repro.bench.certify import main as certify_bench_main
-
-            return certify_bench_main(
-                quick=options.quick,
-                repeat=options.repeat,
-                json_out=options.json_out,
-            )
-        if options.bench_command == "fleet":
-            from repro.bench.fleet import main as fleet_bench_main
-
-            return fleet_bench_main(
-                quick=options.quick,
-                clients=options.clients,
-                shards=options.shards,
-                duplicates=options.duplicates,
-                json_out=options.json_out,
-                min_warm_speedup=options.min_warm_speedup,
-                min_hit_rate=options.min_hit_rate,
-                max_tier1_p99_frac=options.max_tier1_p99_frac,
-                scaling=not options.no_scaling,
-            )
-        if options.bench_command == "chaos":
-            from repro.bench.chaos import main as chaos_bench_main
-
-            return chaos_bench_main(
-                quick=options.quick,
-                json_out=options.json_out,
-                crash_pass=options.crash_pass,
-                incident_dir=options.incident_dir,
-                rate=options.rate,
-                seed=options.seed,
-            )
-        if options.bench_command == "serve":
-            from repro.bench.serve import main as serve_bench_main
-
-            return serve_bench_main(
-                quick=options.quick,
-                clients=options.clients,
-                workers=options.workers,
-                duplicates=options.duplicates,
-                crashes=options.crashes,
-                json_out=options.json_out,
-                min_speedup=options.min_speedup,
-            )
-        from repro.bench.dataflow import main as dataflow_main
-
-        return dataflow_main(
-            repeat=options.repeat,
-            json_out=options.json_out,
-            max_pops=options.max_pops,
+        module = importlib.import_module(
+            f"repro.bench.{_BENCHES[options.bench_command][0]}"
         )
+        arguments = dict(vars(options))
+        del arguments["command"], arguments["bench_command"]
+        return module.main(**arguments)
     from repro.bench.ablation import main as ablation_main
 
     ablation_main(jobs=options.jobs, show_stats=options.stats)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.bench.report import format_count, format_pct, format_table, improvement
+from repro.bench.report import (
+    finish,
+    format_count,
+    format_pct,
+    format_table,
+    improvement,
+)
 from repro.bench.suite import SUITE, SuiteRoutine, register, suite_routines
 from repro.bench.table1 import Table1Row, format_table1, measure_routine
 from repro.bench.table2 import Table2Row, format_table2, measure_expansion, totals
@@ -36,6 +42,21 @@ def test_format_table_alignment():
     assert len(lines) == 4
     assert lines[0].startswith("name")
     assert all(len(l) == len(lines[0]) for l in lines[1:])
+
+
+def test_finish_writes_sorted_json_and_fails_only_on_failures(tmp_path, capsys):
+    out = tmp_path / "BENCH_x.json"
+    assert finish({"b": 1, "a": {"d": 2, "c": 3}}, [], str(out)) == 0
+    assert out.read_text() == (
+        '{\n  "a": {\n    "c": 3,\n    "d": 2\n  },\n  "b": 1\n}\n'
+    )
+    assert capsys.readouterr().err == ""
+
+    assert finish({"a": 1}, ["2 wrong replies", "no restart"], str(out)) == 1
+    assert out.read_text() == '{\n  "a": 1\n}\n'
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL: 2 wrong replies\nFAIL: no restart\n"
+    assert "FAIL" not in captured.out
 
 
 def test_table1_row_properties():

@@ -691,3 +691,56 @@ def test_bench_corpus_is_deterministic():
 
     first, second = build_corpus(quick=True), build_corpus(quick=True)
     assert first == second
+
+
+def test_bench_driver_counts_a_failed_request_as_wrong_and_keeps_going(
+    daemon, monkeypatch, tmp_path
+):
+    import repro.bench.serve as serve_bench
+
+    # one client, so the request after the error reply reuses its connection
+    monkeypatch.setattr(serve_bench, "CLIENTS", 1)
+    corpus = serve_bench.build_corpus(quick=True)[:4]
+    work = [
+        (
+            dict(request, fault={"kind": "error", "attempts": 1})
+            if index == 0 else request,
+            {2: direct(request["kind"], request["text"], request["level"],
+                       request["verify"])},
+        )
+        for index, request in enumerate(corpus)
+    ]
+    latencies, wrong = serve_bench.drive(daemon.config.socket_path, work)
+    assert wrong == 1
+    assert len(latencies[2]) == 3  # the other three, each equal to direct
+
+    # no daemon behind the socket: the client never connects, so no job
+    # is taken, and every one of them counts as wrong
+    latencies, wrong = serve_bench.drive(str(tmp_path / "absent.sock"), work)
+    assert (latencies, wrong) == ({}, len(work))
+
+
+def test_bench_chaos_records_an_error_reply_as_a_failed_request(
+    tmp_path, monkeypatch
+):
+    from repro.bench.chaos import service_chaos
+
+    compile_request = DaemonClient.compile
+
+    def compile_with_error(self, kind, text, level="distribution",
+                           verify="final", **kwargs):
+        if level == "baseline":  # the requests after the worker kill
+            kwargs["fault"] = {"kind": "error", "attempts": 1}
+        return compile_request(self, kind, text, level, verify, **kwargs)
+
+    monkeypatch.setattr(DaemonClient, "compile", compile_with_error)
+    routines = suite_routines()[:4]
+    section = service_chaos(
+        routines, str(tmp_path), str(tmp_path / "incidents")
+    )
+    failed = section["failed_requests"]
+    assert [entry.split(":")[0] for entry in failed] == [
+        f"post-kill {routine.name}" for routine in routines
+    ]
+    assert section["wrong_replies"] == []
+    assert section["quarantined_replies"] == 1

@@ -84,10 +84,10 @@ def test_benchmark_pre_after_enablers(benchmark):
 
 
 def test_benchmark_full_distribution_level(benchmark):
-    from repro.pipeline import OptLevel, optimize_function
+    from repro.pm.manager import PassManager
 
     benchmark.pedantic(
-        lambda: optimize_function(fresh_function(), OptLevel.DISTRIBUTION),
+        lambda: PassManager("distribution").run_function(fresh_function()),
         rounds=3,
         iterations=1,
     )

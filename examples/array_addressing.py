@@ -60,7 +60,7 @@ def main() -> None:
     print(f"{'level':<15} {'dynamic ops':>12}  inner-loop(static, mul, add)")
     print("-" * 60)
     for level in OptLevel:
-        module = compile_source(SOURCE, level=level)
+        module = compile_source(SOURCE, level=level.value)
         run = run_routine(module, "colsum", [30], [(a, 8), ([0.0] * 32, 8)])
         stats = count_loop_ops(module)
         print(f"{level.value:<15} {run.dynamic_count:>12,}  {stats}")

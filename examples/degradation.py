@@ -59,7 +59,7 @@ end
 def measure(source, name, args, arrays=()):
     counts = {}
     for level in OptLevel:
-        module = compile_source(source, level=level)
+        module = compile_source(source, level=level.value)
         counts[level] = run_routine(module, name, args, arrays).dynamic_count
     return counts
 

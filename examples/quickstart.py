@@ -36,7 +36,7 @@ def main() -> None:
     print("-" * 48)
     baseline = None
     for level in OptLevel:
-        module = compile_source(SOURCE, level=level)
+        module = compile_source(SOURCE, level=level.value)
         run = run_routine(module, "dot3", [96], [(a, 8), (b, 8)])
         if baseline is None:
             baseline = run.dynamic_count
@@ -48,7 +48,7 @@ def main() -> None:
 
     print()
     print("The final IR at the paper's distribution level:")
-    module = compile_source(SOURCE, level=OptLevel.DISTRIBUTION)
+    module = compile_source(SOURCE, level="distribution")
     print(module["dot3"])
 
 

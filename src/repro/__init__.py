@@ -13,7 +13,7 @@ Quickstart::
 
     counts = {}
     for level in OptLevel:
-        module = compile_source(SOURCE, level=level)
+        module = compile_source(SOURCE, level=level.value)
         counts[level] = run_routine(module, "saxpy", args=[...]).dynamic_count
 """
 
@@ -57,7 +57,6 @@ def __getattr__(name: str):
     """
     lazy = {
         "OptLevel": ("repro.pipeline", "OptLevel"),
-        "optimize": ("repro.pipeline", "optimize"),
         "compile_source": ("repro.pipeline", "compile_source"),
         "run_routine": ("repro.pipeline", "run_routine"),
         "Interpreter": ("repro.interp", "Interpreter"),

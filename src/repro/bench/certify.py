@@ -35,7 +35,7 @@ from repro.frontend import compile_program
 from repro.ir.parser import parse_function
 from repro.ir.printer import print_function
 from repro.pipeline.driver import compile_source
-from repro.pipeline.levels import LEVEL_SEQUENCES, OptLevel
+from repro.pipeline.levels import LEVEL_SEQUENCES
 
 #: Quick-mode routine count (deterministic: registry order).
 QUICK_ROUTINES = 12
@@ -95,7 +95,7 @@ def main(quick: bool = False, json_out: str = "BENCH_certify.json") -> int:
             try:
                 compile_source(
                     routine.source,
-                    level=OptLevel.DISTRIBUTION,
+                    level="distribution",
                     verify=policy,
                 )
             except PassVerificationError:

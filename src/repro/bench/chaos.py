@@ -43,14 +43,10 @@ from typing import Optional
 
 from repro.bench.report import finish
 from repro.bench.suite import suite_routines
+from repro.frontend import compile_program
 from repro.ir.printer import print_module
 from repro.pipeline.driver import compile_payload, compile_source, run_routine
-from repro.triage import (
-    Incident,
-    IncidentStore,
-    PassChaos,
-    compile_payload_contained,
-)
+from repro.triage import Incident, IncidentStore, PassChaos, run_ladder
 from repro.triage.bisect import bisect_incident, replay
 from repro.triage.reduce import reduce_incident
 
@@ -104,9 +100,8 @@ def targeted_crash(
     for routine in routines:
         chaos = PassChaos(crash_passes=(crash_pass,))
         try:
-            result = compile_payload_contained(
-                "source",
-                routine.source,
+            result = run_ladder(
+                compile_program(routine.source),
                 "distribution",
                 verify="lint",
                 on_error="rollback",
@@ -140,9 +135,8 @@ def random_chaos(
     for routine in routines:
         chaos = PassChaos(seed=seed, crash_rate=rate, corrupt_rate=rate)
         try:
-            result = compile_payload_contained(
-                "source",
-                routine.source,
+            result = run_ladder(
+                compile_program(routine.source),
                 "distribution",
                 verify="lint",
                 on_error="degrade",

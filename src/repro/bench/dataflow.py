@@ -40,7 +40,7 @@ from repro.dataflow.problems import (
     available_expression_problem,
     live_variable_problem,
 )
-from repro.pipeline import OptLevel, compile_source
+from repro.pipeline import compile_source
 
 
 def _workload() -> list:
@@ -104,7 +104,7 @@ def _cache_rates() -> dict:
     """Analysis-cache counters for one suite compile at ``distribution``."""
     analysis_manager.GLOBAL_STATS.reset()
     for routine in suite_routines():
-        compile_source(routine.source, level=OptLevel.DISTRIBUTION, verify="off")
+        compile_source(routine.source, level="distribution", verify="off")
     stats = analysis_manager.GLOBAL_STATS.as_dict()
     analysis_manager.GLOBAL_STATS.reset()
     return stats

@@ -199,7 +199,6 @@ def generate_dynamic_rows(
 ) -> list[DynamicRow]:
     """Measure the ``--dynamic`` section (suite order, no sorting)."""
     from repro.frontend import compile_program
-    from repro.pipeline.levels import SPEC_LEVEL
     from repro.profile.collect import (
         collect_module_profiles,
         prepare_profiled_module,
@@ -216,7 +215,7 @@ def generate_dynamic_rows(
             store=store,
         )
         measured = {}
-        for label, level in (("o2", OptLevel.DISTRIBUTION), ("spec", SPEC_LEVEL)):
+        for label, level in (("o2", "distribution"), ("spec", "spec")):
             with set_default_store(store):
                 module = compile_source(routine.source, level=level)
             run = run_routine(

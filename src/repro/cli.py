@@ -58,13 +58,10 @@ from typing import Optional, Sequence
 
 from repro.interp import Interpreter, Memory
 from repro.ir import print_module
-from repro.pipeline import OptLevel, compile_source
+from repro.pipeline import OptLevel, compile_payload, compile_source
 from repro.pm import ManagerStats, PassCache, PassManager, RemarkCollector
 from repro.pm.manager import VERIFY_POLICIES, parse_verify
 from repro.triage.incidents import DEFAULT_INCIDENT_DIR
-
-#: Backward-compatible alias; the full policy grammar is ``VERIFY_POLICIES``.
-VERIFY_CHOICES = ("each", "final", "off")
 
 
 #: ``repro bench`` subcommands: name -> (module under ``repro.bench``,
@@ -142,16 +139,6 @@ def _parse_array(text: str):
     body, _, size = text.rpartition(":")
     values = [_parse_scalar(v) for v in body.split(",") if v.strip()]
     return values, int(size)
-
-
-def _level(name: Optional[str]):
-    if name is None or name == "none":
-        return None
-    if name == "spec":
-        from repro.pipeline.levels import SPEC_LEVEL
-
-        return SPEC_LEVEL
-    return OptLevel(name)
 
 
 def _add_level_argument(parser: argparse.ArgumentParser) -> None:
@@ -891,11 +878,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_manager(options, stats: ManagerStats, collector) -> Optional[PassManager]:
-    level = _level(options.level)
-    if level is None:
+    if options.level == "none":
         return None
     return PassManager(
-        level.value,
+        options.level,
         verify=options.verify,
         jobs=options.jobs,
         executor=options.executor,
@@ -914,79 +900,58 @@ def _finish_pipeline(options, stats: ManagerStats, collector) -> None:
 def _cmd_compile(options) -> int:
     with open(options.source) as handle:
         source = handle.read()
-    if options.fleet:
-        from repro.service import protocol
-        from repro.service.client import DaemonError, try_connect
-
-        kind = "ir" if options.ir else "source"
-        level = options.level if options.level else "none"
-        path = options.daemon_socket or protocol.default_fleet_socket_path()
-        client = try_connect(path, connect_retries=3)
-        if client is None:
-            print(
-                f"compile: no fleet gateway on {path}; compiling in-process",
-                file=sys.stderr,
-            )
-        else:
-            try:
-                reply = client.compile(
-                    kind,
-                    source,
-                    level,
-                    options.verify,
-                    tenant=options.tenant or "default",
-                    priority=options.priority,
-                )
-            except DaemonError as error:
-                print(f"compile: fleet error [{error.kind}]: {error}",
-                      file=sys.stderr)
-                return 1
-            finally:
-                client.close()
-            if reply.get("tier") == 1:
-                print(
-                    f"compile: tier-1 answer at level "
-                    f"{reply.get('level')!r}; level {level!r} is being "
-                    "upgraded in the background",
-                    file=sys.stderr,
-                )
-            print(reply["ir"])
-            return 0
+    kind = "ir" if options.ir else "source"
     if options.daemon or options.fleet:
-        from repro.service.client import DaemonError, compile_with_fallback
-
-        kind = "ir" if options.ir else "source"
-        level = options.level if options.level else "none"
-        try:
-            text, _origin = compile_with_fallback(
-                kind,
-                source,
-                level,
-                options.verify,
-                socket_path=options.daemon_socket,
-            )
-        except DaemonError as error:
-            print(f"compile: daemon error [{error.kind}]: {error}",
-                  file=sys.stderr)
-            return 1
-        print(text)
-        return 0
+        return _compile_via_server(options, kind, source)
     stats = ManagerStats()
     collector = RemarkCollector() if options.remarks else None
     manager = _build_manager(options, stats, collector)
-    if options.ir:
-        from repro.pipeline.driver import compile_ir
-
-        module = compile_ir(
-            source,
-            _level(options.level),
-            manager=manager,
-            verify=options.verify,
-        )
-    else:
-        module = compile_source(source, manager=manager, verify=options.verify)
+    module = compile_payload(
+        kind, source, options.level, options.verify, manager=manager
+    )
     print(print_module(module))
     _finish_pipeline(options, stats, collector)
+    return 0
+
+
+def _compile_via_server(options, kind: str, source: str) -> int:
+    """``compile --daemon`` / ``--fleet``: the server's reply, or the same
+    reply computed in-process when no server is listening."""
+    from repro.service import protocol
+    from repro.service.client import compile_with_fallback
+
+    server = "fleet" if options.fleet else "daemon"
+    path = options.daemon_socket or (
+        protocol.default_fleet_socket_path()
+        if options.fleet
+        else protocol.default_socket_path()
+    )
+    request = protocol.compile_request(
+        kind,
+        source,
+        options.level,
+        options.verify,
+        tenant=options.tenant or protocol.DEFAULT_TENANT,
+        priority=options.priority,
+    )
+    reply, origin = compile_with_fallback(
+        request, path, connect_retries=3 if options.fleet else 0
+    )
+    if origin == "local":
+        print(f"compile: no {server} listening on {path}; compiling "
+              "in-process", file=sys.stderr)
+    if not reply["ok"]:
+        error = reply["error"]
+        print(f"compile: {server} error [{error['kind']}]: "
+              f"{error['message']}", file=sys.stderr)
+        return 1
+    if reply.get("tier") == 1:
+        print(
+            f"compile: tier-1 answer at level {reply.get('level')!r}; "
+            f"level {options.level!r} is being upgraded in the background",
+            file=sys.stderr,
+        )
+    print(reply["ir"])
     return 0
 
 
@@ -1248,14 +1213,13 @@ def _cmd_codegen(options) -> int:
     stats = ManagerStats()
     collector = RemarkCollector() if options.remarks else None
     manager = _build_manager(options, stats, collector)
-    if options.ir:
-        from repro.pipeline.driver import compile_ir
-
-        module = compile_ir(
-            source, _level(options.level), manager=manager, verify=options.verify
-        )
-    else:
-        module = compile_source(source, manager=manager, verify=options.verify)
+    module = compile_payload(
+        "ir" if options.ir else "source",
+        source,
+        options.level,
+        options.verify,
+        manager=manager,
+    )
     alloc = codegen_module(module, target, schedule=not options.no_schedule)
     asm = print_asm(module, target)
     if options.asm and options.asm != "-":
@@ -1313,10 +1277,11 @@ def _embedded_programs(directory: str) -> list[tuple[str, str]]:
     return programs
 
 
-def _lint_levels(option: str) -> list:
+def _levels(option: str) -> list[str]:
+    """The level names a ``--level`` of lint or certify stands for."""
     if option == "all":
-        return list(OptLevel)
-    return [_level(option)]
+        return [level.value for level in OptLevel]
+    return [option]
 
 
 def _cmd_lint(options) -> int:
@@ -1350,14 +1315,13 @@ def _cmd_lint(options) -> int:
         )
         return 2
 
-    levels = _lint_levels(options.level)
+    levels = _levels(options.level)
     all_diagnostics = []
     records = []
     for origin, text in programs:
-        for level in levels:
-            level_name = level.value if level is not None else "none"
+        for level_name in levels:
             try:
-                module = compile_source(text, level=level, verify="off")
+                module = compile_source(text, level=level_name, verify="off")
             except Exception as error:  # noqa: BLE001 — reported, not raised
                 diagnostics = [
                     Diagnostic(
@@ -1383,7 +1347,7 @@ def _cmd_lint(options) -> int:
     error_count = len(severity_errors(all_diagnostics))
     report = {
         "programs": len(programs),
-        "levels": [lvl.value if lvl is not None else "none" for lvl in levels],
+        "levels": levels,
         "werror": bool(options.werror),
         "errors": error_count,
         "summary": summarize(all_diagnostics),
@@ -1435,21 +1399,19 @@ def _cmd_certify(options) -> int:
         )
         return 2
 
-    levels = (
-        list(OptLevel) if options.level == "all" else [_level(options.level)]
-    )
+    levels = _levels(options.level)
     verdicts = {"proved": 0, "inconclusive": 0, "refuted": 0}
     records: list[dict] = []
     diagnostic_rows: list[dict] = []
     failures = 0
     for origin, text in programs:
-        for level in levels:
-            level_name = level.value
+        for level_name in levels:
             collector = RemarkCollector()
             failed: Optional[str] = None
             try:
                 compile_source(
-                    text, level=level, verify="certify", collector=collector
+                    text, level=level_name, verify="certify",
+                    collector=collector,
                 )
             except PassVerificationError as error:
                 failed = str(error)
@@ -1502,7 +1464,7 @@ def _cmd_certify(options) -> int:
     certified = sum(verdicts.values())
     report = {
         "programs": len(programs),
-        "levels": [level.value for level in levels],
+        "levels": levels,
         "werror": bool(options.werror),
         "pass_runs": certified,
         "verdicts": verdicts,

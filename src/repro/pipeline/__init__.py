@@ -2,7 +2,8 @@
 
 The optimizer "is structured as a sequence of passes, where each pass is
 a Unix filter that consumes and produces ILOC" (section 4).  Table 1
-compares four configurations, reproduced by :class:`OptLevel`:
+compares four configurations, the registry sequences :class:`OptLevel`
+names:
 
 * ``BASELINE`` — constant propagation, global peephole optimization,
   dead-code elimination, coalescing, empty-block elimination;
@@ -13,26 +14,12 @@ compares four configurations, reproduced by :class:`OptLevel`:
   multiplication over addition, then as above.
 """
 
-from repro.pipeline.levels import (
-    BASELINE_SEQUENCE,
-    OptLevel,
-    optimize,
-    optimize_function,
-)
-from repro.pipeline.driver import (
-    compile_ir,
-    compile_payload,
-    compile_source,
-    run_routine,
-)
+from repro.pipeline.levels import OptLevel
+from repro.pipeline.driver import compile_payload, compile_source, run_routine
 
 __all__ = [
-    "BASELINE_SEQUENCE",
     "OptLevel",
-    "compile_ir",
     "compile_payload",
     "compile_source",
-    "optimize",
-    "optimize_function",
     "run_routine",
 ]

@@ -10,24 +10,44 @@ from repro.interp import ExecutionResult, Interpreter, Memory
 from repro.ir.function import Module
 from repro.ir.parser import parse_module
 from repro.ir.validate import validate_module
-from repro.pipeline.levels import OptLevel
 from repro.pm.cache import PassCache
 from repro.pm.manager import PassManager, parse_verify
 from repro.pm.remarks import RemarkCollector
 
 
-def _optimize_module(
-    module: Module, manager: Optional[PassManager], verify: str
-) -> Module:
-    """Run ``manager`` (or just the ``verify`` policy) over ``module``.
+def parse_payload(kind: str, text: str) -> Module:
+    """The unoptimized module of a payload: ``kind`` is ``"source"`` or ``"ir"``."""
+    if kind == "source":
+        return compile_program(text)
+    if kind == "ir":
+        return parse_module(text)
+    raise ValueError(f"unknown payload kind {kind!r}")
 
-    This is *the* canonical optimize step: the CLI, the daemon workers
-    and the benchmarks all funnel through it, which is what makes
-    daemon replies byte-identical to direct in-process compilation.
+
+def compile_payload(
+    kind: str,
+    text: str,
+    level: str = "distribution",
+    verify: str = "final",
+    *,
+    manager: Optional[PassManager] = None,
+) -> Module:
+    """Compile one payload: the one compile every entry point runs.
+
+    ``level`` is a registered sequence name (a Table 1 level, ``spec``,
+    ``extended``, ...) or ``"none"``, which runs no pass and only checks
+    the module under ``verify``.  A ``manager`` runs in place of the one
+    built from ``level`` and ``verify``: the daemon workers pass their
+    warm, cache-backed one (keyed on (level, verify), so its sequence is
+    ``level``'s), the CLI one carrying ``--jobs``, remarks and stats.
+    Every server reply is byte-identical to this function's output
+    because the daemon's workers call it too.
     """
+    module = parse_payload(kind, text)
+    if manager is None and level != "none":
+        manager = PassManager(level, verify=verify)
     if manager is not None:
-        manager.run_module(module)
-        return module
+        return manager.run_module(module)
     plan = parse_verify(verify)
     if plan.lint_each or plan.lint_final:
         from repro.verify.lint import lint_module
@@ -40,7 +60,7 @@ def _optimize_module(
 
 def compile_source(
     source: str,
-    level: Optional[OptLevel] = None,
+    level: Optional[str] = None,
     *,
     manager: Optional[PassManager] = None,
     verify: str = "final",
@@ -52,17 +72,19 @@ def compile_source(
 ) -> Module:
     """Compile mini-FORTRAN source, optionally optimizing at ``level``.
 
-    Optimization routes through a :class:`repro.pm.manager.PassManager`:
-    either the ``manager`` given (its sequence/verify/cache settings
-    win, and its stats accumulate across calls) or one built from
-    ``level`` and the keyword knobs.  ``verify="final"`` (the default)
-    matches the seed's behavior of validating every compiled module;
-    cache hits replay already-validated IR and skip re-validation.
+    The ``kind="source"`` convenience over :func:`compile_payload`:
+    ``level`` is a registered sequence name, and ``None`` (like
+    ``"none"``) keeps the frontend's output.  The ``manager`` given
+    wins (its sequence/verify/cache settings apply, and its stats
+    accumulate across calls); otherwise one is built from ``level`` and
+    the keyword knobs.  ``verify="final"`` (the default) validates every
+    compiled module; cache hits replay already-validated IR and skip
+    re-validation.
     """
-    module = compile_program(source)
-    if manager is None and level is not None:
+    level = level or "none"
+    if manager is None and level != "none":
         manager = PassManager(
-            level.value,
+            level,
             verify=verify,
             jobs=jobs,
             executor=executor,
@@ -70,57 +92,7 @@ def compile_source(
             collector=collector,
             stats=stats,
         )
-    return _optimize_module(module, manager, verify)
-
-
-def compile_ir(
-    text: str,
-    level: Optional[OptLevel] = None,
-    *,
-    manager: Optional[PassManager] = None,
-    verify: str = "final",
-    cache: Optional[PassCache] = None,
-) -> Module:
-    """Parse printed ILOC and optimize it, mirroring :func:`compile_source`.
-
-    This is the ``repro compile --ir`` / daemon ``"ir"``-payload path:
-    requests that arrive as IR text skip the frontend but share the
-    exact optimize step with source compiles.
-    """
-    module = parse_module(text)
-    if manager is None and level is not None:
-        manager = PassManager(level.value, verify=verify, cache=cache)
-    return _optimize_module(module, manager, verify)
-
-
-def compile_payload(
-    kind: str,
-    text: str,
-    level_name: str = "distribution",
-    verify: str = "final",
-    *,
-    manager: Optional[PassManager] = None,
-) -> Module:
-    """Compile one service payload: ``kind`` is ``"source"`` or ``"ir"``.
-
-    ``level_name`` is an :class:`OptLevel` value, any registered
-    sequence name (``spec``, ``extended``, ...) or ``"none"``.  When a
-    ``manager`` is supplied (the daemon workers pass their warm,
-    cache-backed one) its sequence must match ``level_name`` — the
-    scheduler guarantees that by keying managers on (level, verify).
-    """
-    from repro.pipeline.levels import resolve_level
-
-    if kind == "source":
-        module = compile_program(text)
-    elif kind == "ir":
-        module = parse_module(text)
-    else:
-        raise ValueError(f"unknown payload kind {kind!r}")
-    level = resolve_level(level_name)
-    if manager is None and level is not None:
-        manager = PassManager(level.value, verify=verify)
-    return _optimize_module(module, manager, verify)
+    return compile_payload("source", source, level, verify, manager=manager)
 
 
 @dataclass

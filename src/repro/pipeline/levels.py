@@ -2,21 +2,19 @@
 
 The paper's four Table 1 configurations are registered with
 :mod:`repro.pm.registry` as named sequences of ``(pass, options)``
-specs — no closures, no duplicated wrappers.  :class:`OptLevel` is a
-thin lookup over them; running happens through
+specs — no closures, no duplicated wrappers.  Every compile entry point
+takes a sequence *name* and runs it through
 :class:`repro.pm.manager.PassManager` (timing, verification, caching,
-parallel fan-out) or the legacy :func:`optimize` helpers below.
+parallel fan-out); :class:`OptLevel` only enumerates the four names that
+are Table 1's columns.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.ir.function import Function, Module
-from repro.pm.registry import register_sequence, resolve_spec
-
-PassFn = Callable[[Function], Function]
+from repro.pm.registry import register_sequence
 
 #: The paper's baseline: "global constant propagation, global peephole
 #: optimization, global dead code elimination, coalescing, and a final
@@ -95,56 +93,19 @@ register_sequence(
     "distribution with lifetime-optimal speculative PRE (profile-guided)",
 )
 
-#: Resolved baseline callables (kept for compatibility with direct users).
-BASELINE_SEQUENCE: list[PassFn] = [resolve_spec(spec) for spec in BASELINE_SPECS]
-
 
 class OptLevel(enum.Enum):
-    """The four configurations of Table 1."""
+    """The four configurations of Table 1, by registry sequence name.
+
+    Compile entry points take the name (``level.value``); the enum only
+    fixes which four sequences are the paper's columns.
+    """
 
     BASELINE = "baseline"
     PARTIAL = "partial"
     REASSOCIATION = "reassociation"
     DISTRIBUTION = "distribution"
 
-    def specs(self) -> list:
-        """The level's pass sequence as registry ``(name, options)`` specs."""
-        from repro.pm.registry import get_sequence
-
-        return get_sequence(self.value)
-
-    def passes(self) -> list[PassFn]:
-        """The pass sequence for this level, resolved to callables."""
-        return [resolve_spec(spec) for spec in self.specs()]
-
-
-class SequenceLevel:
-    """A named-sequence level outside the Table 1 enum.
-
-    Duck-types the :class:`OptLevel` surface the driver and CLI rely on
-    (``.value``, ``.specs()``, ``.passes()``) so registered sequences
-    like ``spec`` plug into ``compile_source``/``PassManager`` without
-    widening the paper's four-configuration enum (tests and the Table 1
-    benchmarks iterate ``OptLevel`` and must keep seeing exactly four).
-    """
-
-    def __init__(self, value: str):
-        self.value = value
-
-    def specs(self) -> list:
-        from repro.pm.registry import get_sequence
-
-        return get_sequence(self.value)
-
-    def passes(self) -> list[PassFn]:
-        return [resolve_spec(spec) for spec in self.specs()]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SequenceLevel({self.value!r})"
-
-
-#: The ``-Ospec`` level: ``--level spec`` on the CLI.
-SPEC_LEVEL = SequenceLevel("spec")
 
 #: The degradation ladder, as registry-style data: for each level, the
 #: next-lower level the containment layer retries at when a pass fails
@@ -185,39 +146,3 @@ def ladder_levels(level_name: str) -> list[str]:
             return chain
         chain.append(current)
         seen.add(current)
-
-
-def resolve_level(level_name: str):
-    """``"none"`` → ``None``, a Table 1 name → :class:`OptLevel`, any
-    other registered sequence → :class:`SequenceLevel` (raising
-    ``KeyError`` on unknown names, like the registry does)."""
-    if level_name in (None, "none"):
-        return None
-    try:
-        return OptLevel(level_name)
-    except ValueError:
-        from repro.pm.registry import get_sequence
-
-        get_sequence(level_name)  # raises on unknown sequences
-        return SequenceLevel(level_name)
-
-
-def extended_passes() -> list[PassFn]:
-    """The registered ``extended`` sequence, resolved (see EXTENDED_SPECS)."""
-    from repro.pm.registry import get_sequence
-
-    return [resolve_spec(spec) for spec in get_sequence("extended")]
-
-
-def optimize_function(func: Function, level: OptLevel) -> Function:
-    """Run the level's pass sequence over one function (in place)."""
-    from repro.pm.manager import PassManager
-
-    return PassManager(level.value).run_function(func)
-
-
-def optimize(module: Module, level: OptLevel) -> Module:
-    """Optimize every function of a module (in place)."""
-    from repro.pm.manager import PassManager
-
-    return PassManager(level.value).run_module(module)

@@ -87,16 +87,31 @@ VERIFY_POLICIES = (
     "certify:final",
 )
 
-#: Backward-compatible alias for the pre-lint structural modes.
-VERIFY_MODES = ("each", "final", "off")
-
 #: Passes whose output depends on the profile store, not just on the
-#: input text and the sequence fingerprint — sequences containing one
-#: bypass the :class:`~repro.pm.cache.PassCache` entirely.
+#: input text and the sequence fingerprint (see :func:`cacheable`).
 PROFILE_DEPENDENT_PASSES = frozenset({"lospre"})
 
 #: The failure policies a manager accepts (see the module docstring).
 ON_ERROR_POLICIES = ("raise", "rollback", "degrade")
+
+
+def cacheable(sequence: Union[str, Sequence[PassSpec]]) -> bool:
+    """Whether a sequence's output may be cached under its input text.
+
+    The one rule for both caches: the :class:`~repro.pm.cache.PassCache`
+    a :class:`PassManager` keeps per function, and the fleet gateway's
+    :class:`~repro.pm.cache.ArtifactStore` of whole replies.  A
+    profile-guided pass reads the profile store, which neither key
+    captures, so its output goes stale when the profile changes: a
+    sequence containing one is never cached.  ``sequence`` is a
+    registered name, ``"none"`` (no passes), or a list of specs.
+    """
+    if isinstance(sequence, str):
+        sequence = [] if sequence == "none" else get_sequence(sequence)
+    return all(
+        normalize_spec(spec)[0] not in PROFILE_DEPENDENT_PASSES
+        for spec in sequence
+    )
 
 
 @dataclass(frozen=True)
@@ -430,19 +445,13 @@ class PassManager:
         self._preserves = [
             get_pass(normalize_spec(spec)[0]).preserves for spec in self.specs
         ]
-        # profile-guided passes read state (the profile store) that the
-        # sequence fingerprint cannot capture, so their output for one
-        # input text is not a pure function of (text, fingerprint);
-        # caching such runs would replay stale placements.  Chaos and
-        # opt-bisect runs are impure the same way (and a cache hit
-        # would skip the passes the injection/bisect must exercise).
+        # chaos and opt-bisect runs are not pure functions of (text,
+        # fingerprint) either, and a cache hit would skip the passes the
+        # injection/bisect must exercise
         self._cacheable = (
             chaos is None
             and self.opt_bisect_limit is None
-            and all(
-                name not in PROFILE_DEPENDENT_PASSES
-                for name, _ in self.specs
-            )
+            and cacheable(self.specs)
         )
 
     # -- single function ---------------------------------------------------------

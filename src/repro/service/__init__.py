@@ -16,7 +16,9 @@ those pieces into sustained throughput (see ``docs/SERVICE.md``):
 * :mod:`repro.service.scheduler` — content-hash dedup of in-flight
   identical work, batches sent whenever a worker is free,
   hash-sharding across the pool,
-  per-request deadlines, bounded retry on worker death;
+  per-request deadlines, bounded retry on worker death (the only retry
+  of a request that kills workers: the fleet gateway fails over only
+  when a shard is unreachable);
 * :mod:`repro.service.faults` — retry policy, load-shedding
   backpressure, and the crash/hang/error injection hooks the tests and
   ``repro bench serve`` drive;
@@ -26,9 +28,11 @@ those pieces into sustained throughput (see ``docs/SERVICE.md``):
   ``repro serve`` server and the ``repro compile --daemon`` client with
   transparent in-process fallback.
 
-Replies are byte-identical to the direct in-process
-:class:`~repro.pm.manager.PassManager` path: both sides run
-:func:`repro.pipeline.driver.compile_payload`.
+Replies are byte-identical to the direct in-process compile
+(:func:`repro.pipeline.driver.compile_payload`): the workers and the
+in-process fallback answer through one request-to-reply function,
+:func:`repro.triage.containment.compile_reply`, whose fast path is that
+compile.
 """
 
 from repro.service.client import (

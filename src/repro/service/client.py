@@ -15,10 +15,11 @@ backoff —
 of failing their first request.  The same client speaks to a plain
 daemon or a fleet gateway: the wire format is identical.
 
-:func:`compile_with_fallback` is the ``repro compile --daemon``
-contract: use the daemon when one is listening, otherwise compile
-in-process — same bytes either way, so callers cannot tell the
-difference except by speed.
+:func:`compile_with_fallback` is the ``repro compile --daemon`` and
+``--fleet`` contract: use the server when one is listening, otherwise
+answer in-process through the same request-to-reply function the
+daemon's workers run — the same reply either way, so callers cannot
+tell the difference except by speed.
 """
 
 from __future__ import annotations
@@ -197,33 +198,30 @@ def try_connect(
 
 
 def compile_with_fallback(
-    kind: str,
-    text: str,
-    level: str = "distribution",
-    verify: str = "final",
-    *,
+    request: dict,
     socket_path: Optional[str] = None,
-    tenant: str = protocol.DEFAULT_TENANT,
-    priority: str = "interactive",
-) -> tuple[str, str]:
-    """Compile via the daemon if one is up, else in-process.
+    *,
+    connect_retries: int = 0,
+) -> tuple[dict, str]:
+    """Send ``request`` to the server on ``socket_path``, or answer it
+    in-process when none is listening.
 
-    Returns ``(printed IR, "daemon" | "local")``.  The two paths are
-    byte-identical (both run :func:`repro.pipeline.driver.
-    compile_payload`), so the second element is purely informational.
-    Against a fleet gateway, a tiered first answer is compiled at the
-    gateway's O1 level — callers who need the requested level exactly
-    should check the reply's ``tier`` via :meth:`DaemonClient.compile`.
+    Returns ``(reply, "daemon" | "local")``; an error is a reply with
+    ``ok: false``, never an exception.  The local answer comes from
+    :func:`repro.triage.containment.compile_reply`, the function the
+    daemon's workers call, so both origins give the same reply to the
+    same request — the second element is purely informational.  A fleet
+    gateway may answer a tiered first reply at its O1 level (the
+    reply's ``tier`` and ``level`` say so).
     """
-    client = try_connect(socket_path)
+    client = try_connect(socket_path, connect_retries=connect_retries)
     if client is not None:
-        try:
-            reply = client.compile(kind, text, level, verify,
-                                   tenant=tenant, priority=priority)
-            return reply["ir"], "daemon"
-        finally:
-            client.close()
-    from repro.ir.printer import print_module
-    from repro.pipeline.driver import compile_payload
+        with client:
+            return client.request(request), "daemon"
+    from repro.triage.containment import compile_reply
 
-    return print_module(compile_payload(kind, text, level, verify)), "local"
+    try:
+        request = protocol.validate_compile(request)
+    except protocol.ProtocolError as error:
+        return {"ok": False, "error": error.as_error()}, "local"
+    return compile_reply(request), "local"

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.pm.cache import ArtifactStore
+from repro.pm.manager import cacheable
 from repro.service import protocol
 from repro.service.fleet import hashring
 from repro.service.fleet.quota import QuotaManager
@@ -71,7 +72,6 @@ GATEWAY_COUNTERS = (
     "quota_delayed",
     "shard_failovers",
     "shard_restarts",
-    "shard_errors",
     "shard_crash_loops",
 )
 
@@ -514,7 +514,9 @@ class FleetGateway:
         kind, text = request["kind"], request["text"]
         level, verify = request["level"], request["verify"]
         key = protocol.request_key(kind, text, level, verify)
-        no_store = request.get("no_store", False)
+        # a level the caches may not keep (cacheable) is never stored,
+        # never served from the store and never tiered
+        no_store = request.get("no_store", False) or not cacheable(level)
         tiered = (
             self.config.tiering
             and not no_store
@@ -597,7 +599,13 @@ class FleetGateway:
         return dict(reply)
 
     async def _route(self, request: dict, key: str) -> dict:
-        """Send one compile to its rendezvous shard, failing over."""
+        """Send one compile to its rendezvous shard.
+
+        Fails over to the next shard only while a shard is unreachable
+        (:class:`ShardUnavailable`, or the link's own timeout).  A
+        shard's reply, ``worker-crash`` and ``timeout`` included, is
+        final: the shard's scheduler owns retries.
+        """
         message = {
             "op": "compile",
             "kind": request["kind"],
@@ -641,20 +649,16 @@ class FleetGateway:
                 self.metrics.inc("shard_failovers")
                 excluded.add(shard_id)
                 continue
-            if not reply.get("ok"):
-                kind = reply.get("error", {}).get("kind")
-                if kind == "overloaded":
-                    if request.get("priority") == "batch":
-                        return self._strip(reply)  # propagate backpressure
-                    self.metrics.inc("overloaded")
-                    await asyncio.sleep(0.02)
-                    continue
-                if kind in ("worker-crash", "timeout"):
-                    self.metrics.inc("shard_errors")
-                    excluded.add(shard_id)
-                    continue
-                return self._strip(reply)  # deterministic compile errors
-            return {**self._strip(reply), "shard": shard_id}
+            if reply.get("ok"):
+                return {**self._strip(reply), "shard": shard_id}
+            kind = reply.get("error", {}).get("kind")
+            if kind != "overloaded" or request.get("priority") == "batch":
+                # final: a compile error is deterministic, the shard's
+                # scheduler has already retried a request that kills
+                # workers, and batch traffic takes backpressure as is
+                return self._strip(reply)
+            self.metrics.inc("overloaded")
+            await asyncio.sleep(0.02)
 
     def _pick_shard(self, key: str, excluded: set) -> Optional[str]:
         alive = [

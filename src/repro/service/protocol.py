@@ -10,8 +10,9 @@ Request operations:
 
 ``compile``
     ``{"id": 1, "op": "compile", "source": "..."}`` or ``{"ir": "..."}``
-    plus optional ``level`` (an :class:`~repro.pipeline.levels.OptLevel`
-    name or ``"none"``; default ``"distribution"``), ``verify`` (any
+    plus optional ``level`` (any registered sequence name — a Table 1
+    level, ``spec``, ``extended``, ... — or ``"none"``; default
+    ``"distribution"``), ``verify`` (any
     :func:`repro.pm.manager.parse_verify` spec; default ``"final"``)
     and ``fault`` (test-only injection, see
     :mod:`repro.service.faults`).  Reply: ``{"id": 1, "ok": true,
@@ -57,8 +58,8 @@ import socket
 import tempfile
 from typing import Iterator, Optional
 
-from repro.pipeline.levels import OptLevel
 from repro.pm.manager import ON_ERROR_POLICIES, parse_verify
+from repro.pm.registry import sequence_names
 
 #: Error kinds a daemon (or gateway) reply may carry.
 ERROR_KINDS = (
@@ -216,23 +217,11 @@ def validate_compile(message: dict) -> dict:
     if not isinstance(text, str) or not text.strip():
         raise ProtocolError(f"{kind} payload must be a non-empty string")
     level = message.get("level", "distribution")
-    if level != "none":
-        try:
-            OptLevel(level)
-        except ValueError:
-            # not a Table 1 level: accept any *registered* sequence
-            # (``spec``, ``extended``, ...) so the degradation ladder's
-            # top rungs are reachable through the service too
-            from repro.pm.registry import get_sequence
-
-            try:
-                get_sequence(level)
-            except (KeyError, TypeError):
-                known = ["none"] + [opt.value for opt in OptLevel]
-                raise ProtocolError(
-                    f"unknown level {level!r}; expected one of {known} "
-                    "or a registered sequence name"
-                ) from None
+    if level != "none" and level not in sequence_names():
+        raise ProtocolError(
+            f"unknown level {level!r}; expected 'none' or one of "
+            f"{sequence_names()}"
+        )
     verify = message.get("verify", "final")
     try:
         parse_verify(verify)

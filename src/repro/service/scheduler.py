@@ -30,8 +30,10 @@ The path of a compile request through the daemon:
    budget, and remembers the key → level mapping so later submits of
    the same request start at the surviving level.  Only when the
    bottom rung (``none``) still kills workers does the caller see
-   ``worker-crash``.  The reply for a stepped-down request carries
-   ``degraded``/``level``/``requested_level`` (docs/ROBUSTNESS.md).
+   ``worker-crash``.  The job sent to the worker carries the caller's
+   ``requested_level``, so the worker's reply for a stepped-down
+   request carries ``degraded``/``level``/``requested_level`` itself
+   (docs/ROBUSTNESS.md).
 
 Everything here is policy over :class:`~repro.service.workers.
 WorkerPool` mechanism; the module has no socket knowledge and is
@@ -276,14 +278,10 @@ class Scheduler:
         handle = self.pool.get(index)
         payload = [
             {
+                **job.request,
                 "seq": job.seq,
-                "kind": job.request["kind"],
-                "text": job.request["text"],
-                "level": job.request["level"],
-                "verify": job.request["verify"],
-                "fault": job.request["fault"],
                 "attempt": job.attempt,
-                "on_error": job.request.get("on_error", "degrade"),
+                "requested_level": job.requested,
             }
             for job in jobs
         ]
@@ -378,18 +376,6 @@ class Scheduler:
         latency = time.monotonic() - job.enqueued
         self.metrics.latency.observe(latency)
         self.metrics.inc("replies_ok" if reply.get("ok") else "replies_error")
-        if reply.get("ok") and job.request["level"] != job.requested:
-            # the job was quarantined down the ladder after killing
-            # workers: overlay the honesty fields (the worker only knew
-            # the stepped-down level, so its requested_level is ours to
-            # correct; its achieved level stands if containment inside
-            # the worker degraded further still)
-            reply = {
-                **reply,
-                "degraded": True,
-                "level": reply.get("level", job.request["level"]),
-                "requested_level": job.requested,
-            }
         if reply.get("degraded"):
             self.metrics.inc("degraded_replies")
         for future in job.futures:

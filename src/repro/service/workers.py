@@ -26,8 +26,10 @@ Wire format on the pipe (pickled tuples):
   ``("batch-done", {"stats": ManagerStats.to_jsonable()})``.
 
 A job is the normalized compile request plus ``seq`` (scheduler-global
-id) and ``attempt`` (0-based execution count, which gates fault
-injection).
+id), ``attempt`` (0-based execution count, which gates fault
+injection) and ``requested_level`` (the level the caller asked for,
+which differs from ``level`` once the scheduler has quarantined the
+request down the degradation ladder).
 """
 
 from __future__ import annotations
@@ -55,11 +57,13 @@ def preload_modules() -> None:
     fresh worker sees costs the same as the thousandth.
     """
     import repro.analysis.manager  # noqa: F401
+    import repro.backend  # noqa: F401 — the registry's codegen sequences
     import repro.frontend  # noqa: F401
     import repro.interp  # noqa: F401
     import repro.passes  # noqa: F401
     import repro.pipeline  # noqa: F401
     import repro.pm  # noqa: F401
+    import repro.triage.containment  # noqa: F401
     import repro.verify.lint  # noqa: F401
     import repro.verify.transval  # noqa: F401
 
@@ -74,92 +78,43 @@ class WorkerConfig:
     incident_dir: Optional[str] = None
 
 
-def _run_contained(job: dict, cache, stats, incident_dir) -> dict:
-    """The containment fallback: re-run the failed job down the ladder.
-
-    Frontend errors were already separated out by the caller, so any
-    failure reaching here is an optimizer bug (or injected chaos); the
-    ladder guarantees a reply.  The degraded reply is honest: it names
-    the ``level`` actually achieved, keeps the original request under
-    ``requested_level`` and carries the incident ids for triage.
-    """
-    from repro.ir.printer import print_module
-    from repro.triage.containment import compile_payload_contained
-    from repro.triage.incidents import IncidentStore
-
-    store = IncidentStore(incident_dir) if incident_dir else None
-    result = compile_payload_contained(
-        job["kind"],
-        job["text"],
-        job["level"],
-        job["verify"],
-        on_error=job.get("on_error", "degrade"),
-        incidents=store,
-        cache=cache,
-        stats=stats,
-    )
-    reply = {"ok": True, "ir": print_module(result.module)}
-    if result.degraded:
-        reply["degraded"] = True
-        reply["level"] = result.achieved
-        reply["requested_level"] = result.requested
-        reply["incidents"] = result.incident_ids
-    return reply
-
-
 def _run_job(job: dict, managers: dict, cache, stats, config: WorkerConfig) -> dict:
     """Execute one compile job; always returns a reply, never raises.
 
-    The hot path is the plain per-level :class:`PassManager` with the
-    shared cache.  Only when optimization *fails* — and the job's
-    ``on_error`` policy allows containment — does the job re-run through
-    :func:`repro.triage.containment.compile_payload_contained`, which
-    rolls back or walks the degradation ladder instead of failing.
+    The worker owns only the fault hook and its warm per-(level, verify)
+    :class:`PassManager`; the reply itself comes from
+    :func:`repro.triage.containment.compile_reply`, the same function
+    the in-process fallbacks call.
     """
-    from repro.frontend import FrontendError
-    from repro.ir.parser import IRSyntaxError
-    from repro.ir.printer import print_module
-    from repro.pipeline.driver import compile_payload
     from repro.pm.manager import PassManager
+    from repro.triage.containment import compile_reply
+    from repro.triage.incidents import IncidentStore
 
     try:
         faults.maybe_trigger(
             job.get("fault"), job.get("attempt", 0), job.get("level")
         )
-        level, verify = job["level"], job["verify"]
-        manager = None
-        if level != "none":
-            manager = managers.get((level, verify))
-            if manager is None:
-                manager = PassManager(level, verify=verify, cache=cache)
-                managers[level, verify] = manager
-            # fresh stats per batch: the supervisor merges deltas, so a
-            # long-lived manager must not re-report old totals
-            manager.stats = stats
-        module = compile_payload(job["kind"], job["text"], level, verify,
-                                 manager=manager)
-        return {"ok": True, "ir": print_module(module)}
     except faults.FaultInjected as error:
         return {
             "ok": False,
             "error": {"kind": "injected-error", "message": str(error)},
         }
-    except Exception as error:  # noqa: BLE001 — structured reply, not a crash
-        # a program that does not parse deserves an honest compile-error;
-        # only *optimizer* failures are eligible for containment
-        frontend_error = isinstance(error, (FrontendError, IRSyntaxError))
-        if not frontend_error and job.get("on_error", "degrade") != "raise":
-            try:
-                return _run_contained(job, cache, stats, config.incident_dir)
-            except Exception as contained_error:  # noqa: BLE001
-                error = contained_error  # fall through to the structured reply
-        return {
-            "ok": False,
-            "error": {
-                "kind": "compile-error",
-                "message": f"{type(error).__name__}: {error}",
-            },
-        }
+    level, verify = job["level"], job["verify"]
+    manager = None
+    if level != "none":
+        manager = managers.get((level, verify))
+        if manager is None:
+            manager = PassManager(level, verify=verify, cache=cache)
+            managers[level, verify] = manager
+        # fresh stats per batch: the supervisor merges deltas, so a
+        # long-lived manager must not re-report old totals
+        manager.stats = stats
+    # a fresh view per job: sibling workers share the directory, and a
+    # long-lived memory tier would count a repeated incident from stale data
+    incidents = IncidentStore(config.incident_dir) if config.incident_dir else None
+    return compile_reply(
+        job, manager=manager, cache=cache, incidents=incidents, stats=stats
+    )
 
 
 def worker_main(conn, config: WorkerConfig, close_fds=()) -> None:

@@ -6,8 +6,9 @@ story instead of an outage:
 
 * :mod:`repro.triage.incidents` — a content-addressed, crash-consistent
   store of failure records (function IR, pass sequence, diagnostics);
-* :mod:`repro.triage.containment` — the degradation ladder:
-  ``compile_payload_contained`` retries a failing function down
+* :mod:`repro.triage.containment` — ``compile_reply``, the one path
+  from a compile request to its reply, and the degradation ladder
+  behind it: ``run_ladder`` retries a failing function down
   spec → O2 → O1 → O0 → none, so a compile request never fails;
 * :mod:`repro.triage.bisect` — opt-bisect binary search pinning the
   first bad pass application of a recorded incident;
@@ -22,14 +23,15 @@ way around.
 """
 
 from repro.triage.chaos import ChaosError, PassChaos
-from repro.triage.containment import ContainedResult, compile_payload_contained
+from repro.triage.containment import ContainedResult, compile_reply, run_ladder
 from repro.triage.incidents import Incident, IncidentStore
 
 __all__ = [
     "ChaosError",
     "PassChaos",
     "ContainedResult",
-    "compile_payload_contained",
+    "compile_reply",
+    "run_ladder",
     "Incident",
     "IncidentStore",
 ]

@@ -14,7 +14,7 @@ from repro.ir import parse_function
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode
 from repro.passes.pre_common import prepare_pre
-from repro.pipeline import OptLevel, compile_source
+from repro.pipeline import compile_source
 from repro.verify.certify import prove_equivalence
 
 DIAMOND = """
@@ -180,7 +180,7 @@ def test_prove_equivalence_leaves_no_manager_behind():
 
 def test_certified_compile_leaves_no_manager_behind():
     baseline = _live_managers()
-    module = compile_source(SAXPY, level=OptLevel.DISTRIBUTION, verify="certify")
+    module = compile_source(SAXPY, level="distribution", verify="certify")
     assert _live_managers() > baseline  # the compiled function keeps its own
     del module
     assert _live_managers() == baseline

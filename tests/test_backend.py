@@ -77,7 +77,7 @@ def test_suite_routine_sim_matches_interp(name, level):
     from repro.bench.suite import suite_routines
 
     routine = next(r for r in suite_routines() if r.name == name)
-    module = compile_source(routine.source, level)
+    module = compile_source(routine.source, level.value)
     case = {"args": list(routine.args), "arrays": routine.fresh_arrays()}
     assert_codegen_preserves_behavior(
         module, routine.entry_name, cases=[case], ks=BENCH_KS

@@ -19,7 +19,7 @@ from repro.frontend import compile_program
 from repro.ir.opcodes import Opcode
 from repro.ir.parser import parse_function
 from repro.ir.printer import print_function
-from repro.pipeline import OptLevel, compile_source
+from repro.pipeline import compile_source
 from repro.pipeline.levels import LEVEL_SEQUENCES
 from repro.pm.manager import PassManager, PassVerificationError, parse_verify
 from repro.pm.registry import get_sequence, register_pass, resolve_spec, spec_label
@@ -571,7 +571,7 @@ def test_pipeline_clean_under_certify():
     collector = RemarkCollector()
     compile_source(
         SAXPY,
-        level=OptLevel.DISTRIBUTION,
+        level="distribution",
         verify="certify",
         collector=collector,
     )
@@ -585,7 +585,7 @@ def test_certify_origin_stamping():
     collector = RemarkCollector()
     compile_source(
         SAXPY,
-        level=OptLevel.DISTRIBUTION,
+        level="distribution",
         verify="certify",
         collector=collector,
     )
@@ -618,10 +618,10 @@ def test_certify_precedence_over_transval_on_license_gap():
     routine = next(r for r in suite_routines() if r.name == "fehl")
     with pytest.raises(PassVerificationError):
         compile_source(
-            routine.source, level=OptLevel.DISTRIBUTION, verify="transval"
+            routine.source, level="distribution", verify="transval"
         )
     compile_source(
-        routine.source, level=OptLevel.DISTRIBUTION, verify="certify"
+        routine.source, level="distribution", verify="certify"
     )
 
 
@@ -803,7 +803,7 @@ def test_fuzz_corpus_is_deterministic():
 
 def test_fuzz_corpus_certifier_clean():
     for _, source in corpus(6):
-        compile_source(source, level=OptLevel.DISTRIBUTION, verify="certify")
+        compile_source(source, level="distribution", verify="certify")
 
 
 @given(st.integers(min_value=0, max_value=100_000))

@@ -6,8 +6,8 @@ from repro.bench.suite import SUITE, suite_routines
 from repro.frontend import compile_program
 from repro.interp import Interpreter, Memory
 from repro.ir import Opcode, validate_function
-from repro.pipeline import OptLevel, compile_source, run_routine
-from repro.pipeline.levels import extended_passes, optimize_function
+from repro.pipeline import compile_source, run_routine
+from repro.pm.registry import get_sequence, resolve_spec
 
 suite_routines()
 
@@ -15,8 +15,8 @@ suite_routines()
 def run_extended(routine):
     module = compile_program(routine.source)
     for func in module:
-        for pass_fn in extended_passes():
-            pass_fn(func)
+        for spec in get_sequence("extended"):
+            resolve_spec(spec)(func)
         validate_function(func)
     memory = Memory()
     args = list(routine.args)
@@ -35,7 +35,7 @@ def run_extended(routine):
 )
 def test_extended_matches_distribution_results(name):
     routine = SUITE[name]
-    module = compile_source(routine.source, level=OptLevel.DISTRIBUTION)
+    module = compile_source(routine.source, level="distribution")
     reference = run_routine(
         module, routine.entry_name, routine.args, routine.fresh_arrays()
     )
@@ -49,7 +49,7 @@ def test_extended_matches_distribution_results(name):
 @pytest.mark.parametrize("name", ["sgemm", "decomp", "heat"])
 def test_extended_beats_distribution_on_ops_and_muls(name):
     routine = SUITE[name]
-    module = compile_source(routine.source, level=OptLevel.DISTRIBUTION)
+    module = compile_source(routine.source, level="distribution")
     reference = run_routine(
         module, routine.entry_name, routine.args, routine.fresh_arrays()
     )

@@ -180,13 +180,14 @@ def test_every_pass_preserves_fuzzed_semantics(n_blocks, choices, args):
 )
 def test_full_pipelines_preserve_fuzzed_semantics(n_blocks, choices, args):
     from repro.pipeline import OptLevel
+    from repro.pm.registry import get_sequence, resolve_spec
 
     func = build_fuzz_function(n_blocks, choices)
     expected = observe(func, args=list(args)).value
     for level in OptLevel:
         transformed = deep_copy_function(func)
-        for pass_fn in level.passes():
-            pass_fn(transformed)
+        for spec in get_sequence(level.value):
+            resolve_spec(spec)(transformed)
         validate_function(transformed)
         got = observe(transformed, args=list(args)).value
         assert got == expected, level
@@ -206,13 +207,14 @@ def test_full_pipelines_keep_fuzzed_modules_lint_clean(n_blocks, choices):
     a pass bug — DCE, clean and coalesce are expected to sweep them.
     """
     from repro.pipeline import OptLevel
+    from repro.pm.registry import get_sequence, resolve_spec
     from repro.verify import lint_function
 
     func = build_fuzz_function(n_blocks, choices)
     for level in OptLevel:
         transformed = deep_copy_function(func)
-        for pass_fn in level.passes():
-            pass_fn(transformed)
+        for spec in get_sequence(level.value):
+            resolve_spec(spec)(transformed)
         findings = [
             diagnostic
             for diagnostic in lint_function(transformed)

@@ -10,7 +10,7 @@ from repro.bench.suite import suite_routines
 from repro.frontend import compile_program
 from repro.ir import parse_function
 from repro.pipeline import compile_source, run_routine
-from repro.pipeline.levels import LEVEL_SEQUENCES, SPEC_LEVEL
+from repro.pipeline.levels import LEVEL_SEQUENCES
 from repro.pm.manager import PassManager
 from repro.pm.remarks import RemarkCollector
 from repro.profile import (
@@ -170,7 +170,7 @@ def test_certify_spec_level_clean():
     with set_default_store(store):
         compile_source(
             LOOP_SOURCE,
-            level=SPEC_LEVEL,
+            level="spec",
             verify="certify",
             collector=collector,
         )

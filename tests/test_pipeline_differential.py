@@ -28,7 +28,7 @@ def check_all_levels(source, routine, cases, arrays_spec=()):
     }
     counts = {}
     for level in OptLevel:
-        module = compile_source(source, level=level)
+        module = compile_source(source, level=level.value)
         for case in cases:
             run = run_routine(module, routine, case, arrays_spec)
             ref = reference[case]

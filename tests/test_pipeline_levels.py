@@ -1,17 +1,19 @@
 """Unit tests for the OptLevel machinery and the compile/run driver."""
 
-import pytest
-
+from repro.frontend import compile_program
 from repro.ir import Opcode
-from repro.pipeline import (
-    BASELINE_SEQUENCE,
-    OptLevel,
-    compile_source,
-    optimize,
-    optimize_function,
-    run_routine,
-)
+from repro.pipeline import OptLevel, compile_source, run_routine
 from repro.pipeline.driver import RoutineRun
+from repro.pm.manager import PassManager
+from repro.pm.registry import get_sequence, resolve_spec
+
+
+def _names(level: str) -> list[str]:
+    """The resolved pass functions' names of a registered sequence."""
+    return [resolve_spec(spec).__name__ for spec in get_sequence(level)]
+
+
+BASELINE = _names("baseline")
 
 
 def test_levels_enumerate_the_papers_four_columns():
@@ -24,8 +26,7 @@ def test_levels_enumerate_the_papers_four_columns():
 
 
 def test_baseline_sequence_matches_the_paper():
-    names = [fn.__name__ for fn in BASELINE_SEQUENCE]
-    assert names == [
+    assert BASELINE == [
         "sparse_conditional_constant_propagation",
         "peephole",
         "dead_code_elimination",
@@ -36,34 +37,30 @@ def test_baseline_sequence_matches_the_paper():
 
 def test_every_level_ends_with_the_baseline():
     for level in OptLevel:
-        passes = level.passes()
-        assert passes[-len(BASELINE_SEQUENCE):] == BASELINE_SEQUENCE
+        assert _names(level.value)[-len(BASELINE):] == BASELINE
 
 
 def test_partial_prepends_pre_only():
-    passes = OptLevel.PARTIAL.passes()
-    assert passes[0].__name__ == "partial_redundancy_elimination"
-    assert len(passes) == len(BASELINE_SEQUENCE) + 1
+    names = _names("partial")
+    assert names[0] == "partial_redundancy_elimination"
+    assert len(names) == len(BASELINE) + 1
 
 
 def test_reassociation_orders_enablers_before_pre():
-    names = [fn.__name__ for fn in OptLevel.REASSOCIATION.passes()]
+    names = _names("reassociation")
     assert names.index("reassociate[distribute=False]") < names.index(
         "global_value_numbering"
     ) < names.index("partial_redundancy_elimination")
 
 
 def test_distribution_uses_distributing_reassociation():
-    names = [fn.__name__ for fn in OptLevel.DISTRIBUTION.passes()]
-    assert "reassociate[distribute=True]" in names
+    assert "reassociate[distribute=True]" in _names("distribution")
 
 
 def test_levels_are_registry_data():
-    from repro.pm.registry import get_sequence
-
     for level in OptLevel:
-        assert level.specs() == get_sequence(level.value)
-    assert OptLevel.DISTRIBUTION.specs()[0] == (
+        assert PassManager(level.value).specs == get_sequence(level.value)
+    assert get_sequence("distribution")[0] == (
         "reassociate",
         {"distribute": True},
     )
@@ -77,7 +74,7 @@ end
 
 
 def test_compile_source_validates_output():
-    module = compile_source(SOURCE, level=OptLevel.DISTRIBUTION)
+    module = compile_source(SOURCE, level="distribution")
     assert "square" in module
 
 
@@ -90,7 +87,7 @@ def test_compile_source_without_level_is_frontend_output():
 
 
 def test_run_routine_returns_structured_result():
-    module = compile_source(SOURCE, level=OptLevel.BASELINE)
+    module = compile_source(SOURCE, level="baseline")
     run = run_routine(module, "square", [9])
     assert isinstance(run, RoutineRun)
     assert run.value == 81
@@ -107,16 +104,16 @@ routine cube(x: int) -> int
 end
 """
     )
-    optimize(module, OptLevel.DISTRIBUTION)
+    PassManager("distribution").run_module(module)
     run = run_routine(module, "cube", [3])
     assert run.value == 27
 
 
 def test_optimize_function_is_idempotent_on_counts():
-    module = compile_source(SOURCE)
+    module = compile_program(SOURCE)
     func = module["square"]
-    optimize_function(func, OptLevel.DISTRIBUTION)
+    PassManager("distribution").run_function(func)
     first = run_routine(module, "square", [5]).dynamic_count
-    optimize_function(func, OptLevel.DISTRIBUTION)
+    PassManager("distribution").run_function(func)
     second = run_routine(module, "square", [5]).dynamic_count
     assert second == first

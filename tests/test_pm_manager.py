@@ -9,7 +9,7 @@ from repro.frontend import compile_program
 from repro.ir import print_module
 from repro.ir.function import Function
 from repro.ir.printer import print_function
-from repro.pipeline import OptLevel, compile_source
+from repro.pipeline import compile_payload, compile_source
 from repro.pm import (
     ManagerStats,
     PassCache,
@@ -295,26 +295,23 @@ def test_remarks_carry_pre_counts():
 
 def test_passes_run_outside_the_manager_stay_silent():
     from repro.passes import partial_redundancy_elimination
-    from repro.pipeline.levels import BASELINE_SEQUENCE
+    from repro.pm.registry import get_sequence, resolve_spec
 
     module = compile_program(SOURCE)
     for func in module:
         partial_redundancy_elimination(func)  # no context: must not raise
-        for fn in BASELINE_SEQUENCE:
-            fn(func)
+        for spec in get_sequence("baseline"):
+            resolve_spec(spec)(func)
 
 
-# -- optimize helpers route through the manager ------------------------------
+# -- the compile entry point routes through the manager ----------------------
 
 
 def test_optimize_matches_manager_output():
-    from repro.pipeline.levels import optimize
-
-    via_helper = compile_program(SOURCE)
-    optimize(via_helper, OptLevel.DISTRIBUTION)
+    via_payload = compile_payload("source", SOURCE, "distribution")
     via_manager = compile_program(SOURCE)
     PassManager("distribution").run_module(via_manager)
-    assert print_module(via_helper) == print_module(via_manager)
+    assert print_module(via_payload) == print_module(via_manager)
 
 
 def test_cache_adopt_preserves_fresh_name_counters():

@@ -6,7 +6,6 @@ import os
 
 from repro.frontend import compile_program
 from repro.pipeline import compile_source
-from repro.pipeline.levels import SPEC_LEVEL
 from repro.profile import (
     FunctionProfile,
     ProfileRecorder,
@@ -139,7 +138,7 @@ def test_empty_store_falls_back_to_static(tmp_path):
 
     empty = ProfileStore(str(tmp_path))
     with set_default_store(empty):
-        module = compile_source(LOOP_SOURCE, level=SPEC_LEVEL)
+        module = compile_source(LOOP_SOURCE, level="spec")
     assert "accum" in module.functions
 
     func = prepare_profiled_module(

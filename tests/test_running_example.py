@@ -51,7 +51,7 @@ def reference_foo(y, z):
 def counts_at_every_level(y, z):
     results = {}
     for level in OptLevel:
-        module = compile_source(FOO, level=level)
+        module = compile_source(FOO, level=level.value)
         run = run_routine(module, "foo", [y, z])
         assert run.value == reference_foo(y, z), level
         results[level] = run.dynamic_count
@@ -75,7 +75,7 @@ def test_loop_shortened_by_one_operation():
     the loop by 1 operation' relative to PRE alone."""
     per_iteration = {}
     for level in (OptLevel.PARTIAL, OptLevel.REASSOCIATION):
-        module = compile_source(FOO, level=level)
+        module = compile_source(FOO, level=level.value)
         big = run_routine(module, "foo", [1, 2]).dynamic_count  # 98 iters
         small = run_routine(module, "foo", [1, 92]).dynamic_count  # 8 iters
         per_iteration[level] = (big - small) / 90
@@ -94,7 +94,7 @@ def test_no_path_lengthened():
 def test_invariants_hoisted_out_of_loop():
     """Figure 9: the adds for 1+y and (1+y)+z sit outside the loop; the
     body keeps one add for s and one for i."""
-    module = compile_source(FOO, level=OptLevel.REASSOCIATION)
+    module = compile_source(FOO, level="reassociation")
     func = module["foo"]
     # find the loop body: the block that branches back to itself
     body = next(
@@ -111,7 +111,7 @@ def test_invariants_hoisted_out_of_loop():
 def test_coalescing_removed_all_copies():
     """Figure 10: 'in this example, coalescing is able to remove all the
     copies'."""
-    module = compile_source(FOO, level=OptLevel.REASSOCIATION)
+    module = compile_source(FOO, level="reassociation")
     func = module["foo"]
     copies = [i for i in func.instructions() if i.opcode is Opcode.COPY]
     assert copies == []

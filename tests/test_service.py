@@ -23,7 +23,7 @@ from repro.pipeline.driver import compile_payload
 from repro.pm.cache import PassCache, cache_key
 from repro.pm.manager import PassManager
 from repro.service import protocol
-from repro.service.client import DaemonClient, DaemonError, compile_with_fallback
+from repro.service.client import DaemonClient, DaemonError
 from repro.service.daemon import CompileDaemon, DaemonConfig
 from repro.service.faults import (
     FaultInjected,
@@ -464,6 +464,8 @@ def daemon(tmp_path):
 
 
 def test_daemon_replies_byte_identical_to_direct_compiles(daemon):
+    """Pipelining, warm replay and stats; tests/test_serving_paths.py
+    checks every path's bytes against the direct compile."""
     corpus = [
         ("source", routine.source, level)
         for routine in suite_routines()[:3]
@@ -475,15 +477,14 @@ def test_daemon_replies_byte_identical_to_direct_compiles(daemon):
             client.send(protocol.compile_request(kind, text, level))
             for kind, text, level in corpus
         ]
-        for rid, (kind, text, level) in zip(rids, corpus):
-            reply = client.wait(rid)
-            assert reply["ok"], reply
-            assert reply["ir"] == direct(kind, text, level)
-        # warm in-worker caches: byte-identical replay on repeat
-        repeat = client.compile(*corpus[0])
-        assert repeat["ir"] == direct(*corpus[0])
+        pipelined = [client.wait(rid) for rid in rids]
+        assert all(reply["ok"] for reply in pipelined), pipelined
+        # warm in-worker caches: each request alone replays the bytes
+        # its pipelined twin got, so no reply went to the wrong id
+        for reply, request in zip(pipelined, corpus):
+            assert client.compile(*request)["ir"] == reply["ir"]
         stats = client.stats()
-    assert stats["counters"]["replies_ok"] == len(corpus) + 1
+    assert stats["counters"]["replies_ok"] == 2 * len(corpus)
     assert stats["cache"]["hits"] >= 1
     assert stats["scheduler"]["workers"] == 2
 
@@ -514,15 +515,6 @@ def test_daemon_structured_errors_and_ping(daemon):
         assert reply["error"]["kind"] == "bad-request"
 
 
-def test_daemon_ir_payloads_and_levels(daemon):
-    ir_text = direct("source", SOURCE, "none", "final")
-    with DaemonClient(daemon.config.socket_path) as client:
-        reply = client.compile("ir", ir_text, "distribution")
-        assert reply["ir"] == direct("ir", ir_text, "distribution")
-        unoptimized = client.compile("ir", ir_text, "none")
-        assert unoptimized["ir"] == ir_text
-
-
 def test_daemon_shutdown_request(tmp_path):
     config = DaemonConfig(
         socket_path=str(tmp_path / "s.sock"), workers=1, cache_dir=None
@@ -550,22 +542,6 @@ def test_daemon_refuses_to_double_bind(daemon):
 # -- client fallback + CLI -----------------------------------------------------
 
 
-def test_compile_with_fallback_goes_local_without_daemon(tmp_path):
-    text, origin = compile_with_fallback(
-        "source", SOURCE, "partial", socket_path=str(tmp_path / "nobody.sock")
-    )
-    assert origin == "local"
-    assert text == direct("source", SOURCE, "partial")
-
-
-def test_compile_with_fallback_uses_daemon_when_up(daemon):
-    text, origin = compile_with_fallback(
-        "source", SOURCE, "partial", socket_path=daemon.config.socket_path
-    )
-    assert origin == "daemon"
-    assert text == direct("source", SOURCE, "partial")
-
-
 def test_cli_compile_daemon_flag_falls_back(tmp_path, capsys):
     from repro.cli import main
 
@@ -588,6 +564,45 @@ def test_cli_compile_daemon_flag_falls_back(tmp_path, capsys):
         == 0
     )
     assert capsys.readouterr().out == plain
+
+
+def test_cli_compile_fleet_fallback_stays_in_process(
+    daemon, tmp_path, monkeypatch, capsys
+):
+    """``--fleet`` with no gateway answers in-process; it must not hand
+    the request to a daemon that happens to be listening."""
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_DAEMON_SOCKET", daemon.config.socket_path)
+    monkeypatch.setenv("REPRO_FLEET_SOCKET", str(tmp_path / "no-gateway.sock"))
+    path = tmp_path / "prog.f"
+    path.write_text(SOURCE)
+    assert main(["compile", str(path), "--level", "partial"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["compile", str(path), "--level", "partial", "--fleet"]) == 0
+    assert capsys.readouterr().out == plain
+    with DaemonClient(daemon.config.socket_path) as client:
+        assert client.stats()["counters"]["requests_total"] == 0
+
+
+def test_cli_compile_daemon_fallback_reports_a_compile_error(tmp_path, capsys):
+    """With no daemon, a program that does not parse gets the line and
+    the exit status a daemon's ``compile-error`` reply gets."""
+    from repro.cli import main
+
+    path = tmp_path / "broken.f"
+    path.write_text("routine broken(")
+    assert main(["compile", str(path), "--daemon", "--daemon-socket",
+                 str(tmp_path / "no.sock")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if "compile-error" in line]
+    assert errors == [
+        "compile: daemon error [compile-error]: ParseError: line 1: "
+        "expected 'ID', found 'NEWLINE'"
+    ]
+    assert "Traceback" not in captured.err
 
 
 def test_cli_compile_ir_input(tmp_path, capsys):
@@ -671,26 +686,14 @@ def test_abort_pool_terminates_process_children():
 # -- bench serve building blocks -----------------------------------------------
 
 
-def test_bench_corpus_fuzz_cfgs_compile_identically(daemon):
-    from repro.bench.serve import build_corpus
-
-    corpus = [entry for entry in build_corpus(quick=True) if entry["kind"] == "ir"]
-    assert len(corpus) >= 3
-    entry = corpus[0]
-    with DaemonClient(daemon.config.socket_path) as client:
-        reply = client.compile(
-            entry["kind"], entry["text"], entry["level"], entry["verify"]
-        )
-    assert reply["ir"] == direct(
-        entry["kind"], entry["text"], entry["level"], entry["verify"]
-    )
-
-
 def test_bench_corpus_is_deterministic():
     from repro.bench.serve import build_corpus
 
     first, second = build_corpus(quick=True), build_corpus(quick=True)
     assert first == second
+    # fuzz CFGs ride along as IR (tests/test_serving_paths.py compiles
+    # fuzz_cfg_source's output on every path)
+    assert sum(1 for entry in first if entry["kind"] == "ir") >= 3
 
 
 def test_bench_driver_counts_a_failed_request_as_wrong_and_keeps_going(

@@ -54,7 +54,7 @@ def test_optimized_matches_unoptimized(routine, level):
     base = run_routine(
         base_module, routine.entry_name, routine.args, routine.fresh_arrays()
     )
-    opt_module = compile_source(routine.source, level=level)
+    opt_module = compile_source(routine.source, level=level.value)
     opt = run_routine(
         opt_module, routine.entry_name, routine.args, routine.fresh_arrays()
     )
@@ -75,7 +75,7 @@ def test_counts_versus_baseline(routine):
     """
     counts = {}
     for level in OptLevel:
-        module = compile_source(routine.source, level=level)
+        module = compile_source(routine.source, level=level.value)
         counts[level] = run_routine(
             module, routine.entry_name, routine.args, routine.fresh_arrays()
         ).dynamic_count

@@ -21,24 +21,12 @@ from repro.frontend import compile_program
 from repro.interp import Interpreter
 from repro.ir.printer import print_module
 from repro.pipeline.driver import compile_payload
-from repro.pipeline.levels import (
-    DEGRADATION_LADDER,
-    OptLevel,
-    ladder_levels,
-    ladder_next,
-    resolve_level,
-)
+from repro.pipeline.levels import DEGRADATION_LADDER, ladder_levels, ladder_next
 from repro.pm.cache import ArtifactStore, PassCache
 from repro.pm.manager import DegradationRequired, PassManager
 from repro.profile.model import FunctionProfile
 from repro.profile.store import ProfileStore
-from repro.triage import (
-    ChaosError,
-    Incident,
-    IncidentStore,
-    PassChaos,
-    compile_payload_contained,
-)
+from repro.triage import ChaosError, Incident, IncidentStore, PassChaos, run_ladder
 from repro.triage.bisect import bisect_incident, replay
 from repro.triage.reduce import reduce_incident
 
@@ -144,20 +132,14 @@ def test_ladder_helpers():
     assert ladder_next("unknown-sequence") == "baseline"
     rungs = ladder_levels("distribution")
     assert rungs[0] == "distribution" and rungs[-1] == "none"
-    assert resolve_level("none") is None
-    assert resolve_level("distribution") is OptLevel.DISTRIBUTION
-    assert resolve_level("spec").value == "spec"
-    with pytest.raises(KeyError):
-        resolve_level("warp-9")
     assert set(DEGRADATION_LADDER) >= {"spec", "distribution", "partial",
                                        "baseline", "none"}
 
 
 def test_containment_rollback_stays_at_requested_level():
     store = IncidentStore()
-    result = compile_payload_contained(
-        "source",
-        SOURCE,
+    result = run_ladder(
+        compile_program(SOURCE),
         "distribution",
         verify="final",
         on_error="rollback",
@@ -174,9 +156,8 @@ def test_containment_degrade_walks_ladder():
     store = IncidentStore()
     # 'dce' runs at every optimizing rung, so degrade must fall all
     # the way to the unoptimized floor — and still answer
-    result = compile_payload_contained(
-        "source",
-        SOURCE,
+    result = run_ladder(
+        compile_program(SOURCE),
         "distribution",
         verify="final",
         on_error="degrade",
@@ -192,9 +173,8 @@ def test_containment_degrade_walks_ladder():
 
 def test_contained_compiles_never_poison_the_cache(tmp_path):
     cache = PassCache(str(tmp_path / "cache"))
-    compile_payload_contained(
-        "source",
-        SOURCE,
+    run_ladder(
+        compile_program(SOURCE),
         "distribution",
         verify="final",
         on_error="rollback",
@@ -217,9 +197,8 @@ def test_contained_compiles_never_poison_the_cache(tmp_path):
 
 def test_incident_store_roundtrip_and_dedup(tmp_path):
     store = IncidentStore(str(tmp_path))
-    result = compile_payload_contained(
-        "source",
-        SOURCE,
+    result = run_ladder(
+        compile_program(SOURCE),
         "distribution",
         verify="final",
         on_error="rollback",
@@ -233,9 +212,8 @@ def test_incident_store_roundtrip_and_dedup(tmp_path):
     assert incident.pass_label == "pre"
     # re-recording the same failure bumps count, no sibling file
     before = len(os.listdir(tmp_path))
-    compile_payload_contained(
-        "source",
-        SOURCE,
+    run_ladder(
+        compile_program(SOURCE),
         "distribution",
         verify="final",
         on_error="rollback",
@@ -248,9 +226,8 @@ def test_incident_store_roundtrip_and_dedup(tmp_path):
 
 def test_incident_store_corrupt_entry_is_a_miss(tmp_path):
     store = IncidentStore(str(tmp_path))
-    result = compile_payload_contained(
-        "source",
-        SOURCE,
+    result = run_ladder(
+        compile_program(SOURCE),
         "distribution",
         verify="final",
         on_error="rollback",
@@ -278,9 +255,8 @@ def _one_incident(chaos_kind="crash", label="pre"):
         if chaos_kind == "crash"
         else PassChaos(corrupt_passes=(label,))
     )
-    compile_payload_contained(
-        "source",
-        SOURCE,
+    run_ladder(
+        compile_program(SOURCE),
         "distribution",
         verify="lint",
         on_error="rollback",
@@ -335,9 +311,8 @@ def test_chaos_draws_are_deterministic():
     second = PassChaos(seed=7, crash_rate=0.2, corrupt_rate=0.2)
     store_a, store_b = IncidentStore(), IncidentStore()
     for chaos, store in ((first, store_a), (second, store_b)):
-        compile_payload_contained(
-            "source",
-            SOURCE,
+        run_ladder(
+            compile_program(SOURCE),
             "distribution",
             verify="lint",
             on_error="degrade",
@@ -532,9 +507,8 @@ def test_failed_incident_write_never_escapes_containment(tmp_path):
     blocker.write_text("")
     store = IncidentStore(str(blocker / "incidents"))
     routine = suite_routines()[0]
-    result = compile_payload_contained(
-        "source",
-        routine.source,
+    result = run_ladder(
+        compile_program(routine.source),
         "distribution",
         on_error="degrade",
         incidents=store,

@@ -7,7 +7,12 @@ pressure.  This module is the missing back half: it colors the
 interference graph of a lowered machine function
 (:mod:`repro.backend.lower`) with the target's ``k`` physical registers.
 
-The classic build–coalesce–simplify–select–spill loop:
+First every block is put in the order the list scheduler
+(:mod:`repro.backend.schedule`) would issue it, unless that order needs
+more registers than both ``k`` and the block's own order.  Colors chosen
+over the issue order leave the post-allocation scheduler no false
+dependences to work around.  Then the classic
+build–coalesce–simplify–select–spill loop:
 
 1. **Build** the interference graph on bitset liveness
    (:func:`repro.backend.interference.build_interference` — the same
@@ -36,6 +41,7 @@ from dataclasses import dataclass, field
 from repro.analysis.manager import analyses
 from repro.backend.interference import InterferenceGraph, build_interference
 from repro.backend.lower import frame_size, is_machine_form
+from repro.backend.schedule import schedule_block
 from repro.backend.target import Target, is_physical
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -86,6 +92,45 @@ def _rename_colliding(func: Function) -> None:
         if inst.target in mapping:
             inst.target = mapping[inst.target]
         inst.replace_uses(mapping)
+
+
+def _pressure(instructions: list, live_out) -> int:
+    """Registers one block's order needs at once: its peak live count.
+
+    A definition occupies a register even when nothing reads it, so the
+    count at each instruction is what is live after it plus its target.
+    """
+    live = set(live_out)
+    peak = len(live)
+    for inst in reversed(instructions):
+        if inst.target is not None:
+            live.add(inst.target)
+            peak = max(peak, len(live))
+            live.discard(inst.target)
+        live.update(inst.srcs)
+        peak = max(peak, len(live))
+    return peak
+
+
+def _order_for_schedule(func: Function, target: Target) -> None:
+    """Put each block in the order the list scheduler will issue it.
+
+    Colors chosen over the program order tie independent values to the
+    same register, and the post-allocation scheduler must then keep the
+    WAR/WAW order those reuses create.  Allocating over the scheduled
+    order instead leaves it nothing to undo.  A block keeps its own
+    order where the scheduled one needs more registers than both ``k``
+    and the original: pressure-bound code is not stretched into spills.
+    """
+    liveness = analyses(func).liveness()
+    for blk in func.blocks:
+        scheduled = schedule_block(blk.instructions, target)
+        if scheduled == blk.instructions:
+            continue
+        live_out = liveness.at_exit(blk.label)
+        original = _pressure(blk.instructions, live_out)
+        if _pressure(scheduled, live_out) <= max(target.k, original):
+            blk.instructions = scheduled
 
 
 def _spill_costs(func: Function) -> dict[str, float]:
@@ -324,13 +369,16 @@ def allocate_function(
             f"{func.name}: not in machine form (run the lower pass first)"
         )
     _rename_colliding(func)
+    analyses(func).invalidate_all()
+    # reordering within blocks keeps every block's live-in and live-out
+    # sets, so the first build reuses the liveness the ordering computed
+    _order_for_schedule(func, target)
     k = target.k
     stats = AllocationStats(k=k)
     no_spill: set[str] = set()
 
     for _ in range(max_iterations):
         stats.iterations += 1
-        analyses(func).invalidate_all()
         graph = build_interference(func, params_live_in=False)
         while True:
             merges = _coalesce_round(func, graph, k, no_spill)
@@ -344,6 +392,7 @@ def allocate_function(
             stats.frame_slots = frame_size(func)
             return stats
         _insert_spill_code(func, spills, stats, no_spill)
+        analyses(func).invalidate_all()
 
     raise AllocationError(
         f"{func.name}: no coloring after {max_iterations} spill rounds at k={k}"

@@ -23,6 +23,9 @@ Spilled values live in frame slots past the argument area (``lds`` /
 ``sts``); their dynamic counts are reported separately so Table 1 can
 show the §4 effect: optimization levels that win dynamic *operations*
 can lose *cycles* once their longer live ranges start spilling.
+
+:attr:`SimResult.counters` breaks the totals down by decoded block, so
+a difference in cycles can be traced to the block that causes it.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ class SimResult:
     lds_ops: int  # dynamic frame-slot loads (args + spill reloads)
     sts_ops: int  # dynamic spill stores
     memory: Optional[Memory] = None
+    #: ``function/label`` -> ``{"visits", "stall_cycles", "lds_ops",
+    #: "sts_ops"}`` for every visited block; each column sums to the
+    #: run's total of the same name
     counters: dict = field(default_factory=dict)
 
 
@@ -187,6 +193,7 @@ class Simulator:
             lds_ops=counts[Opcode.LDS],
             sts_ops=counts[Opcode.STS],
             memory=memory,
+            counters=_block_counters(self._code.values()),
         )
 
     # -- internals -----------------------------------------------------------
@@ -217,6 +224,8 @@ class Simulator:
                 raise SimulationError(
                     f"instruction limit {limit} exceeded in {name}"
                 )
+            # the block's own cycles: calls move ``entered`` past the callee
+            entered = clock
             try:
                 for items, call in block.runs:
                     for op, srcs, dest, latency in items:
@@ -242,6 +251,7 @@ class Simulator:
                             + target.call_arg_cost * len(call.srcs)
                         )
                         self._call_cycles += overhead
+                        issued = clock
                         result, clock = self._call(
                             call.callee,
                             [frame[s] for s in call.srcs],
@@ -249,6 +259,7 @@ class Simulator:
                             depth + 1,
                             clock + overhead,
                         )
+                        entered += clock - issued
                         if call.target is not None:
                             if result is None:
                                 raise SimulationError(
@@ -264,6 +275,7 @@ class Simulator:
                     if when > clock:
                         clock = when
                 clock += 1
+                block.stalls += clock - entered - block.steps
                 term = block.term
                 if term is Opcode.CBR:
                     taken, other = block.succ
@@ -292,6 +304,23 @@ class Simulator:
                 f"{name}: not machine code (run 'repro codegen' stages first)"
             )
         return self._decoder.decode(func)
+
+
+def _block_counters(code_objects) -> dict:
+    """Visits, stall cycles and frame-slot ops of every visited block."""
+    counters = {}
+    for code in code_objects:
+        for block in code.blocks:
+            visits = block.visits
+            if visits:
+                histogram = dict(block.histogram)
+                counters[block.where] = {
+                    "visits": visits,
+                    "stall_cycles": block.stalls,
+                    "lds_ops": visits * histogram.get(Opcode.LDS, 0),
+                    "sts_ops": visits * histogram.get(Opcode.STS, 0),
+                }
+    return counters
 
 
 def simulate_function(func, args: Sequence[Value] = (), **kwargs) -> SimResult:

@@ -18,7 +18,10 @@ for every suite routine × optimization level × k ∈ {8, 16, 32}:
 
 The printed table reports, per k, the cycle improvement of DISTRIBUTION
 over BASELINE next to its spill count; the JSON report carries the full
-level × k grid so the spill effect is visible per level.
+level × k grid so the spill effect is visible per level.  It also lists
+every routine-level that is still slower at k=32 than at k=16, with the
+block whose stall cycles differ most between the two (the simulator's
+per-block counters), so each such case is explained where it happens.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ class BackendCell:
     spill_stores: int
     stall_cycles: int
     sim_ok: bool
+    #: the simulator's per-block counters (``SimResult.counters``)
+    blocks: dict = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -130,6 +135,7 @@ def measure_backend_row(
                 spill_stores=sum(s.spill_stores for s in stats.values()),
                 stall_cycles=result.stall_cycles,
                 sim_ok=ok,
+                blocks=result.counters,
             )
     return row
 
@@ -209,6 +215,33 @@ def summarize_backend(rows: list[BackendRow], ks: Iterable[int] = BENCH_KS) -> d
     return summary
 
 
+def k32_slower_than_k16(rows: list[BackendRow]) -> list[dict]:
+    """Every routine-level slower with 32 registers than with 16, with
+    the block whose stall cycles differ most between the two."""
+    slower = []
+    for row in rows:
+        for level in OptLevel:
+            cells = {k: row.cell(level, k) for k in (16, 32)}
+            if cells[32].cycles <= cells[16].cycles:
+                continue
+
+            def stalls(k: int, block: str) -> int:
+                return cells[k].blocks.get(block, {}).get("stall_cycles", 0)
+
+            blocks = sorted(set(cells[16].blocks) | set(cells[32].blocks))
+            block = max(blocks, key=lambda b: abs(stalls(32, b) - stalls(16, b)))
+            slower.append(
+                {
+                    "routine": row.name,
+                    "level": level.value,
+                    "cycles": {str(k): cells[k].cycles for k in cells},
+                    "block": block,
+                    "block_stall_cycles": {str(k): stalls(k, block) for k in cells},
+                }
+            )
+    return slower
+
+
 def report_jsonable(
     rows: list[BackendRow], ks: Iterable[int] = BENCH_KS, *, schedule: bool = True
 ) -> dict:
@@ -229,6 +262,9 @@ def report_jsonable(
             for row in rows
         },
         "summary": summarize_backend(rows, ks),
+        "k32_slower_than_k16": (
+            k32_slower_than_k16(rows) if {16, 32} <= set(ks) else []
+        ),
         "mismatches": sum(
             0 if cell.sim_ok else 1 for row in rows for cell in row.cells.values()
         ),
@@ -258,6 +294,13 @@ def main(
             )
         print(f"{level.value:>14} vs baseline cycles — " + "; ".join(parts))
     report = report_jsonable(rows, ks, schedule=schedule)
+    for case in report["k32_slower_than_k16"]:
+        cycles, stalls = case["cycles"], case["block_stall_cycles"]
+        print(
+            f"{case['routine']}@{case['level']}: k=32 {cycles['32']} cycles > "
+            f"k=16 {cycles['16']}; {case['block']} stalls "
+            f"{stalls['16']} -> {stalls['32']}"
+        )
     failures = []
     if report["mismatches"]:
         failures.append(

@@ -21,7 +21,8 @@ machine instance.  Each basic block becomes one :class:`Block`:
 
 The machines own the dispatch loop.  They count per block visit instead
 of per instruction: op counts are visits × the block's histogram, and
-step or instruction limits are checked on block entry.
+step or instruction limits are checked on block entry.  The simulator
+also adds up each block's operand stalls in ``stalls``.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ class Block:
         "steps",
         "histogram",
         "visits",
+        "stalls",
     )
 
     def __init__(self, func_name: str, label: str, error: type) -> None:
@@ -159,6 +161,8 @@ class Block:
         self.steps = 0
         self.histogram: tuple = ()
         self.visits = 0
+        #: cycles spent waiting on operands here (the simulator's count)
+        self.stalls = 0
 
     def undefined(self, exc: KeyError, regs: dict) -> Exception:
         """The error for a register read that raised ``exc`` in this block.
@@ -321,10 +325,11 @@ def count_visits(code_objects, counts) -> None:
 
 
 def reset_visits(code_objects) -> None:
-    """Zero the visit counters before a run."""
+    """Zero the visit and stall counters before a run."""
     for code in code_objects:
         for block in code.blocks:
             block.visits = 0
+            block.stalls = 0
 
 
 # -- closure builders -------------------------------------------------------

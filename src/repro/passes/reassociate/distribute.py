@@ -39,7 +39,13 @@ def _distribute(tree: Tree) -> Tree:
 
 
 def _distribute_product(node: OpNode) -> Tree:
-    """Distribute one n-ary product over its highest-ranked sum operand."""
+    """Distribute one n-ary product over its highest-ranked sum operand.
+
+    The new products are not distributed again.  A sum left in them came
+    from the multiplier, and splitting it as well would multiply the rank
+    classes of two sums together: the complete distribution the paper
+    avoids.
+    """
     sums = [c for c in node.children if isinstance(c, OpNode) and c.op is Opcode.ADD]
     if not sums:
         return node
@@ -60,9 +66,5 @@ def _distribute_product(node: OpNode) -> Tree:
     terms: list[Tree] = []
     for group in groups:
         group_sum = make_op(Opcode.ADD, group) if len(group) > 1 else group[0]
-        product = make_op(Opcode.MUL, [*others, group_sum])
-        # the new smaller products may expose further distribution
-        if isinstance(product, OpNode) and product.op is Opcode.MUL:
-            product = _distribute_product(product)
-        terms.append(product)
+        terms.append(make_op(Opcode.MUL, [*others, group_sum]))
     return make_op(Opcode.ADD, terms)

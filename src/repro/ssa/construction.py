@@ -54,10 +54,14 @@ def to_ssa(func: Function, pruned: bool = True, fold_copies: bool = True) -> Fun
     if pruned:
         liveness = live_variables(func, cfg)
         live_in = {label: liveness.at_entry(label) for label in cfg.labels}
+        # a name live into no block gets no φ anywhere: skip its frontier
+        live_somewhere = set().union(*live_in.values())
 
     # -- φ placement -------------------------------------------------------
     phi_vars: dict[str, set[str]] = {label: set() for label in cfg.labels}
     for var, blocks in def_blocks.items():
+        if pruned and var not in live_somewhere:
+            continue
         for label in dom.iterated_frontier(set(blocks)):
             if pruned and var not in live_in.get(label, frozenset()):
                 continue

@@ -60,29 +60,33 @@ def destroy_ssa(func: Function) -> Function:
     intended edge.  The φ-target names survive as ordinary registers
     ("variable names" in the paper's sense — defined only by copies).
     """
-    # split critical edges into blocks containing φ-nodes
-    for blk in list(func.blocks):
-        if not blk.phis():
-            continue
-        preds = func.predecessor_map()[blk.label]
-        for pred in list(preds):
-            pred_blk = func.block(pred)
-            if len(pred_blk.successor_labels()) > 1:
+    phi_blocks = [blk for blk in func.blocks if blk.phis()]
+    if not phi_blocks:
+        return func
+    # split critical edges into blocks containing φ-nodes.  A split only
+    # redirects the edge it splits, so one predecessor map serves the phase.
+    preds_of = func.predecessor_map()
+    blocks = func.block_map()
+    split = False
+    for blk in phi_blocks:
+        for pred in preds_of[blk.label]:
+            if len(blocks[pred].successor_labels()) > 1:
                 split_edge(func, pred, blk.label)
+                split = True
 
-    for blk in list(func.blocks):
+    if split:
+        preds_of = func.predecessor_map()
+        blocks = func.block_map()
+    for blk in phi_blocks:
         phis = blk.phis()
-        if not phis:
-            continue
-        preds = func.predecessor_map()[blk.label]
-        for pred in preds:
+        for pred in preds_of[blk.label]:
             pairs = []
             for phi in phis:
                 for src, lbl in zip(phi.srcs, phi.phi_labels):
                     if lbl == pred:
                         pairs.append((phi.target, src))
             ordered = sequentialize_parallel_copy(pairs, func.new_reg)
-            pred_blk = func.block(pred)
+            pred_blk = blocks[pred]
             for target, source in ordered:
                 pred_blk.insert_before_terminator(
                     Instruction(Opcode.COPY, target=target, srcs=[source])

@@ -32,10 +32,11 @@ from repro.backend import (
     read_asm,
 )
 from repro.backend.lower import frame_size, is_machine_form
-from repro.backend.schedule import schedule_function
+from repro.backend.schedule import _conflict, dependences, schedule_function
 from repro.backend.target import BENCH_KS, MIN_K, is_physical, machine_opcodes
 from repro.interp import Memory
 from repro.ir import (
+    Instruction,
     Module,
     Opcode,
     parse_function,
@@ -268,11 +269,15 @@ def test_lower_destroys_ssa():
 # register allocation
 # ---------------------------------------------------------------------------
 
+#: Ten values live across a block boundary: no order of either block
+#: needs fewer than ten registers, so k=4 must spill.
 _PRESSURE = (
     "function pressure() {\n"
     "entry:\n"
     + "".join(f"    v{i} <- loadi {i + 1}\n" for i in range(10))
-    + "    s <- add v0, v1\n"
+    + "    jmp -> sum\n"
+    "sum:\n"
+    "    s <- add v0, v1\n"
     + "".join(f"    s <- add s, v{i}\n" for i in range(2, 10))
     + "    ret s\n"
     "}"
@@ -316,6 +321,50 @@ def test_spilled_constants_rematerialize_without_stores():
     # remat spills need no frame traffic beyond the (empty) arg area
     sts = [i for i in func.instructions() if i.opcode is Opcode.STS]
     assert stats.spill_stores == len(sts)
+
+
+#: Five loads summed as they arrive.  The list scheduler hoists the loads
+#: to hide their latency, which needs more registers than the summing
+#: order does.
+_LOADS = (
+    "function loads(p) {\n"
+    "entry:\n"
+    "    v0 <- load p\n"
+    "    s <- add v0, v0\n"
+    + "".join(f"    v{i} <- load p\n    s <- add s, v{i}\n" for i in range(1, 5))
+    + "    ret s\n"
+    "}"
+)
+
+
+def _lowered_opcodes(text: str) -> list:
+    func = parse_function(text)
+    lower_function(func)
+    return _opcodes(func)
+
+
+def _opcodes(func) -> list:
+    return [inst.opcode for inst in func.entry.instructions]
+
+
+def test_allocation_follows_the_scheduled_order_when_registers_allow():
+    original = _lowered_opcodes(_LOADS)
+    wide, stats = _alloc(_LOADS, k=16)
+    assert stats.spill_count == 0
+    assert _opcodes(wide) != original  # loads hoisted before allocation
+    assert _opcodes(wide)[:4] == [Opcode.LDS, Opcode.LOAD, Opcode.LOAD, Opcode.LOAD]
+
+
+def test_allocation_keeps_the_original_order_where_scheduling_would_spill():
+    # at k=4 the hoisted loads would need more registers than the block's
+    # own order (p, s and one loaded value): the guard keeps the original
+    func, stats = _alloc(_LOADS, k=4)
+    assert stats.spill_count == 0
+    assert _opcodes(func) == _lowered_opcodes(_LOADS)
+    memory = Memory()
+    base = memory.allocate_array([3], 8)
+    result = Simulator(Module([func]), Target(k=4)).run("loads", [base], memory)
+    assert result.value == 6 * 3  # v0 twice, v1..v4 once each
 
 
 def test_allocator_renames_colliding_physical_names():
@@ -423,6 +472,110 @@ def test_schedule_respects_memory_dependences():
     assert _sim(print_module(Module([func])), "f").value == 1
 
 
+def _pairwise_dependences(body: list) -> tuple[list, list]:
+    """The dependence graph by definition: ``_conflict`` on every pair."""
+    succs: list = [[] for _ in body]
+    preds_left = [0] * len(body)
+    for i in range(len(body)):
+        for j in range(i + 1, len(body)):
+            if _conflict(body[i], body[j]):
+                succs[i].append(j)
+                preds_left[j] += 1
+    return succs, preds_left
+
+
+def _block_bodies(module):
+    for func in module:
+        for blk in func.blocks:
+            body = list(blk.instructions)
+            if body and body[-1].is_terminator:
+                body.pop()
+            yield body
+
+
+@pytest.mark.parametrize("name", _DIFF_ROUTINES + ["sgemm", "tomcatv"])
+def test_dependences_match_the_pairwise_definition_on_suite_blocks(name):
+    from repro.bench.suite import suite_routines
+
+    routine = next(r for r in suite_routines() if r.name == name)
+    for level in ("baseline", "distribution"):
+        text = print_module(compile_source(routine.source, level))
+        virtual = parse_module(text)
+        for func in virtual:
+            lower_function(func)
+        bodies = list(_block_bodies(virtual))
+        for k in (8, 32):  # physical registers, with and without spills
+            machine = parse_module(text)
+            codegen_module(machine, Target(k=k), schedule=False)
+            bodies += _block_bodies(machine)
+        for body in bodies:
+            assert dependences(body) == _pairwise_dependences(body)
+
+
+_REGS = ["r0", "r1", "r2", "r3"]
+
+
+@st.composite
+def _machine_instructions(draw):
+    """One straight-line instruction over a few registers and slots,
+    covering every kind of ordering edge: registers, heap and frame."""
+    reg = st.sampled_from(_REGS)
+    kind = draw(st.sampled_from(["add", "loadi", "load", "store", "lds", "sts", "call"]))
+    if kind == "add":
+        return Instruction(Opcode.ADD, target=draw(reg), srcs=[draw(reg), draw(reg)])
+    if kind == "loadi":
+        return Instruction(Opcode.LOADI, target=draw(reg), imm=draw(st.integers(0, 9)))
+    if kind == "load":
+        return Instruction(Opcode.LOAD, target=draw(reg), srcs=[draw(reg)])
+    if kind == "store":
+        return Instruction(Opcode.STORE, srcs=[draw(reg), draw(reg)])
+    if kind == "lds":
+        return Instruction(Opcode.LDS, target=draw(reg), imm=draw(st.integers(0, 2)))
+    if kind == "sts":
+        return Instruction(Opcode.STS, srcs=[draw(reg)], imm=draw(st.integers(0, 2)))
+    return Instruction(
+        Opcode.CALL,
+        target=draw(st.none() | reg),
+        srcs=draw(st.lists(reg, max_size=2)),
+        callee="f",
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.lists(_machine_instructions(), max_size=24))
+def test_dependences_match_the_pairwise_definition_on_fuzz_blocks(body):
+    assert dependences(body) == _pairwise_dependences(body)
+
+
+def test_schedule_never_returns_a_slower_order_than_its_input():
+    # greedy issues the second mul first (longest path through the WAW
+    # edge to the last load), which delays the first load's consumer one
+    # cycle; the input order is already stall-free, so it stays
+    text = (
+        "function f() {\n"
+        "entry:\n"
+        "    x4 <- loadi 800\n"
+        "    x3 <- loadi 2\n"
+        "    x1 <- loadi 3\n"
+        "    jmp -> body\n"
+        "body:\n"
+        "    x0 <- load x4\n"
+        "    x3 <- mul x3, x4\n"
+        "    x2 <- mul x1, x1\n"
+        "    x2 <- load x0\n"
+        "    ret x2\n"
+        "}"
+    )
+    func = parse_function(text)
+    body = [str(inst) for inst in func.block("body").instructions]
+    schedule_function(func, Target(k=8))
+    assert [str(inst) for inst in func.block("body").instructions] == body
+    memory = Memory()
+    memory.write(800, 808)
+    memory.write(808, 5)
+    assert _sim(print_module(Module([func])), "f", memory=memory).value == 5
+
+
 # ---------------------------------------------------------------------------
 # simulator cost model
 # ---------------------------------------------------------------------------
@@ -501,43 +654,44 @@ def test_sim_charges_call_overhead_per_argument():
     assert two_args.lds_ops == 2
 
 
+_NESTED_CALLS = (
+    "function main(n) {\n"
+    "entry:\n"
+    "    n <- lds 0\n"
+    "    i <- loadi 0\n"
+    "    s <- loadi 0\n"
+    "    one <- loadi 1\n"
+    "    jmp -> head\n"
+    "head:\n"
+    "    c <- cmplt i, n\n"
+    "    cbr c -> body, done\n"
+    "body:\n"
+    "    v <- call mid(i)\n"
+    "    s <- add s, v\n"
+    "    i <- add i, one\n"
+    "    jmp -> head\n"
+    "done:\n"
+    "    ret s\n"
+    "}\n"
+    "function mid(a) {\n"
+    "entry:\n"
+    "    a <- lds 0\n"
+    "    b <- call leaf(a, a)\n"
+    "    c <- add a, b\n"
+    "    ret c\n"
+    "}\n"
+    "function leaf(a, b) {\n"
+    "entry:\n"
+    "    a <- lds 0\n"
+    "    b <- lds 1\n"
+    "    r <- mul a, b\n"
+    "    ret r\n"
+    "}"
+)
+
+
 def test_sim_accounts_calls_inside_a_loop_through_nested_calls():
-    result = _sim(
-        "function main(n) {\n"
-        "entry:\n"
-        "    n <- lds 0\n"
-        "    i <- loadi 0\n"
-        "    s <- loadi 0\n"
-        "    one <- loadi 1\n"
-        "    jmp -> head\n"
-        "head:\n"
-        "    c <- cmplt i, n\n"
-        "    cbr c -> body, done\n"
-        "body:\n"
-        "    v <- call mid(i)\n"
-        "    s <- add s, v\n"
-        "    i <- add i, one\n"
-        "    jmp -> head\n"
-        "done:\n"
-        "    ret s\n"
-        "}\n"
-        "function mid(a) {\n"
-        "entry:\n"
-        "    a <- lds 0\n"
-        "    b <- call leaf(a, a)\n"
-        "    c <- add a, b\n"
-        "    ret c\n"
-        "}\n"
-        "function leaf(a, b) {\n"
-        "entry:\n"
-        "    a <- lds 0\n"
-        "    b <- lds 1\n"
-        "    r <- mul a, b\n"
-        "    ret r\n"
-        "}",
-        "main",
-        [3],
-    )
+    result = _sim(_NESTED_CALLS, "main", [3])
     assert result.value == 0 + 2 + 6  # sum of i + i*i
     assert result.instructions == 26 + 3 * 4 + 3 * 4
     # per call: leaf 1 (lds b) + 3 (mul); mid 1 (lds a) + 1 (call result);
@@ -549,6 +703,98 @@ def test_sim_accounts_calls_inside_a_loop_through_nested_calls():
     assert result.call_cycles == 3 * 7 + 3 * 8
     assert result.cycles == 124
     assert (result.lds_ops, result.sts_ops) == (1 + 3 + 6, 0)
+
+
+def _assert_counters_add_up(result) -> None:
+    """The per-block counters sum exactly to the run's totals."""
+    blocks = result.counters.values()
+    assert sum(block["stall_cycles"] for block in blocks) == result.stall_cycles
+    assert sum(block["lds_ops"] for block in blocks) == result.lds_ops
+    assert sum(block["sts_ops"] for block in blocks) == result.sts_ops
+    assert all(block["visits"] > 0 for block in blocks)
+
+
+def test_sim_counts_stalls_per_block_through_nested_calls():
+    result = _sim(_NESTED_CALLS, "main", [3])
+    _assert_counters_add_up(result)
+    stalls = {name: block["stall_cycles"] for name, block in result.counters.items()}
+    # the callee's stalls are its own, not the calling block's
+    assert stalls == {
+        "main/entry": 0,
+        "main/head": 0,
+        "main/body": 3,
+        "main/done": 0,
+        "mid/entry": 3 * 2,
+        "leaf/entry": 3 * 4,
+    }
+    assert result.counters["main/head"]["visits"] == 4
+    assert result.counters["leaf/entry"]["lds_ops"] == 3 * 2
+
+
+@pytest.mark.parametrize("name", ["sgemm", "tomcatv", "spline"])
+def test_sim_block_counters_add_up_with_spills(name):
+    from repro.bench.suite import suite_routines
+
+    routine = next(r for r in suite_routines() if r.name == name)
+    module = compile_source(routine.source, "distribution")
+    _, result = observe_machine(
+        module,
+        routine.entry_name,
+        args=list(routine.args),
+        arrays=routine.fresh_arrays(),
+        k=8,
+    )
+    assert result.sts_ops > 0  # k=8 spills in all three
+    _assert_counters_add_up(result)
+
+
+def test_sgemm_baseline_is_no_slower_at_k32_than_at_k16():
+    """The allocator's lowest-free colors used to pile body4's temporaries
+    onto one register at k=32 (15 of its 24 instructions wrote x11), and
+    the scheduler had to keep that order: 44,277 cycles against 39,277."""
+    from repro.bench.suite import suite_routines
+
+    routine = next(r for r in suite_routines() if r.name == "sgemm")
+    module = compile_source(routine.source, "baseline")
+    results = {
+        k: observe_machine(
+            module,
+            routine.entry_name,
+            args=list(routine.args),
+            arrays=routine.fresh_arrays(),
+            k=k,
+        )[1]
+        for k in (16, 32)
+    }
+    assert results[32].cycles <= results[16].cycles
+    body4 = {k: result.counters["sgemm/body4"] for k, result in results.items()}
+    assert body4[32]["visits"] == body4[16]["visits"] == 1000
+    assert body4[32]["stall_cycles"] <= body4[16]["stall_cycles"]
+
+
+def test_backend_report_names_the_block_behind_each_k32_slowdown():
+    from repro.bench.backend import BackendCell, BackendRow, k32_slower_than_k16
+
+    def cell(cycles: int, stalls: dict):
+        blocks = {b: {"visits": 1, "stall_cycles": n} for b, n in stalls.items()}
+        return BackendCell(cycles, 0, 0, 0, sum(stalls.values()), True, blocks)
+
+    row = BackendRow(name="r")
+    for level in OptLevel:
+        row.cells[(level.value, 16)] = cell(100, {"f/a": 10, "f/b": 5})
+        row.cells[(level.value, 32)] = cell(90, {"f/a": 4, "f/b": 1})
+    # one level slower at k=32; b's stalls differ by 7 there, a's by 3
+    row.cells[("partial", 32)] = cell(104, {"f/a": 13, "f/b": 6, "f/c": 0})
+    row.cells[("partial", 16)] = cell(100, {"f/a": 10, "f/b": 13})
+    assert k32_slower_than_k16([row]) == [
+        {
+            "routine": "r",
+            "level": "partial",
+            "cycles": {"16": 100, "32": 104},
+            "block": "f/b",
+            "block_stall_cycles": {"16": 13, "32": 6},
+        }
+    ]
 
 
 def test_sim_rejects_uninitialized_frame_slot():

@@ -7,7 +7,7 @@ with dyadic rationals so reassociation cannot change rounding).
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ir import Opcode
@@ -69,20 +69,28 @@ def evaluate(tree, env):
 
 
 @st.composite
-def trees(draw, depth=0):
+def trees(draw):
+    """A random tree whose leaves carry one rank per name, as
+    ``compute_ranks`` gives each register exactly one rank."""
+    ranks = draw(st.fixed_dictionaries({name: st.integers(0, 4) for name in LEAF_NAMES}))
+    return draw(_subtrees(ranks))
+
+
+@st.composite
+def _subtrees(draw, ranks, depth=0):
     kind = draw(st.integers(0, 5)) if depth < 4 else draw(st.integers(0, 1))
     if kind == 0:
         return ConstNode(draw(st.integers(-5, 5)))
     if kind == 1:
         name = draw(st.sampled_from(LEAF_NAMES))
-        return LeafNode(name, draw(st.integers(0, 4)))
+        return LeafNode(name, ranks[name])
     op = draw(
         st.sampled_from([Opcode.ADD, Opcode.MUL, Opcode.MIN, Opcode.MAX, Opcode.NEG])
     )
     if op is Opcode.NEG:
-        return negate(draw(trees(depth + 1)))
+        return negate(draw(_subtrees(ranks, depth + 1)))
     arity = draw(st.integers(2, 3))
-    children = [draw(trees(depth + 1)) for _ in range(arity)]
+    children = [draw(_subtrees(ranks, depth + 1)) for _ in range(arity)]
     return make_op(op, children)
 
 
@@ -157,8 +165,31 @@ def test_rank_is_max_of_leaf_ranks(tree):
     assert tree.rank == max(leaf_ranks(tree))
 
 
+_EXAMPLE_RANKS = {"a": 1, "b": 2, "c": 3, "d": 4}
+
+
+def _product_of_sums(left: str, right: str):
+    """Two sums multiplied, one operand per character: a digit is a
+    constant, a letter a leaf of the rank ``_EXAMPLE_RANKS`` gives it."""
+
+    def operand(char: str):
+        if char.isdigit():
+            return ConstNode(int(char))
+        return LeafNode(char, _EXAMPLE_RANKS[char])
+
+    return make_op(
+        Opcode.MUL,
+        [make_op(Opcode.ADD, [operand(c) for c in side]) for side in (left, right)],
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(tree=trees())
+# drawn once with `a` at mixed ranks, which no register has (3 -> 17 ops)
+@example(tree=_product_of_sums("00aa", "0a0aa"))
+# with one rank per name this grew to 17 as well, until products stopped
+# being distributed a second time over the multiplier's sum
+@example(tree=_product_of_sums("00ad", "0b0ac"))
 def test_distribution_never_loses_operations_catastrophically(tree):
     """Partial distribution may add multiplies, but boundedly (each sum
     split introduces at most one product per rank class)."""

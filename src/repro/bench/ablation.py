@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 from repro.bench.report import format_count, format_pct, format_table
 from repro.bench.suite import SuiteRoutine, suite_routines
 from repro.frontend import compile_program
-from repro.interp import Interpreter, Memory
+from repro.pipeline import run_routine
 from repro.pipeline.levels import BASELINE_SPECS
 from repro.pm.manager import ManagerStats, PassManager
 from repro.pm.registry import PassSpec, register_sequence
@@ -91,11 +91,9 @@ def _execute_variant(
     if manager is None:
         manager = PassManager(specs)
     manager.run_module(module)
-    memory = Memory()
-    args = list(routine.args)
-    for values, elemsize in routine.fresh_arrays():
-        args.append(memory.allocate_array(values, elemsize))
-    return Interpreter(module).run(routine.entry_name, args, memory)
+    return run_routine(
+        module, routine.entry_name, routine.args, routine.fresh_arrays()
+    ).result
 
 
 def run_variant(routine: SuiteRoutine, specs: Sequence[PassSpec]) -> int:
@@ -113,12 +111,11 @@ def generate_ablation(
     routine_names: Iterable[str] = DEFAULT_ROUTINES,
     variants: Optional[dict[str, list[PassSpec]]] = None,
     *,
-    jobs: int = 1,
     stats: Optional[ManagerStats] = None,
 ) -> list[AblationRow]:
     variants = variants if variants is not None else VARIANTS
     managers = {
-        variant: PassManager(specs, jobs=jobs, stats=stats)
+        variant: PassManager(specs, stats=stats)
         for variant, specs in variants.items()
     }
     rows = []
@@ -188,13 +185,11 @@ def measure_strength_reduction(
     return rows
 
 
-def main(
-    jobs: int = 1, show_stats: bool = False
-) -> None:  # pragma: no cover - exercised via CLI
+def main(show_stats: bool = False) -> None:  # pragma: no cover - exercised via CLI
     import sys
 
     stats = ManagerStats()
-    rows = generate_ablation(jobs=jobs, stats=stats)
+    rows = generate_ablation(stats=stats)
     if show_stats:
         print(stats.format(), file=sys.stderr)
     print(format_ablation(rows))

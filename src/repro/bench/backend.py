@@ -148,7 +148,6 @@ def quick_subset(routines: Optional[list] = None) -> list:
 
 def generate_backend_rows(
     routines: Optional[Iterable[SuiteRoutine]] = None,
-    managers: Optional[dict] = None,
     ks: Iterable[int] = BENCH_KS,
     *,
     schedule: bool = True,
@@ -156,8 +155,7 @@ def generate_backend_rows(
     from repro.bench.table1 import build_level_managers
 
     routines = list(routines) if routines is not None else suite_routines()
-    if managers is None:
-        managers = build_level_managers()
+    managers = build_level_managers()
     ks = list(ks)
     rows = [
         measure_backend_row(routine, managers, ks, schedule=schedule)

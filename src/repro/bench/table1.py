@@ -53,8 +53,6 @@ class Table1Row:
 
 def build_level_managers(
     *,
-    jobs: int = 1,
-    executor: str = "thread",
     cache: Optional[PassCache] = None,
     collector: Optional[RemarkCollector] = None,
     stats: Optional[ManagerStats] = None,
@@ -64,13 +62,7 @@ def build_level_managers(
     stats = stats if stats is not None else ManagerStats()
     return {
         level: PassManager(
-            level.value,
-            verify=verify,
-            jobs=jobs,
-            executor=executor,
-            cache=cache,
-            collector=collector,
-            stats=stats,
+            level.value, verify=verify, cache=cache, collector=collector, stats=stats
         )
         for level in OptLevel
     }
@@ -258,19 +250,15 @@ def format_dynamic_table(rows: list[DynamicRow]) -> str:
 
 
 def main(
-    jobs: int = 1,
-    executor: str = "thread",
     cache_dir: Optional[str] = None,
     show_stats: bool = False,
     remarks_path: Optional[str] = None,
-    stats_json: Optional[str] = None,
     verify: str = "final",
-    cycles: bool = False,
     dynamic: bool = False,
 ) -> None:  # pragma: no cover - exercised via CLI
     """Print Table 1 to stdout; diagnostics (``--stats``) go to stderr.
 
-    Keeping stdout limited to the table means warm-cache, parallel and
+    Keeping stdout limited to the table means cold, warm-cache and
     instrumented runs all produce byte-identical table output.
     """
     import sys
@@ -279,12 +267,7 @@ def main(
     cache = PassCache(cache_dir) if cache_dir else None
     collector = RemarkCollector() if remarks_path else None
     managers = build_level_managers(
-        jobs=jobs,
-        executor=executor,
-        cache=cache,
-        collector=collector,
-        stats=pm_stats,
-        verify=verify,
+        cache=cache, collector=collector, stats=pm_stats, verify=verify
     )
     rows = generate_table1(managers=managers)
     print(format_table1(rows))
@@ -298,29 +281,6 @@ def main(
         f"{stats['routines_new_improved']} routines improve, "
         f"{stats['routines_new_degraded']} degrade."
     )
-    if cycles:
-        # the backend extension: rvk cycles and spill counts at each k,
-        # reusing the warm per-level managers (docs/BACKEND.md)
-        from repro.bench.backend import (
-            format_backend_table,
-            generate_backend_rows,
-            summarize_backend,
-        )
-
-        backend_rows = generate_backend_rows(managers=managers)
-        print()
-        print(format_backend_table(backend_rows))
-        spill_summary = summarize_backend(backend_rows)
-        dist = spill_summary[OptLevel.DISTRIBUTION.value]
-        print()
-        print(
-            "distribution vs baseline cycles: "
-            + "; ".join(
-                f"k={k}: {dist[str(k)]['median_cycles_vs_baseline']:+.0%} median, "
-                f"{dist[str(k)]['total_spilled']} spills"
-                for k in (8, 16, 32)
-            )
-        )
     if dynamic:
         # the profiling extension: static size vs profile-weighted
         # dynamic counts, -O2 against the spec level (docs/PROFILE.md);
@@ -338,8 +298,6 @@ def main(
         )
     if remarks_path:
         collector.write(remarks_path)
-    if stats_json:
-        pm_stats.write_json(stats_json)
     if show_stats:
         print(pm_stats.format(), file=sys.stderr)
 

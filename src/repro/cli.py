@@ -26,11 +26,11 @@ The source language is the mini-FORTRAN of :mod:`repro.frontend`; array
 arguments are comma-separated element lists suffixed with the element
 size (``:8`` for REAL, ``:4`` for INTEGER), appended after the scalars.
 
-Pipeline knobs (``compile``/``run``/``table1``/``ablation``): ``--jobs N``
-fans compilation out per function, ``--verify SPEC`` controls inter-pass
-verification (``each``/``final`` structural validation, ``lint`` for the
-semantic checkers, ``transval`` for the interpreting translation
-validator; comma-combinable, e.g. ``lint,transval:final``), ``--remarks
+Pipeline knobs (``compile``/``run``/``codegen``/``table1``):
+``--verify SPEC`` controls inter-pass verification (``each``/``final``
+structural validation, ``lint`` for the semantic checkers, ``transval``
+for the interpreting translation validator, ``certify`` for the static
+certifier; comma-combinable, e.g. ``lint,transval:final``), ``--remarks
 out.jsonl`` saves structured optimization remarks, and ``--stats``
 prints per-pass wall-clock and IR-delta totals to stderr (stdout stays
 byte-identical).  ``table1`` keeps a content-addressed IR cache in
@@ -56,9 +56,9 @@ import sys
 import threading
 from typing import Optional, Sequence
 
-from repro.interp import Interpreter, Memory
+from repro.interp import Memory
 from repro.ir import print_module
-from repro.pipeline import OptLevel, compile_payload, compile_source
+from repro.pipeline import OptLevel, compile_payload, compile_source, run_routine
 from repro.pm import ManagerStats, PassCache, PassManager, RemarkCollector
 from repro.pm.manager import VERIFY_POLICIES, parse_verify
 from repro.triage.incidents import DEFAULT_INCIDENT_DIR
@@ -154,19 +154,6 @@ def _add_level_argument(parser: argparse.ArgumentParser) -> None:
 def _add_pipeline_arguments(
     parser: argparse.ArgumentParser, verify_default: str = "final"
 ) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="optimize N functions concurrently (output identical to serial)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker type for --jobs > 1 (default: thread)",
-    )
     parser.add_argument(
         "--verify",
         type=_verify_spec,
@@ -476,12 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     table1_cmd = commands.add_parser("table1", help="regenerate the paper's Table 1")
     _add_pipeline_arguments(table1_cmd)
     table1_cmd.add_argument(
-        "--cycles",
-        action="store_true",
-        help="also simulate rvk cycles and spills at k=8/16/32 "
-        "(appends the backend table; see docs/BACKEND.md)",
-    )
-    table1_cmd.add_argument(
         "--cache-dir",
         default=".repro_cache",
         metavar="DIR",
@@ -491,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="compile everything from scratch, no cache reads or writes",
-    )
-    table1_cmd.add_argument(
-        "--stats-json",
-        metavar="OUT.JSON",
-        help="write per-pass timing totals as JSON (CI benchmark artifact)",
     )
     table1_cmd.add_argument(
         "--dynamic",
@@ -872,7 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablation_cmd = commands.add_parser(
         "ablation", help="run the design-choice ablations"
     )
-    ablation_cmd.add_argument("--jobs", type=int, default=1, metavar="N")
     ablation_cmd.add_argument("--stats", action="store_true")
     return parser
 
@@ -881,12 +856,7 @@ def _build_manager(options, stats: ManagerStats, collector) -> Optional[PassMana
     if options.level == "none":
         return None
     return PassManager(
-        options.level,
-        verify=options.verify,
-        jobs=options.jobs,
-        executor=options.executor,
-        collector=collector,
-        stats=stats,
+        options.level, verify=options.verify, collector=collector, stats=stats
     )
 
 
@@ -1176,22 +1146,16 @@ def _cmd_run(options) -> int:
     collector = RemarkCollector() if options.remarks else None
     manager = _build_manager(options, stats, collector)
     module = compile_source(source, manager=manager, verify=options.verify)
-    memory = Memory()
     args = [_parse_scalar(a) for a in options.args]
-    arrays = []
-    for values, elemsize in options.array:
-        base = memory.allocate_array(values, elemsize)
-        arrays.append((base, len(values), elemsize))
-        args.append(base)
-    result = Interpreter(module).run(options.routine, args, memory)
-    if result.value is not None:
-        print(f"value: {result.value}")
-    print(f"dynamic operations: {result.dynamic_count}")
-    for index, (base, count, elemsize) in enumerate(arrays):
-        print(f"array {index}: {memory.read_array(base, count, elemsize)}")
+    run = run_routine(module, options.routine, args, options.array)
+    if run.value is not None:
+        print(f"value: {run.value}")
+    print(f"dynamic operations: {run.dynamic_count}")
+    for index, values in enumerate(run.arrays):
+        print(f"array {index}: {values}")
     if options.counts:
         rows = sorted(
-            result.op_counts.items(), key=lambda row: (-row[1], row[0].value)
+            run.result.op_counts.items(), key=lambda row: (-row[1], row[0].value)
         )
         for opcode, count in rows:
             print(f"  {opcode.value:<8} {count}")
@@ -1200,7 +1164,7 @@ def _cmd_run(options) -> int:
 
 
 def _cmd_codegen(options) -> int:
-    from repro.backend import Target, codegen_module, print_asm
+    from repro.backend import AllocationError, Target, codegen_module, print_asm
     from repro.backend.sim import Simulator
 
     try:
@@ -1220,7 +1184,13 @@ def _cmd_codegen(options) -> int:
         options.verify,
         manager=manager,
     )
-    alloc = codegen_module(module, target, schedule=not options.no_schedule)
+    try:
+        alloc = codegen_module(module, target, schedule=not options.no_schedule)
+    except AllocationError as error:
+        # MIN_K admits every single instruction, not every routine: a
+        # call needs all of its arguments in registers at once
+        print(f"codegen: {error}", file=sys.stderr)
+        return 2
     asm = print_asm(module, target)
     if options.asm and options.asm != "-":
         with open(options.asm, "w") as handle:
@@ -1284,6 +1254,56 @@ def _levels(option: str) -> list[str]:
     return [option]
 
 
+def _gather_programs(options) -> list[tuple[str, str]]:
+    """``(origin, text)`` for every program a lint or certify run covers.
+
+    Source files first, then the suite, then ``--examples`` (lint) or
+    the ``--fuzz`` corpus (certify).  An empty list is reported on
+    stderr; the caller exits 2.
+    """
+    programs: list[tuple[str, str]] = []
+    for path in options.sources:
+        with open(path) as handle:
+            programs.append((path, handle.read()))
+    if options.suite:
+        from repro.bench.suite import suite_routines
+
+        for routine in suite_routines():
+            programs.append((f"suite:{routine.name}", routine.source))
+    if getattr(options, "examples", None):
+        programs.extend(_embedded_programs(options.examples))
+    if getattr(options, "fuzz", 0):
+        from repro.verify.certify.fuzz import corpus
+
+        programs.extend(corpus(options.fuzz))
+    if not programs:
+        command = options.command
+        extra = "--examples" if command == "lint" else "--fuzz N"
+        print(
+            f"{command}: nothing to {command} (pass source files, --suite, "
+            f"or {extra})",
+            file=sys.stderr,
+        )
+    return programs
+
+
+def _write_report(options, report: dict, summary: str) -> int:
+    """Print a lint or certify report and save it; 1 when it has errors.
+
+    stdout gets the JSON report under ``--format json`` and the one-line
+    ``summary`` otherwise; ``--json`` also writes the report to a file.
+    """
+    if options.format == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        print(summary)
+    if options.json_out:
+        with open(options.json_out, "w") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+    return 1 if report["errors"] else 0
+
+
 def _cmd_lint(options) -> int:
     from repro.verify import get_checker, lint_module, promote_warnings, summarize
     from repro.verify.diagnostics import Diagnostic
@@ -1297,22 +1317,8 @@ def _cmd_lint(options) -> int:
             print(f"lint: {error.args[0]}", file=sys.stderr)
             return 2
 
-    programs: list[tuple[str, str]] = []
-    for path in options.sources:
-        with open(path) as handle:
-            programs.append((path, handle.read()))
-    if options.suite:
-        from repro.bench.suite import suite_routines
-
-        for routine in suite_routines():
-            programs.append((f"suite:{routine.name}", routine.source))
-    if options.examples:
-        programs.extend(_embedded_programs(options.examples))
+    programs = _gather_programs(options)
     if not programs:
-        print(
-            "lint: nothing to lint (pass source files, --suite, or --examples)",
-            file=sys.stderr,
-        )
         return 2
 
     levels = _levels(options.level)
@@ -1344,27 +1350,20 @@ def _cmd_lint(options) -> int:
                 if options.format == "text":
                     print(f"{origin} @ {level_name}: {diagnostic.format()}")
 
-    error_count = len(severity_errors(all_diagnostics))
     report = {
         "programs": len(programs),
         "levels": levels,
         "werror": bool(options.werror),
-        "errors": error_count,
+        "errors": len(severity_errors(all_diagnostics)),
         "summary": summarize(all_diagnostics),
         "diagnostics": records,
     }
-    if options.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(
-            f"linted {len(programs)} program(s) at {len(levels)} level(s): "
-            f"{summarize(all_diagnostics)}"
-        )
-    if options.json_out:
-        with open(options.json_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    return 1 if error_count else 0
+    return _write_report(
+        options,
+        report,
+        f"linted {len(programs)} program(s) at {len(levels)} level(s): "
+        f"{report['summary']}",
+    )
 
 
 def _cmd_certify(options) -> int:
@@ -1378,25 +1377,8 @@ def _cmd_certify(options) -> int:
     from repro.pm.manager import PassVerificationError
     from repro.verify.diagnostics import summarize
 
-    programs: list[tuple[str, str]] = []
-    for path in options.sources:
-        with open(path) as handle:
-            programs.append((path, handle.read()))
-    if options.suite:
-        from repro.bench.suite import suite_routines
-
-        for routine in suite_routines():
-            programs.append((f"suite:{routine.name}", routine.source))
-    if options.fuzz:
-        from repro.verify.certify.fuzz import corpus
-
-        programs.extend(corpus(options.fuzz))
+    programs = _gather_programs(options)
     if not programs:
-        print(
-            "certify: nothing to certify (pass source files, --suite, "
-            "or --fuzz N)",
-            file=sys.stderr,
-        )
         return 2
 
     levels = _levels(options.level)
@@ -1458,9 +1440,6 @@ def _cmd_certify(options) -> int:
                             f"[{row.get('checker')}] {row.get('message')}"
                         )
 
-    error_count = failures + sum(
-        1 for row in diagnostic_rows if row.get("severity") == "error"
-    )
     certified = sum(verdicts.values())
     report = {
         "programs": len(programs),
@@ -1468,29 +1447,25 @@ def _cmd_certify(options) -> int:
         "werror": bool(options.werror),
         "pass_runs": certified,
         "verdicts": verdicts,
-        "errors": error_count,
+        "errors": failures + sum(
+            1 for row in diagnostic_rows if row.get("severity") == "error"
+        ),
         "notes": sum(
             1 for row in diagnostic_rows if row.get("severity") == "note"
         ),
         "records": records,
         "diagnostics": diagnostic_rows,
     }
-    if options.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        rate = (100.0 * verdicts["proved"] / certified) if certified else 0.0
-        print(
-            f"certified {certified} pass runs over {len(programs)} "
-            f"program(s) at {len(levels)} level(s): "
-            f"{verdicts['proved']} proved ({rate:.1f}%), "
-            f"{verdicts['inconclusive']} replay-validated, "
-            f"{verdicts['refuted']} refuted, {failures} failed"
-        )
-    if options.json_out:
-        with open(options.json_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    return 1 if error_count else 0
+    rate = (100.0 * verdicts["proved"] / certified) if certified else 0.0
+    return _write_report(
+        options,
+        report,
+        f"certified {certified} pass runs over {len(programs)} "
+        f"program(s) at {len(levels)} level(s): "
+        f"{verdicts['proved']} proved ({rate:.1f}%), "
+        f"{verdicts['inconclusive']} replay-validated, "
+        f"{verdicts['refuted']} refuted, {failures} failed",
+    )
 
 
 def _cmd_profile(options) -> int:
@@ -1619,8 +1594,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _dispatch(options)
     except KeyboardInterrupt:
-        # clean Ctrl-C: executors/daemons have already reaped their
-        # children on the way out; exit nonzero without a traceback spew
+        # clean Ctrl-C: daemons have already reaped their children on
+        # the way out; exit nonzero without a traceback spew
         print("interrupted", file=sys.stderr)
         return 130
     except BrokenPipeError:
@@ -1661,14 +1636,10 @@ def _dispatch(options) -> int:
         from repro.bench.table1 import main as table1_main
 
         table1_main(
-            jobs=options.jobs,
-            executor=options.executor,
             cache_dir=None if options.no_cache else options.cache_dir,
             show_stats=options.stats,
             remarks_path=options.remarks,
-            stats_json=options.stats_json,
             verify=options.verify,
-            cycles=options.cycles,
             dynamic=options.dynamic,
         )
         return 0
@@ -1686,7 +1657,7 @@ def _dispatch(options) -> int:
         return module.main(**arguments)
     from repro.bench.ablation import main as ablation_main
 
-    ablation_main(jobs=options.jobs, show_stats=options.stats)
+    ablation_main(show_stats=options.stats)
     return 0
 
 

@@ -39,7 +39,7 @@ def compile_payload(
     the module under ``verify``.  A ``manager`` runs in place of the one
     built from ``level`` and ``verify``: the daemon workers pass their
     warm, cache-backed one (keyed on (level, verify), so its sequence is
-    ``level``'s), the CLI one carrying ``--jobs``, remarks and stats.
+    ``level``'s), the CLI one carrying remarks and stats.
     Every server reply is byte-identical to this function's output
     because the daemon's workers call it too.
     """
@@ -64,8 +64,6 @@ def compile_source(
     *,
     manager: Optional[PassManager] = None,
     verify: str = "final",
-    jobs: int = 1,
-    executor: str = "thread",
     cache: Optional[PassCache] = None,
     collector: Optional[RemarkCollector] = None,
     stats=None,
@@ -84,13 +82,7 @@ def compile_source(
     level = level or "none"
     if manager is None and level != "none":
         manager = PassManager(
-            level,
-            verify=verify,
-            jobs=jobs,
-            executor=executor,
-            cache=cache,
-            collector=collector,
-            stats=stats,
+            level, verify=verify, cache=cache, collector=collector, stats=stats
         )
     return compile_payload("source", source, level, verify, manager=manager)
 

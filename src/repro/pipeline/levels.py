@@ -4,9 +4,9 @@ The paper's four Table 1 configurations are registered with
 :mod:`repro.pm.registry` as named sequences of ``(pass, options)``
 specs — no closures, no duplicated wrappers.  Every compile entry point
 takes a sequence *name* and runs it through
-:class:`repro.pm.manager.PassManager` (timing, verification, caching,
-parallel fan-out); :class:`OptLevel` only enumerates the four names that
-are Table 1's columns.
+:class:`repro.pm.manager.PassManager` (timing, verification, caching);
+:class:`OptLevel` only enumerates the four names that are Table 1's
+columns.
 """
 
 from __future__ import annotations

@@ -9,8 +9,6 @@ The subsystem the paper's Unix-filter optimizer lacked (see
   each/final), cache integration;
 * :mod:`repro.pm.cache` — content-addressed printed-IR cache, a view
   over the one entry store :mod:`repro.store`;
-* :mod:`repro.pm.parallel` — per-function fan-out with deterministic
-  (bit-identical to serial) output;
 * :mod:`repro.pm.remarks` — structured JSONL optimization remarks.
 """
 

@@ -38,15 +38,10 @@ search; ``chaos`` is the fault-injection hook of
 :mod:`repro.triage.chaos`.  Managers with a chaos hook or a bisect
 limit never touch the cache — their runs are deliberately not pure
 functions of (text, fingerprint).
-
-``jobs > 1`` fans out per function through
-:mod:`repro.pm.parallel`; output is bit-identical to serial because
-every pass is function-local and results are merged in module order.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -77,13 +72,10 @@ VERIFY_POLICIES = (
     "each",
     "final",
     "lint",
-    "lint:each",
     "lint:final",
     "transval",
-    "transval:each",
     "transval:final",
     "certify",
-    "certify:each",
     "certify:final",
 )
 
@@ -154,13 +146,10 @@ _VERIFY_TOKENS = {
     "each": {"structural_each": True},
     "final": {"structural_final": True},
     "lint": {"lint_each": True},
-    "lint:each": {"lint_each": True},
     "lint:final": {"lint_final": True},
     "transval": {"transval_each": True},
-    "transval:each": {"transval_each": True},
     "transval:final": {"transval_final": True},
     "certify": {"certify_each": True},
-    "certify:each": {"certify_each": True},
     "certify:final": {"certify_final": True},
 }
 
@@ -226,20 +215,6 @@ class PassVerificationError(Exception):
         self.function = function
         self.sequence = sequence
         self.diagnostics = list(diagnostics)
-
-    def __reduce__(self):
-        # default Exception pickling would replay __init__ with the
-        # formatted message as pass_label; process executors need this.
-        return (
-            _rebuild_verification_error,
-            (self.pass_label, self.function, self.diagnostics, self.sequence),
-        )
-
-
-def _rebuild_verification_error(pass_label, function, diagnostics, sequence):
-    return PassVerificationError(
-        pass_label, function, diagnostics, sequence=sequence
-    )
 
 
 class DegradationRequired(Exception):
@@ -355,11 +330,6 @@ class ManagerStats:
             stat.delta_registers = entry["delta_registers"]
         return stats
 
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_jsonable(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
     def format(self) -> str:
         """A human-readable per-pass cost table (``--stats`` output)."""
         lines = [
@@ -404,8 +374,6 @@ class PassManager:
         cache: Optional[PassCache] = None,
         collector: Optional[RemarkCollector] = None,
         stats: Optional[ManagerStats] = None,
-        jobs: int = 1,
-        executor: str = "thread",
         on_error: str = "raise",
         incidents=None,
         incident_context: Optional[dict] = None,
@@ -430,8 +398,6 @@ class PassManager:
         self.cache = cache
         self.collector = collector
         self.stats = stats if stats is not None else ManagerStats()
-        self.jobs = max(1, int(jobs))
-        self.executor = executor
         self.on_error = on_error
         self.incidents = incidents  #: duck-typed: .record(dict) -> id
         self.incident_context = dict(incident_context or {})
@@ -473,19 +439,14 @@ class PassManager:
                     )
                 return func
             self.stats.cache_misses += 1
-        contained = self._run_passes(func, self.stats, self.collector)
+        contained = self._run_passes(func)
         # a run with rolled-back passes is not the pure (text, sequence)
         # image the cache is keyed on — storing it would poison replays
         if use_cache and not contained:
             self.cache.store(source_text, self.fingerprint, print_function(func))
         return func
 
-    def _run_passes(
-        self,
-        func: Function,
-        stats: ManagerStats,
-        collector: Optional[RemarkCollector],
-    ) -> int:
+    def _run_passes(self, func: Function) -> int:
         """The uncached pipeline: every pass, instrumented.
 
         Returns the number of *contained* events (rolled-back passes
@@ -503,6 +464,7 @@ class PassManager:
         from repro.verify.transval import IRSnapshot
 
         started = time.perf_counter()
+        stats, collector = self.stats, self.collector
         plan = self.verify_plan
         manager = analyses(func)
         sandbox = self.on_error != "raise"
@@ -557,13 +519,12 @@ class PassManager:
                     after[2] - before[2],
                 )
                 if plan.check_each:
-                    self._check(func, label, collector, lint=plan.lint_each)
+                    self._check(func, label, lint=plan.lint_each)
                 if state is not None:
                     # taken after any chaos corruption, so that is
                     # certified too; adopted only once it verifies
                     state = self._verify_semantics(
-                        state, func, label, collector,
-                        certify=plan.certify_each,
+                        state, func, label, certify=plan.certify_each
                     )
             except Exception as error:  # noqa: BLE001 — policy boundary
                 if not sandbox:
@@ -576,16 +537,14 @@ class PassManager:
                     application=application - first_application,
                     entry=entry,
                     chaos_fired=chaos_fired,
-                    collector=collector,
                 )
         final_label = self.labels[-1] if self.labels else "<empty>"
         try:
             if plan.check_final:
-                self._check(func, final_label, collector, lint=plan.lint_final)
+                self._check(func, final_label, lint=plan.lint_final)
             if plan.snapshot_final:
                 self._verify_semantics(
-                    entry, func, final_label, collector,
-                    certify=plan.certify_final,
+                    entry, func, final_label, certify=plan.certify_final
                 )
         except Exception as error:  # noqa: BLE001 — policy boundary
             if not sandbox:
@@ -600,7 +559,6 @@ class PassManager:
                 application=self._applications - first_application,
                 entry=entry,
                 chaos_fired=None,
-                collector=collector,
             )
         stats.functions += 1
         stats.seconds += time.perf_counter() - started
@@ -618,7 +576,6 @@ class PassManager:
         application: int,
         entry: IRSnapshot,
         chaos_fired: Optional[dict],
-        collector: Optional[RemarkCollector],
     ) -> None:
         """Roll ``func`` back and record the incident (sandbox modes).
 
@@ -639,8 +596,8 @@ class PassManager:
             entry=entry,
             chaos_fired=chaos_fired,
         )
-        if collector is not None:
-            collector.add(Remark(
+        if self.collector is not None:
+            self.collector.add(Remark(
                 label, func.name, "contained",
                 {
                     "error": type(error).__name__,
@@ -696,21 +653,14 @@ class PassManager:
 
     # -- verification hooks ------------------------------------------------------
 
-    def _check(
-        self,
-        func: Function,
-        label: str,
-        collector: Optional[RemarkCollector] = None,
-        *,
-        lint: bool = False,
-    ) -> None:
+    def _check(self, func: Function, label: str, *, lint: bool = False) -> None:
         """Structural (and optionally lint) verification after ``label``."""
         if lint:
             from repro.verify.diagnostics import errors
             from repro.verify.lint import lint_function
 
             diagnostics = lint_function(func)
-            self._emit_diagnostics(diagnostics, label, collector)
+            self._emit_diagnostics(diagnostics, label)
             fatal = errors(diagnostics)
             if fatal:
                 raise PassVerificationError(
@@ -728,19 +678,13 @@ class PassManager:
                 function=func.name,
                 message=str(error),
             )
-            self._emit_diagnostics([diagnostic], label, collector)
+            self._emit_diagnostics([diagnostic], label)
             raise PassVerificationError(
                 label, func.name, [diagnostic], sequence=self.sequence_name
             ) from error
 
     def _verify_semantics(
-        self,
-        before: IRSnapshot,
-        func: Function,
-        label: str,
-        collector: Optional[RemarkCollector],
-        *,
-        certify: bool,
+        self, before: IRSnapshot, func: Function, label: str, *, certify: bool
     ) -> IRSnapshot:
         """Certify (or replay-validate) ``before`` → ``func``.
 
@@ -751,35 +695,23 @@ class PassManager:
 
         after = IRSnapshot(func.clone())
         if certify:
-            self._certify(before, after, label, collector)
+            self._certify(before, after, label)
         else:
-            self._transval(before, after, label, collector)
+            self._transval(before, after, label)
         return after
 
-    def _transval(
-        self,
-        before: IRSnapshot,
-        after: IRSnapshot,
-        label: str,
-        collector: Optional[RemarkCollector],
-    ) -> None:
+    def _transval(self, before: IRSnapshot, after: IRSnapshot, label: str) -> None:
         """Replay ``before`` vs ``after`` through the interpreting oracle."""
         from repro.verify.transval import validate_translation
 
         diagnostics = validate_translation(before, after)
-        self._emit_diagnostics(diagnostics, label, collector)
+        self._emit_diagnostics(diagnostics, label)
         if diagnostics:
             raise PassVerificationError(
                 label, after.func.name, diagnostics, sequence=self.sequence_name
             )
 
-    def _certify(
-        self,
-        before: IRSnapshot,
-        after: IRSnapshot,
-        label: str,
-        collector: Optional[RemarkCollector],
-    ) -> None:
+    def _certify(self, before: IRSnapshot, after: IRSnapshot, label: str) -> None:
         """Statically certify ``before`` → ``after``; replay fallback.
 
         A ``refuted`` verdict (the PRE placement audit found a contract
@@ -794,11 +726,9 @@ class PassManager:
 
         result = certify_pass(before, after, pass_name=label)
         name = after.func.name
-        self._emit_diagnostics(
-            list(result.diagnostics) + list(result.remarks), label, collector
-        )
-        if collector is not None:
-            collector.add(Remark(
+        self._emit_diagnostics(list(result.diagnostics) + list(result.remarks), label)
+        if self.collector is not None:
+            self.collector.add(Remark(
                 label,
                 name,
                 "certify",
@@ -817,11 +747,9 @@ class PassManager:
                 label, name, fatal, sequence=self.sequence_name
             )
         if not result.proved:
-            self._transval(before, after, label, collector)
+            self._transval(before, after, label)
 
-    def _emit_diagnostics(
-        self, diagnostics, label: str, collector: Optional[RemarkCollector]
-    ) -> None:
+    def _emit_diagnostics(self, diagnostics, label: str) -> None:
         """Route diagnostics into the remarks channel as ``"diagnostic"``.
 
         Every record is stamped with its originating pass (``origin``)
@@ -832,22 +760,17 @@ class PassManager:
         for diagnostic in diagnostics:
             if diagnostic.origin is None:
                 diagnostic.origin = label
-        if collector is None:
+        if self.collector is None:
             return
         for diagnostic in diagnostics:
-            collector.add(
+            self.collector.add(
                 Remark(label, diagnostic.function, "diagnostic", diagnostic.as_dict())
             )
 
     # -- whole module ------------------------------------------------------------
 
     def run_module(self, module: Module) -> Module:
-        """Optimize every function; fans out when ``jobs > 1``."""
-        if self.jobs > 1:
-            from repro.pm.parallel import run_module_parallel
-
-            run_module_parallel(self, module)
-        else:
-            for func in module:
-                self.run_function(func)
+        """Optimize every function, in module order."""
+        for func in module:
+            self.run_function(func)
         return module

@@ -21,7 +21,7 @@ import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Optional
+from typing import IO, Optional
 
 #: Keys every remark carries; everything else is pass-specific payload.
 REQUIRED_KEYS = ("pass", "function", "event")
@@ -60,9 +60,6 @@ class RemarkCollector:
 
     def add(self, remark: Remark) -> None:
         self.remarks.append(remark)
-
-    def extend(self, remarks: Iterator[Remark]) -> None:
-        self.remarks.extend(remarks)
 
     def __len__(self) -> int:
         return len(self.remarks)

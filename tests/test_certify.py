@@ -561,7 +561,8 @@ def test_missed_redundancy_lint_pre_mr_vs_pre():
 
 def test_parse_verify_accepts_certify_policies():
     assert parse_verify("certify").certify_each
-    assert parse_verify("certify:each").certify_each
+    with pytest.raises(ValueError):
+        parse_verify("certify:each")  # one name per policy
     plan = parse_verify("certify:final")
     assert plan.certify_final and not plan.certify_each
     assert plan.snapshot_final

@@ -141,12 +141,20 @@ def test_compile_stats_go_to_stderr_not_stdout(source_file, capsys):
     assert "function-compilations" in captured.err
 
 
-def test_compile_jobs_matches_serial_output(source_file, capsys):
-    main(["compile", source_file])
-    serial = capsys.readouterr().out
-    main(["compile", source_file, "--jobs", "3"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def test_codegen_reports_an_uncolorable_target_as_one_line(tmp_path, capsys):
+    # MIN_K admits k=4, but seval's calls need k >= 7 (docs/BACKEND.md)
+    from repro.bench.suite import SUITE, suite_routines
+
+    suite_routines()
+    path = tmp_path / "seval.f"
+    path.write_text(SUITE["seval"].source)
+    assert main(["codegen", str(path), "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("codegen: ") and "k=4" in lines[0]
+    assert main(["codegen", str(path), "--k", "7"]) == 0
 
 
 def test_run_writes_remarks_jsonl(source_file, capsys, tmp_path):

@@ -21,7 +21,6 @@ from repro.bench.suite import suite_routines
 from repro.ir.printer import print_module
 from repro.pipeline.driver import compile_payload
 from repro.pm.cache import PassCache, cache_key
-from repro.pm.manager import PassManager
 from repro.service import protocol
 from repro.service.client import DaemonClient, DaemonError
 from repro.service.daemon import CompileDaemon, DaemonConfig
@@ -646,41 +645,6 @@ def test_cli_keyboard_interrupt_is_clean(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_passes", boom)
     assert cli.main(["passes"]) == 130
     assert "interrupted" in capsys.readouterr().err
-
-
-# -- parallel executor shutdown (satellite) ------------------------------------
-
-
-def test_parallel_interrupt_propagates_and_aborts(monkeypatch):
-    from repro.frontend import compile_program
-    from repro.pm.parallel import run_module_parallel
-
-    module = compile_program(SOURCE + SOURCE2)
-    manager = PassManager("baseline")
-
-    def interrupted(func, stats, collector):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(manager, "_run_passes", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        run_module_parallel(manager, module, jobs=2, executor="thread")
-
-
-def test_abort_pool_terminates_process_children():
-    from repro.pm.parallel import abort_pool
-
-    pool = ProcessPoolExecutor(max_workers=2)
-    pool.submit(time.sleep, 60)
-    pool.submit(time.sleep, 60)
-    deadline = time.monotonic() + 10
-    while len(pool._processes) < 2 and time.monotonic() < deadline:
-        time.sleep(0.02)
-    children = list(pool._processes.values())
-    abort_pool(pool)
-    deadline = time.monotonic() + 10
-    while any(p.is_alive() for p in children) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not any(p.is_alive() for p in children)
 
 
 # -- bench serve building blocks -----------------------------------------------

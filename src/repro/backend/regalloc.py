@@ -203,7 +203,11 @@ def _coalesce_round(
 
 
 def _color(
-    graph: InterferenceGraph, k: int, costs: dict[str, float], no_spill: set[str]
+    func: Function,
+    graph: InterferenceGraph,
+    k: int,
+    costs: dict[str, float],
+    no_spill: set[str],
 ) -> tuple[dict[str, int], list[str]]:
     """Simplify + optimistic select; returns (coloring, actual spills)."""
     degrees = {node: graph.degree(node) for node in graph.nodes()}
@@ -239,9 +243,13 @@ def _color(
             ),
         )
         if not candidates:
+            # only spill temporaries are left, and those of different
+            # instructions never interfere: one instruction reads more
+            # than k registers at once (a call with more than k arguments)
+            widest = max(func.instructions(), key=lambda inst: len(set(inst.srcs)))
             raise AllocationError(
-                "interference graph of spill temporaries is uncolorable "
-                f"at k={k}; the target is too small for a single instruction"
+                f"{func.name}: `{widest}` reads {len(set(widest.srcs))} "
+                f"registers at once, more than k={k}"
             )
         remove(candidates[0][1])
 
@@ -386,7 +394,7 @@ def allocate_function(
             if not merges:
                 break
         costs = _spill_costs(func)
-        coloring, spills = _color(graph, k, costs, no_spill)
+        coloring, spills = _color(func, graph, k, costs, no_spill)
         if not spills:
             _rewrite_physical(func, coloring)
             stats.frame_slots = frame_size(func)

@@ -185,13 +185,12 @@ def measure_strength_reduction(
     return rows
 
 
-def main(show_stats: bool = False) -> None:  # pragma: no cover - exercised via CLI
-    import sys
-
-    stats = ManagerStats()
+def main(
+    stats: Optional[ManagerStats] = None,
+) -> None:  # pragma: no cover - exercised via CLI
+    """Print the ablation table; ``stats`` gathers the pass managers'
+    totals for the caller to report."""
     rows = generate_ablation(stats=stats)
-    if show_stats:
-        print(stats.format(), file=sys.stderr)
     print(format_ablation(rows))
     print()
     print("cells show variant count (its deficit vs the reference pipeline)")

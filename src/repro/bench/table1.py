@@ -251,35 +251,33 @@ def format_dynamic_table(rows: list[DynamicRow]) -> str:
 
 def main(
     cache_dir: Optional[str] = None,
-    show_stats: bool = False,
-    remarks_path: Optional[str] = None,
     verify: str = "final",
     dynamic: bool = False,
+    *,
+    stats: Optional[ManagerStats] = None,
+    collector: Optional[RemarkCollector] = None,
 ) -> None:  # pragma: no cover - exercised via CLI
-    """Print Table 1 to stdout; diagnostics (``--stats``) go to stderr.
+    """Print Table 1 to stdout; ``stats`` and ``collector`` gather the
+    pass managers' totals and remarks for the caller to report.
 
     Keeping stdout limited to the table means cold, warm-cache and
     instrumented runs all produce byte-identical table output.
     """
-    import sys
-
-    pm_stats = ManagerStats()
     cache = PassCache(cache_dir) if cache_dir else None
-    collector = RemarkCollector() if remarks_path else None
     managers = build_level_managers(
-        cache=cache, collector=collector, stats=pm_stats, verify=verify
+        cache=cache, collector=collector, stats=stats, verify=verify
     )
     rows = generate_table1(managers=managers)
     print(format_table1(rows))
-    stats = summarize(rows)
+    summary = summarize(rows)
     print()
     print(
-        f"{stats['routines']} routines; PRE median improvement "
-        f"{stats['partial_median']:.0%} (max {stats['partial_max']:.0%}); "
-        f"reassociation+distribution add a median {stats['new_median']:.0%} "
-        f"over PRE (max {stats['new_max']:.0%}, min {stats['new_min']:.0%}); "
-        f"{stats['routines_new_improved']} routines improve, "
-        f"{stats['routines_new_degraded']} degrade."
+        f"{summary['routines']} routines; PRE median improvement "
+        f"{summary['partial_median']:.0%} (max {summary['partial_max']:.0%}); "
+        f"reassociation+distribution add a median {summary['new_median']:.0%} "
+        f"over PRE (max {summary['new_max']:.0%}, min {summary['new_min']:.0%}); "
+        f"{summary['routines_new_improved']} routines improve, "
+        f"{summary['routines_new_degraded']} degrade."
     )
     if dynamic:
         # the profiling extension: static size vs profile-weighted
@@ -296,10 +294,6 @@ def main(
             f"spec {format_count(total_spec)} "
             f"({format_pct(total_o2, total_spec) or '0%'})"
         )
-    if remarks_path:
-        collector.write(remarks_path)
-    if show_stats:
-        print(pm_stats.format(), file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,6 +5,7 @@
     python -m repro compile prog.f --level distribution        # print optimized ILOC
     python -m repro compile prog.iloc --ir                     # optimize printed IR
     python -m repro run prog.f saxpy 100 2.0 --array 0,0,0:8   # execute + count
+    python -m repro codegen prog.f --k 8 --run saxpy 100 2.0 --array 0,0,0:8
     python -m repro lint prog.f --level all --werror           # IR diagnostics
     python -m repro passes                                     # registry + checkers
     python -m repro table1 | table2 | ablation                 # the experiments
@@ -17,6 +18,12 @@
     python -m repro profile collect --suite                    # bank profiles
     python -m repro compile prog.f --level spec                # profile-guided PRE
     python -m repro bench lospre                               # speculative PRE gate
+
+Each subcommand's parser names its handler (``set_defaults``), and
+:func:`main` calls it.  An option several subcommands take is declared
+once: in a parent parser (``--level``, the pipeline options, ``--array``,
+the incident ``ID``, ...), or, for lint's and certify's program options,
+in :func:`_add_program_arguments`.
 
 Each ``bench`` subcommand is a gate runner: it writes its report
 (``BENCH_*.json`` by default, ``--json`` to move it) and exits 1 on a
@@ -33,9 +40,10 @@ for the interpreting translation validator, ``certify`` for the static
 certifier; comma-combinable, e.g. ``lint,transval:final``), ``--remarks
 out.jsonl`` saves structured optimization remarks, and ``--stats``
 prints per-pass wall-clock and IR-delta totals to stderr (stdout stays
-byte-identical).  ``table1`` keeps a content-addressed IR cache in
-``.repro_cache/`` by default, so a second run replays compiles from disk
-(``--no-cache`` to disable).
+byte-identical); :func:`_pipeline` writes both for every command.
+``table1`` keeps a content-addressed IR cache in ``.repro_cache/`` by
+default, so a second run replays compiles from disk (``--no-cache`` to
+disable).
 
 ``lint`` compiles sources (files, ``--suite`` bench programs,
 ``--examples`` the SOURCE strings embedded in ``examples/*.py``) at one
@@ -52,11 +60,10 @@ import importlib
 import json
 import os
 import re
+import signal
 import sys
-import threading
 from typing import Optional, Sequence
 
-from repro.interp import Memory
 from repro.ir import print_module
 from repro.pipeline import OptLevel, compile_payload, compile_source, run_routine
 from repro.pm import ManagerStats, PassCache, PassManager, RemarkCollector
@@ -114,6 +121,9 @@ _BENCHES = {
     ),
 }
 
+#: The optimization levels a ``--level`` names besides ``none``.
+_LEVELS = [level.value for level in OptLevel] + ["spec"]
+
 
 def _verify_spec(text: str) -> str:
     """argparse type for ``--verify``: any :func:`parse_verify` spec."""
@@ -141,36 +151,42 @@ def _parse_array(text: str):
     return values, int(size)
 
 
-def _add_level_argument(parser: argparse.ArgumentParser) -> None:
+def _add_program_arguments(
+    parser: argparse.ArgumentParser, verb: str, levels: list[str]
+) -> None:
+    """The programs a ``lint`` or ``certify`` run covers, the levels it
+    compiles them at (``levels`` or ``all``) and how it reports."""
+    parser.add_argument(
+        "sources", nargs="*", help=f"mini-FORTRAN source files to {verb}"
+    )
+    parser.add_argument(
+        "--suite",
+        action="store_true",
+        help=f"also {verb} every benchmark-suite routine",
+    )
     parser.add_argument(
         "--level",
-        choices=["none"] + [level.value for level in OptLevel] + ["spec"],
-        default="distribution",
-        help="optimization level (default: distribution, the paper's best; "
-        "'spec' adds profile-guided speculative PRE, see docs/PROFILE.md)",
-    )
-
-
-def _add_pipeline_arguments(
-    parser: argparse.ArgumentParser, verify_default: str = "final"
-) -> None:
-    parser.add_argument(
-        "--verify",
-        type=_verify_spec,
-        default=verify_default,
-        metavar="SPEC",
-        help="inter-pass verification: comma-separated subset of "
-        f"{', '.join(VERIFY_POLICIES)} (default: {verify_default})",
+        default="all",
+        choices=["all"] + levels,
+        help=f"optimization level to {verb} at; 'all' means every level "
+        "(default: all)",
     )
     parser.add_argument(
-        "--remarks",
-        metavar="OUT.JSONL",
-        help="write structured optimization remarks as JSON Lines",
+        "--format",
+        choices=["text", "json"],
+        default="text",
+        help="report format on stdout (default: text)",
     )
     parser.add_argument(
-        "--stats",
+        "--json",
+        metavar="OUT.JSON",
+        dest="json_out",
+        help="also write the JSON report to a file",
+    )
+    parser.add_argument(
+        "--werror",
         action="store_true",
-        help="print per-pass timing/IR-delta totals to stderr",
+        help="promote warnings to errors (exit 1 when any error remains)",
     )
 
 
@@ -180,14 +196,82 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective Partial Redundancy Elimination (PLDI 1994) toolkit",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    compile_cmd = commands.add_parser("compile", help="compile and print ILOC")
-    compile_cmd.add_argument("source", help="mini-FORTRAN source file")
-    compile_cmd.add_argument(
+    # options several subcommands take, each declared once
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument(
+        "--level",
+        choices=["none"] + _LEVELS,
+        default="distribution",
+        help="optimization level (default: distribution, the paper's best; "
+        "'spec' adds profile-guided speculative PRE, see docs/PROFILE.md)",
+    )
+    pipeline = argparse.ArgumentParser(add_help=False)
+    pipeline.add_argument(
+        "--verify",
+        type=_verify_spec,
+        default="final",
+        metavar="SPEC",
+        help="inter-pass verification: comma-separated subset of "
+        f"{', '.join(VERIFY_POLICIES)} (default: final)",
+    )
+    pipeline.add_argument(
+        "--remarks",
+        metavar="OUT.JSONL",
+        help="write structured optimization remarks as JSON Lines",
+    )
+    pipeline.add_argument(
+        "--stats",
+        action="store_true",
+        help="print per-pass timing/IR-delta totals to stderr",
+    )
+    payload = argparse.ArgumentParser(add_help=False)
+    payload.add_argument("source", help="mini-FORTRAN source file")
+    payload.add_argument(
         "--ir",
         action="store_true",
         help="input is printed ILOC (skip the frontend, optimize as-is)",
     )
+    arrays = argparse.ArgumentParser(add_help=False)
+    arrays.add_argument(
+        "--array",
+        action="append",
+        default=[],
+        type=_parse_array,
+        metavar="V,V,...:SIZE",
+        help="array argument (appended after the scalars); repeatable",
+    )
+    incident = argparse.ArgumentParser(add_help=False)
+    incident.add_argument("incident_id", metavar="ID")
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument(
+        "--cache-dir",
+        default=".repro_cache",
+        metavar="DIR",
+        help="content-addressed IR cache directory, shared by every "
+        "compile (default: .repro_cache)",
+    )
+    profile_dir = argparse.ArgumentParser(add_help=False)
+    profile_dir.add_argument(
+        "--dir",
+        default=None,
+        metavar="DIR",
+        help="profile store directory (default: $REPRO_PROFILE_DIR or "
+        ".repro_profiles)",
+    )
+    gateway_socket = argparse.ArgumentParser(add_help=False)
+    gateway_socket.add_argument(
+        "--socket",
+        metavar="PATH",
+        default=None,
+        help="gateway Unix socket (default: $REPRO_FLEET_SOCKET or the "
+        "per-user runtime path)",
+    )
+
+    compile_cmd = commands.add_parser(
+        "compile", parents=[payload, level, pipeline],
+        help="compile and print ILOC",
+    )
+    compile_cmd.set_defaults(handler=_cmd_compile)
     compile_cmd.add_argument(
         "--daemon",
         action="store_true",
@@ -222,41 +306,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet priority class: interactive may briefly wait for "
         "quota tokens, batch is shed immediately (default: interactive)",
     )
-    _add_level_argument(compile_cmd)
-    _add_pipeline_arguments(compile_cmd)
 
-    run_cmd = commands.add_parser("run", help="compile, execute and count")
+    run_cmd = commands.add_parser(
+        "run", parents=[arrays, level, pipeline],
+        help="compile, execute and count",
+    )
+    run_cmd.set_defaults(handler=_cmd_run)
     run_cmd.add_argument("source", help="mini-FORTRAN source file")
     run_cmd.add_argument("routine", help="routine to invoke")
     run_cmd.add_argument("args", nargs="*", help="scalar arguments")
-    run_cmd.add_argument(
-        "--array",
-        action="append",
-        default=[],
-        type=_parse_array,
-        metavar="V,V,...:SIZE",
-        help="array argument (appended after scalars); repeatable",
-    )
     run_cmd.add_argument(
         "--counts",
         action="store_true",
         help="print per-opcode dynamic counts (most frequent first, ties "
         "by mnemonic)",
     )
-    _add_level_argument(run_cmd)
-    _add_pipeline_arguments(run_cmd)
 
     lint_cmd = commands.add_parser(
         "lint", help="compile sources and report IR checker diagnostics"
     )
-    lint_cmd.add_argument(
-        "sources", nargs="*", help="mini-FORTRAN source files to lint"
-    )
-    lint_cmd.add_argument(
-        "--suite",
-        action="store_true",
-        help="also lint every benchmark-suite routine",
-    )
+    lint_cmd.set_defaults(handler=_cmd_lint)
+    _add_program_arguments(lint_cmd, "lint", ["none"] + _LEVELS)
     lint_cmd.add_argument(
         "--examples",
         nargs="?",
@@ -266,15 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default DIR: examples)",
     )
     lint_cmd.add_argument(
-        "--level",
-        default="all",
-        choices=["all", "none"]
-        + [level.value for level in OptLevel]
-        + ["spec"],
-        help="optimization level to lint after; 'all' means every level "
-        "(default: all)",
-    )
-    lint_cmd.add_argument(
         "--checker",
         action="append",
         default=None,
@@ -282,37 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
         dest="checkers",
         help="run only this checker (repeatable; default: all)",
     )
-    lint_cmd.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="diagnostic output format on stdout (default: text)",
-    )
-    lint_cmd.add_argument(
-        "--json",
-        metavar="OUT.JSON",
-        dest="json_out",
-        help="also write the JSON diagnostics report to a file",
-    )
-    lint_cmd.add_argument(
-        "--werror",
-        action="store_true",
-        help="promote warnings to errors (exit 1 when any error remains)",
-    )
 
     certify_cmd = commands.add_parser(
         "certify",
         help="statically certify every pass run (value graph + PRE "
         "placement audit, replay fallback)",
     )
-    certify_cmd.add_argument(
-        "sources", nargs="*", help="mini-FORTRAN source files to certify"
-    )
-    certify_cmd.add_argument(
-        "--suite",
-        action="store_true",
-        help="also certify every benchmark-suite routine",
-    )
+    certify_cmd.set_defaults(handler=_cmd_certify)
+    _add_program_arguments(certify_cmd, "certify", _LEVELS)
     certify_cmd.add_argument(
         "--fuzz",
         type=int,
@@ -321,35 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also certify N seeded random integer programs "
         "(the deterministic fuzz corpus)",
     )
-    certify_cmd.add_argument(
-        "--level",
-        default="all",
-        choices=["all"] + [level.value for level in OptLevel] + ["spec"],
-        help="optimization level to certify; 'all' means every level "
-        "(default: all)",
-    )
-    certify_cmd.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format on stdout (default: text)",
-    )
-    certify_cmd.add_argument(
-        "--json",
-        metavar="OUT.JSON",
-        dest="json_out",
-        help="also write the JSON report to a file",
-    )
-    certify_cmd.add_argument(
-        "--werror",
-        action="store_true",
-        help="promote warning diagnostics to errors "
-        "(exit 1 when any error remains)",
-    )
 
     passes_cmd = commands.add_parser(
         "passes", help="list registered passes, sequences and checkers"
     )
+    passes_cmd.set_defaults(handler=_cmd_passes)
     passes_cmd.add_argument(
         "--sequence",
         metavar="NAME",
@@ -357,14 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     codegen_cmd = commands.add_parser(
-        "codegen", help="lower to rvk machine code (docs/BACKEND.md)"
+        "codegen", parents=[payload, arrays, level, pipeline],
+        help="lower to rvk machine code (docs/BACKEND.md)",
     )
-    codegen_cmd.add_argument("source", help="mini-FORTRAN source file")
-    codegen_cmd.add_argument(
-        "--ir",
-        action="store_true",
-        help="input is printed ILOC (skip the frontend)",
-    )
+    codegen_cmd.set_defaults(handler=_cmd_codegen)
     codegen_cmd.add_argument(
         "--k",
         type=int,
@@ -386,22 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     codegen_cmd.add_argument(
         "--run",
-        metavar="ROUTINE",
-        help="simulate ROUTINE after codegen and report cycles",
+        nargs="+",
+        metavar=("ROUTINE", "SCALAR"),
+        help="simulate ROUTINE on the scalars (and the --array arguments) "
+        "after codegen and report cycles",
     )
-    codegen_cmd.add_argument(
-        "args", nargs="*", help="scalar arguments for --run"
-    )
-    codegen_cmd.add_argument(
-        "--array",
-        action="append",
-        default=[],
-        type=_parse_array,
-        metavar="V,V,...:SIZE",
-        help="array argument for --run (appended after scalars); repeatable",
-    )
-    _add_level_argument(codegen_cmd)
-    _add_pipeline_arguments(codegen_cmd)
 
     profile_cmd = commands.add_parser(
         "profile",
@@ -413,9 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_collect_cmd = profile_sub.add_parser(
         "collect",
+        parents=[arrays, profile_dir],
         help="run programs under the interpreter and bank block/edge "
         "counters in the profile store",
     )
+    profile_collect_cmd.set_defaults(handler=_cmd_profile_collect)
     profile_collect_cmd.add_argument(
         "source", nargs="?", help="mini-FORTRAN source file"
     )
@@ -426,48 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
         "args", nargs="*", help="scalar arguments"
     )
     profile_collect_cmd.add_argument(
-        "--array",
-        action="append",
-        default=[],
-        type=_parse_array,
-        metavar="V,V,...:SIZE",
-        help="array argument (appended after scalars); repeatable",
-    )
-    profile_collect_cmd.add_argument(
         "--suite",
         action="store_true",
         help="also profile every benchmark-suite routine on its driver "
         "inputs",
     )
-    profile_collect_cmd.add_argument(
-        "--dir",
-        default=None,
-        metavar="DIR",
-        help="profile store directory (default: $REPRO_PROFILE_DIR or "
-        ".repro_profiles)",
-    )
     profile_show_cmd = profile_sub.add_parser(
-        "show", help="list the profiles banked in the store"
+        "show", parents=[profile_dir],
+        help="list the profiles banked in the store",
     )
-    profile_show_cmd.add_argument(
-        "--dir",
-        default=None,
-        metavar="DIR",
-        help="profile store directory (default: $REPRO_PROFILE_DIR or "
-        ".repro_profiles)",
-    )
+    profile_show_cmd.set_defaults(handler=_cmd_profile_show)
     profile_show_cmd.add_argument(
         "--json", action="store_true", help="print full profiles as JSON"
     )
 
-    table1_cmd = commands.add_parser("table1", help="regenerate the paper's Table 1")
-    _add_pipeline_arguments(table1_cmd)
-    table1_cmd.add_argument(
-        "--cache-dir",
-        default=".repro_cache",
-        metavar="DIR",
-        help="content-addressed IR cache directory (default: .repro_cache)",
+    table1_cmd = commands.add_parser(
+        "table1", parents=[pipeline, cache_dir],
+        help="regenerate the paper's Table 1",
     )
+    table1_cmd.set_defaults(handler=_cmd_table1)
     table1_cmd.add_argument(
         "--no-cache",
         action="store_true",
@@ -480,11 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
         "operation counts at -O2 and at the spec level (docs/PROFILE.md)",
     )
 
-    commands.add_parser("table2", help="regenerate the paper's Table 2")
+    commands.add_parser(
+        "table2", help="regenerate the paper's Table 2"
+    ).set_defaults(handler=_cmd_table2)
 
     serve_cmd = commands.add_parser(
-        "serve", help="run the persistent compile daemon (docs/SERVICE.md)"
+        "serve", parents=[cache_dir],
+        help="run the persistent compile daemon (docs/SERVICE.md)",
     )
+    serve_cmd.set_defaults(handler=_cmd_serve)
     serve_cmd.add_argument(
         "--socket",
         metavar="PATH",
@@ -498,14 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="compile worker processes (default: 2)",
-    )
-    serve_cmd.add_argument(
-        "--max-batch",
-        type=int,
-        default=16,
-        metavar="N",
-        help="max pending requests sent to a free worker as one batch "
-        "(default: 16)",
     )
     serve_cmd.add_argument(
         "--max-pending",
@@ -528,13 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         metavar="N",
         help="max executions per request across worker deaths (default: 3)",
-    )
-    serve_cmd.add_argument(
-        "--cache-dir",
-        default=".repro_cache",
-        metavar="DIR",
-        help="shared on-disk IR cache for the workers "
-        "(default: .repro_cache)",
     )
     serve_cmd.add_argument(
         "--no-cache", action="store_true", help="run the workers cache-less"
@@ -572,15 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_sub = fleet_cmd.add_subparsers(dest="fleet_command", required=True)
     fleet_serve_cmd = fleet_sub.add_parser(
-        "serve", help="run the gateway plus its shard daemons"
+        "serve", parents=[gateway_socket, cache_dir],
+        help="run the gateway plus its shard daemons",
     )
-    fleet_serve_cmd.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="gateway Unix socket (default: $REPRO_FLEET_SOCKET or the "
-        "per-user runtime path)",
-    )
+    fleet_serve_cmd.set_defaults(handler=_cmd_fleet_serve)
     fleet_serve_cmd.add_argument(
         "--shards",
         type=int,
@@ -610,30 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
         "gateway's memory (default: 512 MB)",
     )
     fleet_serve_cmd.add_argument(
-        "--cache-dir",
-        default=".repro_cache",
-        metavar="DIR",
-        help="pass cache shared by all shards' workers "
-        "(default: .repro_cache)",
-    )
-    fleet_serve_cmd.add_argument(
-        "--tier1-level",
-        default="none",
-        metavar="LEVEL",
-        help="the fast tier answering cold requests while the requested "
-        "level compiles in the background (default: none)",
-    )
-    fleet_serve_cmd.add_argument(
         "--no-tiering",
         action="store_true",
         help="always compile at the requested level before replying",
-    )
-    fleet_serve_cmd.add_argument(
-        "--max-upgrades",
-        type=int,
-        default=2,
-        metavar="N",
-        help="concurrent background O2 upgrade compiles (default: 2)",
     )
     fleet_serve_cmd.add_argument(
         "--quota-rate",
@@ -657,27 +598,22 @@ def build_parser() -> argparse.ArgumentParser:
         dest="quota_overrides",
         help="per-tenant quota override (repeatable), e.g. ci=50:100",
     )
-    fleet_stats_cmd = fleet_sub.add_parser(
-        "stats", help="print a running fleet's merged stats report"
-    )
-    fleet_stats_cmd.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="gateway socket (default: $REPRO_FLEET_SOCKET or the "
-        "per-user runtime path)",
-    )
+    fleet_sub.add_parser(
+        "stats", parents=[gateway_socket],
+        help="print a running fleet's merged stats report",
+    ).set_defaults(handler=_cmd_fleet_stats)
 
     cache_cmd = commands.add_parser(
         "cache", help="inspect, clear or prune the on-disk IR cache"
     )
     cache_sub = cache_cmd.add_subparsers(dest="cache_command", required=True)
-    for name, doc in (
-        ("stats", "entry count and byte totals"),
-        ("clear", "delete every cached entry"),
-        ("prune", "evict LRU entries down to the given caps"),
+    for name, doc, handler in (
+        ("stats", "entry count and byte totals", _cmd_cache_stats),
+        ("clear", "delete every cached entry", _cmd_cache_clear),
+        ("prune", "evict LRU entries down to the given caps", _cmd_cache_prune),
     ):
         sub = cache_sub.add_parser(name, help=doc)
+        sub.set_defaults(handler=handler)
         sub.add_argument(
             "--dir",
             default=".repro_cache",
@@ -714,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = {}
     for name, (_, report, help_text, quick_help) in _BENCHES.items():
         bench[name] = bench_sub.add_parser(name, help=help_text)
+        bench[name].set_defaults(handler=_cmd_bench)
         if quick_help:
             bench[name].add_argument(
                 "--quick", action="store_true", help=quick_help
@@ -820,23 +757,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     triage_sub = triage_cmd.add_subparsers(dest="triage_command",
                                            required=True)
-    triage_sub.add_parser("list", help="one row per recorded incident")
-    triage_show_cmd = triage_sub.add_parser(
-        "show", help="full detail for one incident (JSON)"
-    )
-    triage_show_cmd.add_argument("incident_id", metavar="ID")
-    triage_bisect_cmd = triage_sub.add_parser(
+    triage_sub.add_parser(
+        "list", help="one row per recorded incident"
+    ).set_defaults(handler=_cmd_triage_list)
+    triage_sub.add_parser(
+        "show", parents=[incident], help="full detail for one incident (JSON)"
+    ).set_defaults(handler=_cmd_triage_show)
+    triage_sub.add_parser(
         "bisect",
+        parents=[incident],
         help="binary-search the pass sequence for the first bad "
         "application",
-    )
-    triage_bisect_cmd.add_argument("incident_id", metavar="ID")
+    ).set_defaults(handler=_cmd_triage_bisect)
     triage_reduce_cmd = triage_sub.add_parser(
         "reduce",
+        parents=[incident],
         help="shrink the incident to a minimal reproducing IR + pass "
         "sequence and store it back",
     )
-    triage_reduce_cmd.add_argument("incident_id", metavar="ID")
+    triage_reduce_cmd.set_defaults(handler=_cmd_triage_reduce)
     triage_reduce_cmd.add_argument(
         "--max-checks",
         type=int,
@@ -848,43 +787,65 @@ def build_parser() -> argparse.ArgumentParser:
     ablation_cmd = commands.add_parser(
         "ablation", help="run the design-choice ablations"
     )
+    ablation_cmd.set_defaults(handler=_cmd_ablation)
     ablation_cmd.add_argument("--stats", action="store_true")
     return parser
 
 
-def _build_manager(options, stats: ManagerStats, collector) -> Optional[PassManager]:
-    if options.level == "none":
-        return None
-    return PassManager(
-        options.level, verify=options.verify, collector=collector, stats=stats
+def _pipeline(command):
+    """Run ``command(options, stats, collector)`` with the ``--stats``
+    totals and the ``--remarks`` collector (``None`` without the option);
+    after a clean exit, write the remarks file and print the stats table
+    to stderr."""
+
+    def run(options) -> int:
+        stats = ManagerStats()
+        collector = (
+            RemarkCollector() if getattr(options, "remarks", None) else None
+        )
+        status = command(options, stats, collector)
+        if status == 0:
+            if collector is not None:
+                collector.write(options.remarks)
+            if options.stats:
+                print(stats.format(), file=sys.stderr)
+        return status
+
+    return run
+
+
+def _payload(options) -> tuple[str, str]:
+    """``(kind, text)`` of the ``source`` file; ``--ir`` marks printed ILOC."""
+    with open(options.source) as handle:
+        return ("ir" if getattr(options, "ir", False) else "source"), handle.read()
+
+
+def _compile(options, stats: ManagerStats, collector):
+    """The ``source`` file compiled at ``--level`` under ``--verify``; the
+    passes' totals go to ``stats`` and their remarks to ``collector``."""
+    manager = None
+    if options.level != "none":
+        manager = PassManager(
+            options.level, verify=options.verify, collector=collector, stats=stats
+        )
+    return compile_payload(
+        *_payload(options), options.level, options.verify, manager=manager
     )
-
-
-def _finish_pipeline(options, stats: ManagerStats, collector) -> None:
-    if getattr(options, "remarks", None) and collector is not None:
-        collector.write(options.remarks)
-    if getattr(options, "stats", False):
-        print(stats.format(), file=sys.stderr)
 
 
 def _cmd_compile(options) -> int:
-    with open(options.source) as handle:
-        source = handle.read()
-    kind = "ir" if options.ir else "source"
     if options.daemon or options.fleet:
-        return _compile_via_server(options, kind, source)
-    stats = ManagerStats()
-    collector = RemarkCollector() if options.remarks else None
-    manager = _build_manager(options, stats, collector)
-    module = compile_payload(
-        kind, source, options.level, options.verify, manager=manager
-    )
-    print(print_module(module))
-    _finish_pipeline(options, stats, collector)
+        return _compile_via_server(options)
+    return _compile_here(options)
+
+
+@_pipeline
+def _compile_here(options, stats: ManagerStats, collector) -> int:
+    print(print_module(_compile(options, stats, collector)))
     return 0
 
 
-def _compile_via_server(options, kind: str, source: str) -> int:
+def _compile_via_server(options) -> int:
     """``compile --daemon`` / ``--fleet``: the server's reply, or the same
     reply computed in-process when no server is listening."""
     from repro.service import protocol
@@ -897,8 +858,7 @@ def _compile_via_server(options, kind: str, source: str) -> int:
         else protocol.default_socket_path()
     )
     request = protocol.compile_request(
-        kind,
-        source,
+        *_payload(options),
         options.level,
         options.verify,
         tenant=options.tenant or protocol.DEFAULT_TENANT,
@@ -925,6 +885,34 @@ def _compile_via_server(options, kind: str, source: str) -> int:
     return 0
 
 
+def _serve_until_signalled(wait, stop, metrics, metrics_json=None) -> int:
+    """Block in ``wait()`` until the server stops (a ``shutdown``
+    request), then ``stop()`` it and report its ``metrics``: the
+    snapshot to ``metrics_json`` when given, the table to stderr.
+
+    SIGTERM (systemd stop, CI ``kill``) takes the same clean shutdown as
+    Ctrl-C and exits 143.
+    """
+
+    def _terminate(signum, frame):  # noqa: ARG001
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        wait()
+    finally:
+        # KeyboardInterrupt and SIGTERM land here too: reap children,
+        # then report
+        signal.signal(signal.SIGTERM, previous)
+        stop()
+        if metrics_json:
+            with open(metrics_json, "w") as handle:
+                json.dump(metrics.snapshot(), handle, indent=2, sort_keys=True)
+                handle.write("\n")
+        print(metrics.format(), file=sys.stderr)
+    return 0
+
+
 def _cmd_serve(options) -> int:
     from repro.service.daemon import CompileDaemon, DaemonConfig
     from repro.service.faults import RetryPolicy
@@ -933,7 +921,6 @@ def _cmd_serve(options) -> int:
     config = DaemonConfig(
         socket_path=options.socket or default_socket_path(),
         workers=options.workers,
-        max_batch=options.max_batch,
         max_pending=options.max_pending,
         request_timeout=options.timeout,
         retry=RetryPolicy(max_attempts=max(1, options.retries)),
@@ -949,79 +936,78 @@ def _cmd_serve(options) -> int:
         f"{config.cache_dir or 'off'})",
         file=sys.stderr,
     )
-    # route SIGTERM (systemd stop, CI `kill`) through the same clean
-    # shutdown as Ctrl-C: reap workers, dump metrics, exit 143
-    import signal
+    return _serve_until_signalled(
+        daemon.serve_forever, daemon.stop, daemon.metrics, options.metrics_json
+    )
 
-    def _terminate(signum, frame):  # noqa: ARG001
-        raise SystemExit(128 + signum)
 
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        daemon.serve_forever()
-    finally:
-        # KeyboardInterrupt and SIGTERM land here too: reap children,
-        # then report
-        signal.signal(signal.SIGTERM, previous)
-        daemon.stop()
-        if options.metrics_json:
-            with open(options.metrics_json, "w") as handle:
-                json.dump(daemon.metrics.snapshot(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-        print(daemon.metrics.format(), file=sys.stderr)
+def _cmd_triage_list(options) -> int:
+    from repro.triage import IncidentStore
+
+    incidents = IncidentStore(options.incident_dir).entries()
+    if not incidents:
+        print(f"no incidents in {options.incident_dir}")
+        return 0
+    for incident in incidents:
+        row = incident.summary()
+        flag = " [reduced]" if row["reduced"] else ""
+        print(
+            f"{row['id']}  {row['function']:<16} {row['pass']:<16} "
+            f"{row['error']:<24} x{row['count']}{flag}"
+        )
     return 0
 
 
-def _cmd_triage(options) -> int:
-    from repro.triage import IncidentStore
+def _incident_command(command):
+    """Run ``command(options, store, incident)`` on the incident the
+    ``ID`` argument names (a unique prefix will do); exit 1 when it names
+    none."""
 
-    store = IncidentStore(options.incident_dir)
-    if options.triage_command == "list":
-        incidents = store.entries()
-        if not incidents:
-            print(f"no incidents in {options.incident_dir}")
-            return 0
-        for incident in incidents:
-            row = incident.summary()
-            flag = " [reduced]" if row["reduced"] else ""
-            print(
-                f"{row['id']}  {row['function']:<16} {row['pass']:<16} "
-                f"{row['error']:<24} x{row['count']}{flag}"
-            )
-        return 0
+    def run(options) -> int:
+        from repro.triage import IncidentStore
 
-    # the remaining subcommands name one incident; accept a unique prefix
-    wanted = options.incident_id
-    incident = store.get(wanted)
-    if incident is None:
-        matches = [
-            entry for entry in store.entries()
-            if entry.incident_id.startswith(wanted)
-        ]
-        if len(matches) > 1:
-            print(f"ambiguous incident id {wanted!r} "
-                  f"({len(matches)} matches)", file=sys.stderr)
-            return 1
-        incident = matches[0] if matches else None
-    if incident is None:
-        print(f"no incident {wanted!r} in {options.incident_dir}",
-              file=sys.stderr)
-        return 1
-
-    if options.triage_command == "show":
-        print(json.dumps(incident.to_json(), indent=2, sort_keys=True))
-        return 0
-    if options.triage_command == "bisect":
-        from repro.triage.bisect import bisect_incident
-
-        result = bisect_incident(incident)
-        if result is None:
-            print("incident does not reproduce under replay",
+        store = IncidentStore(options.incident_dir)
+        wanted = options.incident_id
+        incident = store.get(wanted)
+        if incident is None:
+            matches = [
+                entry for entry in store.entries()
+                if entry.incident_id.startswith(wanted)
+            ]
+            if len(matches) > 1:
+                print(f"ambiguous incident id {wanted!r} "
+                      f"({len(matches)} matches)", file=sys.stderr)
+                return 1
+            incident = matches[0] if matches else None
+        if incident is None:
+            print(f"no incident {wanted!r} in {options.incident_dir}",
                   file=sys.stderr)
             return 1
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-        return 0
+        return command(options, store, incident)
+
+    return run
+
+
+@_incident_command
+def _cmd_triage_show(options, store, incident) -> int:  # noqa: ARG001
+    print(json.dumps(incident.to_json(), indent=2, sort_keys=True))
+    return 0
+
+
+@_incident_command
+def _cmd_triage_bisect(options, store, incident) -> int:  # noqa: ARG001
+    from repro.triage.bisect import bisect_incident
+
+    result = bisect_incident(incident)
+    if result is None:
+        print("incident does not reproduce under replay", file=sys.stderr)
+        return 1
+    print(json.dumps(result.to_json(), indent=2, sort_keys=True))
+    return 0
+
+
+@_incident_command
+def _cmd_triage_reduce(options, store, incident) -> int:
     from repro.triage.reduce import describe, reduce_incident
 
     artifact = reduce_incident(incident, max_checks=options.max_checks)
@@ -1033,24 +1019,24 @@ def _cmd_triage(options) -> int:
     return 0
 
 
-def _cmd_fleet(options) -> int:
+def _cmd_fleet_stats(options) -> int:
+    from repro.service.client import try_connect
     from repro.service.protocol import default_fleet_socket_path
 
-    if options.fleet_command == "stats":
-        from repro.service.client import try_connect
+    path = options.socket or default_fleet_socket_path()
+    client = try_connect(path)
+    if client is None:
+        print(f"fleet: no gateway listening on {path}", file=sys.stderr)
+        return 1
+    with client:
+        print(json.dumps(client.stats(), indent=2, sort_keys=True))
+    return 0
 
-        path = options.socket or default_fleet_socket_path()
-        client = try_connect(path)
-        if client is None:
-            print(f"fleet: no gateway listening on {path}", file=sys.stderr)
-            return 1
-        try:
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-        finally:
-            client.close()
-        return 0
 
+def _cmd_fleet_serve(options) -> int:
     from repro.service.fleet import FleetConfig, FleetHandle
+    from repro.service.fleet.gateway import TIER1_LEVEL
+    from repro.service.protocol import default_fleet_socket_path
 
     overrides = {}
     for spec in options.quota_overrides:
@@ -1069,9 +1055,7 @@ def _cmd_fleet(options) -> int:
         store_dir=options.store_dir,
         store_max_bytes=options.store_max_mb * 1024 * 1024,
         cache_dir=options.cache_dir,
-        tier1_level=options.tier1_level,
         tiering=not options.no_tiering,
-        max_upgrades=options.max_upgrades,
         quota_rate=options.quota_rate,
         quota_burst=options.quota_burst,
         quotas=overrides,
@@ -1081,50 +1065,38 @@ def _cmd_fleet(options) -> int:
     print(
         f"repro fleet: gateway on {config.socket_path} "
         f"({config.shards} shards x {config.workers_per_shard} workers, "
-        f"tier1 {config.tier1_level!r}, store {config.store_dir})",
+        f"tier1 {TIER1_LEVEL!r}, store {config.store_dir})",
         file=sys.stderr,
     )
-    import signal
+    return _serve_until_signalled(
+        handle.wait, handle.stop, handle.gateway.metrics
+    )
 
-    stop = threading.Event()
 
-    def _terminate(signum, frame):  # noqa: ARG001
-        stop.set()
-
-    previous_term = signal.signal(signal.SIGTERM, _terminate)
-    previous_int = signal.signal(signal.SIGINT, _terminate)
-    try:
-        stop.wait()
-    finally:
-        signal.signal(signal.SIGTERM, previous_term)
-        signal.signal(signal.SIGINT, previous_int)
-        handle.stop()
-        print(handle.gateway.metrics.format(), file=sys.stderr)
+def _cmd_cache_stats(options) -> int:
+    report = PassCache(options.dir).disk_stats()
+    if options.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(
+            f"{report['directory']}: {report['entries']} entries, "
+            f"{report['bytes']} bytes"
+        )
     return 0
 
 
-def _cmd_cache(options) -> int:
-    from repro.pm.cache import PassCache
+def _cmd_cache_clear(options) -> int:
+    cache = PassCache(options.dir)
+    before = cache.disk_stats()
+    cache.clear()
+    print(
+        f"cleared {before['entries']} entries "
+        f"({before['bytes']} bytes) from {options.dir}"
+    )
+    return 0
 
-    if options.cache_command == "stats":
-        report = PassCache(options.dir).disk_stats()
-        if options.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(
-                f"{report['directory']}: {report['entries']} entries, "
-                f"{report['bytes']} bytes"
-            )
-        return 0
-    if options.cache_command == "clear":
-        cache = PassCache(options.dir)
-        before = cache.disk_stats()
-        cache.clear()
-        print(
-            f"cleared {before['entries']} entries "
-            f"({before['bytes']} bytes) from {options.dir}"
-        )
-        return 0
+
+def _cmd_cache_prune(options) -> int:
     cache = PassCache(
         options.dir,
         max_bytes=options.max_bytes,
@@ -1139,13 +1111,9 @@ def _cmd_cache(options) -> int:
     return 0
 
 
-def _cmd_run(options) -> int:
-    with open(options.source) as handle:
-        source = handle.read()
-    stats = ManagerStats()
-    collector = RemarkCollector() if options.remarks else None
-    manager = _build_manager(options, stats, collector)
-    module = compile_source(source, manager=manager, verify=options.verify)
+@_pipeline
+def _cmd_run(options, stats: ManagerStats, collector) -> int:
+    module = _compile(options, stats, collector)
     args = [_parse_scalar(a) for a in options.args]
     run = run_routine(module, options.routine, args, options.array)
     if run.value is not None:
@@ -1159,11 +1127,11 @@ def _cmd_run(options) -> int:
         )
         for opcode, count in rows:
             print(f"  {opcode.value:<8} {count}")
-    _finish_pipeline(options, stats, collector)
     return 0
 
 
-def _cmd_codegen(options) -> int:
+@_pipeline
+def _cmd_codegen(options, stats: ManagerStats, collector) -> int:
     from repro.backend import AllocationError, Target, codegen_module, print_asm
     from repro.backend.sim import Simulator
 
@@ -1172,18 +1140,7 @@ def _cmd_codegen(options) -> int:
     except ValueError as error:
         print(f"codegen: {error}", file=sys.stderr)
         return 2
-    with open(options.source) as handle:
-        source = handle.read()
-    stats = ManagerStats()
-    collector = RemarkCollector() if options.remarks else None
-    manager = _build_manager(options, stats, collector)
-    module = compile_payload(
-        "ir" if options.ir else "source",
-        source,
-        options.level,
-        options.verify,
-        manager=manager,
-    )
+    module = _compile(options, stats, collector)
     try:
         alloc = codegen_module(module, target, schedule=not options.no_schedule)
     except AllocationError as error:
@@ -1205,11 +1162,14 @@ def _cmd_codegen(options) -> int:
             file=sys.stderr,
         )
     if options.run:
-        memory = Memory()
-        args = [_parse_scalar(a) for a in options.args]
-        for values, elemsize in options.array:
-            args.append(memory.allocate_array(values, elemsize))
-        result = Simulator(module, target).run(options.run, args, memory)
+        routine, *scalars = options.run
+        result = run_routine(
+            module,
+            routine,
+            [_parse_scalar(a) for a in scalars],
+            options.array,
+            machine=Simulator(module, target),
+        ).result
         if result.value is not None:
             print(f"value: {result.value}")
         print(
@@ -1218,7 +1178,6 @@ def _cmd_codegen(options) -> int:
             f"{result.call_cycles} call; {result.lds_ops} lds / "
             f"{result.sts_ops} sts)"
         )
-    _finish_pipeline(options, stats, collector)
     return 0
 
 
@@ -1468,30 +1427,34 @@ def _cmd_certify(options) -> int:
     )
 
 
-def _cmd_profile(options) -> int:
-    """``repro profile collect | show``: the lospre profile store."""
+def _cmd_profile_show(options) -> int:
+    """``repro profile show``: the profiles banked in the store."""
+    from repro.profile.store import ProfileStore, default_store
+
+    store = ProfileStore(options.dir) if options.dir else default_store()
+    entries = store.entries()
+    if options.json:
+        print(json.dumps([p.to_json() for p in entries], indent=2))
+        return 0
+    if not entries:
+        print(f"no profiles in {store.directory or 'memory'}")
+        return 0
+    for p in entries:
+        print(
+            f"{p.function:<12} hash {p.source_hash[:12]}  "
+            f"runs {p.runs:<3} blocks {len(p.block_counts):<3} "
+            f"entries {p.total}"
+        )
+    return 0
+
+
+def _cmd_profile_collect(options) -> int:
+    """``repro profile collect``: bank the lospre profiles of runs."""
+    from repro.frontend import compile_program
     from repro.profile import collect_module_profiles, prepare_profiled_module
     from repro.profile.store import ProfileStore, default_store
 
     store = ProfileStore(options.dir) if options.dir else default_store()
-    if options.profile_command == "show":
-        entries = store.entries()
-        if options.json:
-            print(json.dumps([p.to_json() for p in entries], indent=2))
-            return 0
-        if not entries:
-            print(f"no profiles in {store.directory or 'memory'}")
-            return 0
-        for p in entries:
-            print(
-                f"{p.function:<12} hash {p.source_hash[:12]}  "
-                f"runs {p.runs:<3} blocks {len(p.block_counts):<3} "
-                f"entries {p.total}"
-            )
-        return 0
-
-    from repro.frontend import compile_program
-
     programs: list[tuple[str, str, list, list]] = []
     if options.suite:
         from repro.bench.suite import suite_routines
@@ -1589,10 +1552,51 @@ def _cmd_passes(options) -> int:
     return 0
 
 
+@_pipeline
+def _cmd_table1(options, stats: ManagerStats, collector) -> int:
+    from repro.bench.table1 import main
+
+    main(
+        cache_dir=None if options.no_cache else options.cache_dir,
+        verify=options.verify,
+        dynamic=options.dynamic,
+        stats=stats,
+        collector=collector,
+    )
+    return 0
+
+
+def _cmd_table2(options) -> int:  # noqa: ARG001
+    from repro.bench.table2 import main
+
+    main()
+    return 0
+
+
+@_pipeline
+def _cmd_ablation(options, stats: ManagerStats, collector) -> int:  # noqa: ARG001
+    from repro.bench.ablation import main
+
+    main(stats=stats)
+    return 0
+
+
+def _cmd_bench(options) -> int:
+    """``repro bench NAME``: the bench module's ``main``, called with the
+    subcommand's options."""
+    arguments = dict(vars(options))
+    for name in ("command", "bench_command", "handler"):
+        del arguments[name]
+    module = importlib.import_module(
+        f"repro.bench.{_BENCHES[options.bench_command][0]}"
+    )
+    return module.main(**arguments)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     options = build_parser().parse_args(argv)
     try:
-        return _dispatch(options)
+        return options.handler(options)
     except KeyboardInterrupt:
         # clean Ctrl-C: daemons have already reaped their children on
         # the way out; exit nonzero without a traceback spew
@@ -1603,62 +1607,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # downstream consumer got what it wanted — exit like SIGPIPE
         # without a traceback (devnull keeps the interpreter's final
         # flush from raising again)
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-
-
-def _dispatch(options) -> int:
-    if options.command == "compile":
-        return _cmd_compile(options)
-    if options.command == "run":
-        return _cmd_run(options)
-    if options.command == "lint":
-        return _cmd_lint(options)
-    if options.command == "certify":
-        return _cmd_certify(options)
-    if options.command == "passes":
-        return _cmd_passes(options)
-    if options.command == "serve":
-        return _cmd_serve(options)
-    if options.command == "fleet":
-        return _cmd_fleet(options)
-    if options.command == "triage":
-        return _cmd_triage(options)
-    if options.command == "cache":
-        return _cmd_cache(options)
-    if options.command == "codegen":
-        return _cmd_codegen(options)
-    if options.command == "profile":
-        return _cmd_profile(options)
-    if options.command == "table1":
-        from repro.bench.table1 import main as table1_main
-
-        table1_main(
-            cache_dir=None if options.no_cache else options.cache_dir,
-            show_stats=options.stats,
-            remarks_path=options.remarks,
-            verify=options.verify,
-            dynamic=options.dynamic,
-        )
-        return 0
-    if options.command == "table2":
-        from repro.bench.table2 import main as table2_main
-
-        table2_main()
-        return 0
-    if options.command == "bench":
-        module = importlib.import_module(
-            f"repro.bench.{_BENCHES[options.bench_command][0]}"
-        )
-        arguments = dict(vars(options))
-        del arguments["command"], arguments["bench_command"]
-        return module.main(**arguments)
-    from repro.bench.ablation import main as ablation_main
-
-    ablation_main(show_stats=options.stats)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.frontend import compile_program
 from repro.interp import ExecutionResult, Interpreter, Memory
@@ -13,6 +13,9 @@ from repro.ir.validate import validate_module
 from repro.pm.cache import PassCache
 from repro.pm.manager import PassManager, parse_verify
 from repro.pm.remarks import RemarkCollector
+
+if TYPE_CHECKING:
+    from repro.backend.sim import SimResult, Simulator
 
 
 def parse_payload(kind: str, text: str) -> Module:
@@ -91,7 +94,7 @@ def compile_source(
 class RoutineRun:
     """A routine execution with the array state that went in and came out."""
 
-    result: ExecutionResult
+    result: ExecutionResult | SimResult
     arrays: list[list] = field(default_factory=list)
 
     @property
@@ -108,12 +111,16 @@ def run_routine(
     name: str,
     args: Sequence = (),
     arrays: Sequence[tuple[Sequence, int]] = (),
+    machine: Optional[Interpreter | Simulator] = None,
 ) -> RoutineRun:
     """Run a routine; array parameters are appended after scalar ``args``.
 
     ``arrays`` is a sequence of ``(initial_values, elemsize)`` pairs; each
     is allocated in a fresh memory and its base address passed as the next
-    argument.  Final array contents are returned for checking.
+    argument.  Final array contents are returned for checking.  The run is
+    ``machine``'s: an :class:`Interpreter` over ``module`` by default, or
+    a backend ``Simulator`` over the allocated module, whose ``SimResult``
+    (cycles) becomes the run's ``result``.
     """
     memory = Memory()
     bases: list[tuple[int, int, int]] = []
@@ -123,7 +130,8 @@ def run_routine(
         base = memory.allocate_array(values, elemsize)
         bases.append((base, len(values), elemsize))
         full_args.append(base)
-    result = Interpreter(module).run(name, full_args, memory)
+    machine = machine if machine is not None else Interpreter(module)
+    result = machine.run(name, full_args, memory)
     return RoutineRun(
         result=result,
         arrays=[

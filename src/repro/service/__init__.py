@@ -19,7 +19,8 @@ those pieces into sustained throughput (see ``docs/SERVICE.md``):
   per-request deadlines, bounded retry on worker death (the only retry
   of a request that kills workers: the fleet gateway fails over only
   when a shard is unreachable);
-* :mod:`repro.service.faults` — retry policy, load-shedding
+* :mod:`repro.service.faults` — the one retry policy (worker-death
+  retries, client connects, shard respawns), load-shedding
   backpressure, and the crash/hang/error injection hooks the tests and
   ``repro bench serve`` drive;
 * :mod:`repro.service.metrics` — counters, latency histograms, cache

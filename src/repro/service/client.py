@@ -8,11 +8,10 @@ a table keyed by request id.
 
 Connecting rides out restarts: ``ECONNREFUSED``/``ENOENT`` (a daemon or
 fleet shard that is restarting has either unlinked its socket or bound
-it but not yet accepted) is retried with bounded, jittered exponential
-backoff —
-``connect_retries`` extra attempts, ``connect_backoff`` doubling up to
-``connect_backoff_cap`` — so clients ride out a shard restart instead
-of failing their first request.  The same client speaks to a plain
+it but not yet accepted) is retried ``connect_retries`` times under a
+:class:`~repro.service.faults.RetryPolicy` (full jitter, 0.05 s
+doubling up to 1 s), so clients ride out a shard restart instead of
+failing their first request.  The same client speaks to a plain
 daemon or a fleet gateway: the wire format is identical.
 
 :func:`compile_with_fallback` is the ``repro compile --daemon`` and
@@ -24,13 +23,13 @@ tell the difference except by speed.
 
 from __future__ import annotations
 
-import random
 import socket
 import threading
 import time
 from typing import Optional
 
 from repro.service import protocol
+from repro.service.faults import RetryPolicy
 
 #: Errnos that mean "nobody is accepting *yet*": worth retrying when a
 #: daemon/shard is restarting.  ENOENT = socket file not (re)created,
@@ -55,13 +54,9 @@ class DaemonClient:
         timeout: Optional[float] = 60.0,
         *,
         connect_retries: int = 0,
-        connect_backoff: float = 0.05,
-        connect_backoff_cap: float = 1.0,
     ) -> None:
         self.path = path
-        self._sock = self._connect(
-            path, timeout, connect_retries, connect_backoff, connect_backoff_cap
-        )
+        self._sock = self._connect(path, timeout, connect_retries)
         self._reader = protocol.read_messages(self._sock)
         self._parked: dict[int, dict] = {}
         self._lock = threading.Lock()
@@ -69,14 +64,13 @@ class DaemonClient:
 
     @staticmethod
     def _connect(
-        path: str,
-        timeout: Optional[float],
-        retries: int,
-        backoff: float,
-        backoff_cap: float,
+        path: str, timeout: Optional[float], retries: int
     ) -> socket.socket:
         """Connect with bounded exponential backoff on refused/missing."""
-        attempt = 0
+        # full jitter spreads a herd of clients reconnecting after one
+        # shard restart instead of re-arriving in lockstep
+        policy = RetryPolicy(max_attempts=max(0, retries) + 1)
+        attempt = 1
         while True:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(timeout)
@@ -85,14 +79,9 @@ class DaemonClient:
                 return sock
             except _RETRYABLE_CONNECT:
                 sock.close()
-                if attempt >= max(0, retries):
+                if attempt >= policy.max_attempts:
                     raise
-                # full jitter: draw from [0, ceiling] so a herd of
-                # clients reconnecting after one shard restart spreads
-                # out instead of re-arriving in lockstep
-                time.sleep(
-                    random.uniform(0.0, min(backoff * (2**attempt), backoff_cap))
-                )
+                time.sleep(policy.delay(attempt))
                 attempt += 1
             except BaseException:
                 sock.close()

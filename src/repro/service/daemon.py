@@ -35,13 +35,11 @@ class DaemonConfig:
 
     socket_path: str = field(default_factory=protocol.default_socket_path)
     workers: int = 2
-    max_batch: int = 16
     max_pending: int = 256
     request_timeout: float = 30.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     cache_dir: Optional[str] = ".repro_cache"
     cache_max_bytes: Optional[int] = 256 * 1024 * 1024
-    cache_max_entries: Optional[int] = None
     #: where workers record containment incidents (``repro triage``
     #: reads the same directory); ``None`` disables recording
     incident_dir: Optional[str] = DEFAULT_INCIDENT_DIR
@@ -58,14 +56,12 @@ class CompileDaemon:
             WorkerConfig(
                 cache_dir=self.config.cache_dir,
                 cache_max_bytes=self.config.cache_max_bytes,
-                cache_max_entries=self.config.cache_max_entries,
                 incident_dir=self.config.incident_dir,
             ),
         )
         self.scheduler = Scheduler(
             pool,
             self.metrics,
-            max_batch=self.config.max_batch,
             max_pending=self.config.max_pending,
             request_timeout=self.config.request_timeout,
             retry=self.config.retry,
@@ -84,7 +80,7 @@ class CompileDaemon:
         # bind before forking (no threads yet, and a failed claim must
         # not leak a running pool); accept only once workers exist
         path = self.config.socket_path
-        self._claim_socket(path)
+        protocol.claim_socket(path)
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(path)
         listener.listen(64)
@@ -116,22 +112,6 @@ class CompileDaemon:
         except OSError:
             pass
         self._started = False
-
-    @staticmethod
-    def _claim_socket(path: str) -> None:
-        """Unlink a stale socket file; refuse to evict a live daemon."""
-        if not os.path.exists(path):
-            return
-        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            probe.settimeout(0.25)
-            probe.connect(path)
-        except OSError:
-            os.unlink(path)  # nobody home: stale leftover
-        else:
-            raise RuntimeError(f"daemon already listening on {path}")
-        finally:
-            probe.close()
 
     # -- connections -------------------------------------------------------------
 

@@ -44,8 +44,9 @@ class FaultInjected(Exception):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with jittered exponential backoff for worker-death
-    recovery.
+    """Bounded retry with jittered exponential backoff: the scheduler's
+    worker-death recovery, the client's connect loop and the fleet
+    supervisor's shard respawns.
 
     ``max_attempts`` counts executions, not retries: the default 3
     allows the first run plus two retries.  The backoff *ceiling*

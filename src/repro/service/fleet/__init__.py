@@ -1,7 +1,8 @@
 """The distributed compile fleet.
 
 A :class:`~repro.service.fleet.gateway.FleetGateway` fronts N shard
-daemons (each a full PR-4 :class:`~repro.service.daemon.CompileDaemon`)
+daemons (each a full :class:`~repro.service.daemon.CompileDaemon`, run
+from a :class:`~repro.service.daemon.DaemonConfig` the gateway builds)
 behind one Unix socket speaking the ordinary wire protocol, adding:
 
 * rendezvous-hash routing on request keys (:mod:`.hashring`),
@@ -10,7 +11,9 @@ behind one Unix socket speaking the ordinary wire protocol, adding:
   warm key,
 * tiered O1→O2 compilation with background upgrades,
 * per-tenant token-bucket quotas (:mod:`.quota`), and
-* supervised shard respawn with deterministic failover.
+* supervised shard respawn (backoff under the service's one
+  :class:`~repro.service.faults.RetryPolicy`) with deterministic
+  failover.
 
 Use :class:`~repro.service.fleet.gateway.FleetHandle` from synchronous
 code (CLI, bench, tests).
@@ -24,11 +27,7 @@ from repro.service.fleet.gateway import (
     ShardUnavailable,
 )
 from repro.service.fleet.quota import QuotaManager, TokenBucket
-from repro.service.fleet.shards import (
-    ShardProcess,
-    ShardSettings,
-    spawn_shards,
-)
+from repro.service.fleet.shards import ShardProcess, spawn_shards
 
 __all__ = [
     "FleetConfig",
@@ -37,7 +36,6 @@ __all__ = [
     "GATEWAY_COUNTERS",
     "QuotaManager",
     "ShardProcess",
-    "ShardSettings",
     "ShardUnavailable",
     "TokenBucket",
     "spawn_shards",

@@ -11,10 +11,10 @@ Request path (``op: compile``)::
                       rendezvous-hash shard ─────> reply tier 1, "shard"
                       (compile O1, store it)        + background O2 upgrade
 
-A *tiered* request (the requested level is heavier than the configured
-O1 level) is answered as fast as the O1 pipeline allows while the full
-compile runs in the background and lands in the store; the next request
-for the same key gets the O2 text.  Replies always carry ``tier`` (1 =
+A *tiered* request (the requested level is heavier than the O1 level,
+:data:`TIER1_LEVEL`) is answered as fast as the O1 pipeline allows
+while the full compile runs in the background and lands in the store;
+the next request for the same key gets the O2 text.  Replies always carry ``tier`` (1 =
 fast answer, 2 = the requested level), the ``level`` actually compiled
 and ``served_from`` — and every reply is byte-identical to a direct
 ``repro compile`` at its stated level, because shards *are* PR-4
@@ -37,11 +37,8 @@ per-shard scheduler dedup.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import os
-import random
-import socket as socket_module
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -50,9 +47,11 @@ from typing import Callable, Optional
 from repro.pm.cache import ArtifactStore
 from repro.pm.manager import cacheable
 from repro.service import protocol
+from repro.service.daemon import DaemonConfig
+from repro.service.faults import RetryPolicy
 from repro.service.fleet import hashring
 from repro.service.fleet.quota import QuotaManager
-from repro.service.fleet.shards import ShardProcess, ShardSettings, spawn_shards
+from repro.service.fleet.shards import ShardProcess, spawn_shards
 from repro.service.metrics import Metrics, merge_snapshots
 
 #: Gateway-specific counters layered onto the base Metrics schema.
@@ -78,6 +77,28 @@ GATEWAY_COUNTERS = (
 #: Line-length cap for shard/client frames (big fuzz-CFG modules).
 _STREAM_LIMIT = 2**24
 
+#: The fast tier: ``"none"`` answers with validated unoptimized IR (the
+#: classic tier-0 move) while the requested level compiles behind it.
+TIER1_LEVEL = "none"
+
+#: Concurrent background upgrade compiles.
+MAX_UPGRADES = 2
+
+#: Background upgrades yield to foreground shard traffic for up to this
+#: many seconds before compiling anyway (anti-starvation).
+UPGRADE_GRACE = 2.0
+
+#: Supervisor respawn policy: the first respawn of a dead shard is
+#: immediate; each consecutive death without a stable period in between
+#: doubles the backoff ceiling (full jitter, capped), and after
+#: ``max_attempts`` consecutive deaths the slot stops respawning — a
+#: crash-looping shard must not burn the host while the rest of the
+#: fleet serves.
+RESPAWN = RetryPolicy(max_attempts=5, backoff=0.2, backoff_cap=5.0)
+
+#: Seconds of continuous liveness that clear a shard's death streak.
+RESPAWN_RESET = 5.0
+
 
 class ShardUnavailable(Exception):
     """The shard's socket is gone/refusing/returning EOF right now."""
@@ -96,32 +117,13 @@ class FleetConfig:
     store_dir: str = ".repro_store"
     store_max_bytes: Optional[int] = 512 * 1024 * 1024
     cache_dir: Optional[str] = ".repro_cache"
-    #: The fast tier: ``"none"`` answers with validated unoptimized IR
-    #: (the classic tier-0 move); any :class:`OptLevel` name works.
-    tier1_level: str = "none"
+    #: answer cold requests at :data:`TIER1_LEVEL` first
     tiering: bool = True
-    max_upgrades: int = 2
-    #: Background upgrades yield to foreground shard traffic for up to
-    #: this many seconds before compiling anyway (anti-starvation).
-    upgrade_grace: float = 2.0
     request_timeout: float = 60.0
     quota_rate: float = 200.0
     quota_burst: float = 400.0
-    quota_max_delay: float = 0.25
     #: tenant → (rate, burst) overrides.
     quotas: dict = field(default_factory=dict)
-    shard_settings: ShardSettings = field(default_factory=ShardSettings)
-    #: Supervisor respawn policy: the first respawn of a dead shard is
-    #: (nearly) immediate; each consecutive death without a stable
-    #: period in between doubles the backoff *ceiling* (full jitter,
-    #: capped), and after ``crash_loop_cap`` consecutive deaths the
-    #: slot stops respawning — a crash-looping shard must not burn the
-    #: host while the rest of the fleet serves.  ``respawn_reset``
-    #: seconds of continuous liveness clears the streak.
-    respawn_backoff: float = 0.2
-    respawn_backoff_cap: float = 5.0
-    crash_loop_cap: int = 5
-    respawn_reset: float = 5.0
 
 
 class ShardLink:
@@ -239,7 +241,6 @@ class FleetGateway:
             default_rate=self.config.quota_rate,
             default_burst=self.config.quota_burst,
             overrides=self.config.quotas,
-            max_delay=self.config.quota_max_delay,
         )
         self.shards: list[ShardProcess] = []
         self._links: dict[str, ShardLink] = {}
@@ -260,27 +261,28 @@ class FleetGateway:
         """Fork the shard set.  Call before the event loop has threads."""
         if self.shards:
             return
-        # shard_settings carries the tuning knobs; workers and the
-        # shared cache directory are owned by the fleet config
-        settings = dataclasses.replace(
-            self.config.shard_settings,
-            workers=self.config.workers_per_shard,
-            cache_dir=self.config.cache_dir,
-        )
-        self.config.shard_settings = settings
-        self.shards = spawn_shards(
-            self.config.shards, self.config.runtime_dir, settings
-        )
+        self.shards = spawn_shards([
+            DaemonConfig(
+                socket_path=os.path.join(
+                    self.config.runtime_dir, f"shard-{index}.sock"
+                ),
+                workers=self.config.workers_per_shard,
+                max_pending=1024,
+                request_timeout=60.0,
+                cache_dir=self.config.cache_dir,
+            )
+            for index in range(max(1, self.config.shards))
+        ])
 
     async def run(self, on_ready: Optional[Callable[[], None]] = None) -> None:
         """Serve until ``shutdown``/stop; owns shard supervision."""
         self.spawn_shards()
         self._stop = asyncio.Event()
-        self._upgrade_sem = asyncio.Semaphore(max(1, self.config.max_upgrades))
+        self._upgrade_sem = asyncio.Semaphore(MAX_UPGRADES)
         self._links = {
             shard.shard_id: ShardLink(shard) for shard in self.shards
         }
-        self._claim_socket(self.config.socket_path)
+        protocol.claim_socket(self.config.socket_path)
         server = await asyncio.start_unix_server(
             self._serve_client, path=self.config.socket_path,
             limit=_STREAM_LIMIT,
@@ -326,34 +328,15 @@ class FleetGateway:
         if self._stop is not None:
             self._stop.set()
 
-    @staticmethod
-    def _claim_socket(path: str) -> None:
-        """Unlink a stale gateway socket; refuse to evict a live one."""
-        if not os.path.exists(path):
-            return
-        probe = socket_module.socket(
-            socket_module.AF_UNIX, socket_module.SOCK_STREAM
-        )
-        try:
-            probe.settimeout(0.25)
-            probe.connect(path)
-        except OSError:
-            os.unlink(path)
-        else:
-            raise RuntimeError(f"gateway already listening on {path}")
-        finally:
-            probe.close()
-
     async def _supervise(self) -> None:
         """Respawn dead shards in place (same slot, bumped generation).
 
-        Jittered exponential backoff per slot: death *n* of a streak
-        waits up to ``respawn_backoff * 2**(n-1)`` (full jitter, capped
-        at ``respawn_backoff_cap``) before the next spawn, so a shard
+        Each slot backs off under :data:`RESPAWN`: after death *n* of a
+        streak the next spawn waits ``RESPAWN.delay(n + 1)``, so a shard
         that dies on arrival does not get forked in a tight loop — and
-        after ``crash_loop_cap`` consecutive deaths the slot is parked
-        (``shard_crash_loops``; visible per-shard in the stats
-        topology) until an operator intervenes.  ``respawn_reset``
+        after ``RESPAWN.max_attempts`` consecutive deaths the slot is
+        parked (``shard_crash_loops``; visible per-shard in the stats
+        topology) until an operator intervenes.  :data:`RESPAWN_RESET`
         seconds of continuous liveness forgives the streak.
         """
         loop = asyncio.get_running_loop()
@@ -372,23 +355,19 @@ class FleetGateway:
                         slot["alive_since"] = now
                     elif (
                         slot["failures"]
-                        and now - slot["alive_since"] >= self.config.respawn_reset
+                        and now - slot["alive_since"] >= RESPAWN_RESET
                     ):
                         slot["failures"] = 0
                     continue
                 slot["alive_since"] = None
-                if slot["failures"] >= max(1, self.config.crash_loop_cap):
+                if slot["failures"] >= RESPAWN.max_attempts:
                     continue  # parked: crash loop detected
                 if now < slot["next_try"]:
                     continue
                 slot["failures"] += 1
-                if slot["failures"] >= max(1, self.config.crash_loop_cap):
+                if slot["failures"] >= RESPAWN.max_attempts:
                     self.metrics.inc("shard_crash_loops")
-                ceiling = min(
-                    self.config.respawn_backoff * (2 ** slot["failures"]),
-                    self.config.respawn_backoff_cap,
-                )
-                slot["next_try"] = now + random.uniform(0.0, ceiling)
+                slot["next_try"] = now + RESPAWN.delay(slot["failures"] + 1)
                 self.metrics.inc("shard_restarts")
                 link = self._links.get(shard.shard_id)
                 if link is not None:
@@ -521,7 +500,7 @@ class FleetGateway:
             self.config.tiering
             and not no_store
             and level != "none"
-            and level != self.config.tier1_level
+            and level != TIER1_LEVEL
         )
         if not no_store:
             artifact = self.store.get(key, level)
@@ -537,7 +516,7 @@ class FleetGateway:
                 }
             self.metrics.inc("store_misses")
         if tiered:
-            o1_level = self.config.tier1_level
+            o1_level = TIER1_LEVEL
             o1_key = protocol.request_key(kind, text, o1_level, verify)
             artifact = self.store.get(o1_key, o1_level)
             if artifact is not None:
@@ -704,9 +683,9 @@ class FleetGateway:
             async with self._upgrade_sem:
                 # yield to foreground traffic: the O2 compile is nobody's
                 # critical path, so it waits for a quiet moment (bounded
-                # by upgrade_grace so a busy fleet still converges to O2)
+                # by UPGRADE_GRACE so a busy fleet still converges to O2)
                 loop = asyncio.get_running_loop()
-                grace_deadline = loop.time() + self.config.upgrade_grace
+                grace_deadline = loop.time() + UPGRADE_GRACE
                 while self._foreground > 0 and loop.time() < grace_deadline:
                     await asyncio.sleep(0.005)
                 if self.store.get(key, request["level"]) is not None:
@@ -748,7 +727,7 @@ class FleetGateway:
         gateway["store"] = self.store.stats()
         gateway["quotas"] = self.quotas.snapshot()
         gateway["topology"] = {
-            "tier1_level": self.config.tier1_level,
+            "tier1_level": TIER1_LEVEL,
             "tiering": self.config.tiering,
             "shards": [
                 {
@@ -762,7 +741,7 @@ class FleetGateway:
                     "crash_looped": self._supervisor_state.get(
                         shard.shard_id, {}
                     ).get("failures", 0)
-                    >= max(1, self.config.crash_loop_cap),
+                    >= RESPAWN.max_attempts,
                 }
                 for shard in self.shards
             ],
@@ -818,6 +797,11 @@ class FleetHandle:
             self.stop()
             raise RuntimeError("gateway did not start accepting")
         return self
+
+    def wait(self) -> None:
+        """Block until the gateway loop has ended (a ``shutdown`` request
+        or :meth:`stop`)."""
+        self._done.wait()
 
     def stop(self, timeout: float = 30.0) -> None:
         loop = self._loop

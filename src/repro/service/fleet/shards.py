@@ -29,40 +29,13 @@ import os
 import signal
 import socket
 import time
-from dataclasses import dataclass
-from typing import Optional
 
-from repro.service.faults import RetryPolicy
+from repro.service.daemon import CompileDaemon, DaemonConfig
 from repro.service.workers import _CTX, preload_modules
 
 
-@dataclass(frozen=True)
-class ShardSettings:
-    """Everything one shard daemon needs at spawn time."""
-
-    workers: int = 1
-    max_batch: int = 16
-    max_pending: int = 1024
-    request_timeout: float = 60.0
-    retries: int = 3
-    cache_dir: Optional[str] = None
-    cache_max_bytes: Optional[int] = 256 * 1024 * 1024
-
-
-def _shard_main(socket_path: str, settings: ShardSettings) -> None:
+def _shard_main(config: DaemonConfig) -> None:
     """Child entry: run one compile daemon until SIGTERM/socket close."""
-    from repro.service.daemon import CompileDaemon, DaemonConfig
-
-    config = DaemonConfig(
-        socket_path=socket_path,
-        workers=settings.workers,
-        max_batch=settings.max_batch,
-        max_pending=settings.max_pending,
-        request_timeout=settings.request_timeout,
-        retry=RetryPolicy(max_attempts=max(1, settings.retries)),
-        cache_dir=settings.cache_dir,
-        cache_max_bytes=settings.cache_max_bytes,
-    )
     daemon = CompileDaemon(config)
 
     def _terminate(signum, frame):  # noqa: ARG001
@@ -77,14 +50,12 @@ def _shard_main(socket_path: str, settings: ShardSettings) -> None:
 
 
 class ShardProcess:
-    """One shard slot: id, socket path, live process, generation."""
+    """One shard slot: id, daemon config, live process, generation."""
 
-    def __init__(
-        self, shard_id: str, socket_path: str, settings: ShardSettings
-    ) -> None:
+    def __init__(self, shard_id: str, config: DaemonConfig) -> None:
         self.shard_id = shard_id
-        self.socket_path = socket_path
-        self.settings = settings
+        self.config = config
+        self.socket_path = config.socket_path
         self.generation = 0
         self.process = None
 
@@ -105,7 +76,7 @@ class ShardProcess:
         # terminate()/the gateway shutdown path instead.
         self.process = _CTX.Process(
             target=_shard_main,
-            args=(self.socket_path, self.settings),
+            args=(self.config,),
             name=f"repro-{self.shard_id}-gen{self.generation}",
         )
         self.process.start()
@@ -157,18 +128,13 @@ class ShardProcess:
             self.process.join(timeout=2.0)
 
 
-def spawn_shards(
-    count: int, runtime_dir: str, settings: ShardSettings
-) -> list[ShardProcess]:
-    """Spawn the full shard set (call before any event loop exists)."""
+def spawn_shards(configs: list[DaemonConfig]) -> list[ShardProcess]:
+    """Spawn one shard per daemon config, ``shard-0`` first (call before
+    any event loop exists)."""
     preload_modules()
     shards = []
-    for index in range(max(1, count)):
-        shard = ShardProcess(
-            f"shard-{index}",
-            os.path.join(runtime_dir, f"shard-{index}.sock"),
-            settings,
-        )
+    for index, config in enumerate(configs):
+        shard = ShardProcess(f"shard-{index}", config)
         shard.spawn()
         shards.append(shard)
     return shards

@@ -118,6 +118,23 @@ def default_fleet_socket_path() -> str:
     return os.path.join(runtime, f"repro-fleet-{uid}.sock")
 
 
+def claim_socket(path: str) -> None:
+    """Unlink a stale socket file at ``path``; refuse to evict a live
+    daemon or gateway (``RuntimeError``)."""
+    if not os.path.exists(path):
+        return
+    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        probe.settimeout(0.25)
+        probe.connect(path)
+    except OSError:
+        os.unlink(path)  # nobody home: stale leftover
+    else:
+        raise RuntimeError(f"a server is already listening on {path}")
+    finally:
+        probe.close()
+
+
 def encode(message: dict) -> bytes:
     """One message, framed: compact JSON plus the ``\\n`` terminator."""
     return json.dumps(message, separators=(",", ":")).encode() + b"\n"

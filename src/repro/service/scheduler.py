@@ -11,8 +11,8 @@ The path of a compile request through the daemon:
    :class:`~repro.service.faults.OverloadedError` instead of queueing.
 2. **batch** — an accepted job joins its shard's pending list; no
    timer holds it.  Whenever the shard's worker is free, the shard's
-   dispatcher sends everything pending, up to ``max_batch`` jobs, as
-   one batch.  A lone request leaves at once; requests that queue
+   dispatcher sends everything pending, up to :data:`MAX_BATCH` jobs,
+   as one batch.  A lone request leaves at once; requests that queue
    behind a busy worker share one pipe round trip.
 3. **shard** — a job's shard is worker ``hash(key) % pool.size``.
    Hash affinity means a repeated request always lands on the worker
@@ -51,6 +51,9 @@ from repro.service import protocol
 from repro.service.faults import OverloadedError, RetryPolicy, validate_fault
 from repro.service.metrics import Metrics
 from repro.service.workers import WorkerPool
+
+#: The most pending jobs a free worker is sent as one batch.
+MAX_BATCH = 16
 
 
 class JobFuture:
@@ -125,14 +128,12 @@ class Scheduler:
         pool: WorkerPool,
         metrics: Optional[Metrics] = None,
         *,
-        max_batch: int = 16,
         max_pending: int = 256,
         request_timeout: float = 30.0,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.pool = pool
         self.metrics = metrics if metrics is not None else Metrics()
-        self.max_batch = max(1, int(max_batch))
         self.max_pending = max(1, int(max_pending))
         self.request_timeout = request_timeout
         self.retry = retry if retry is not None else RetryPolicy()
@@ -263,8 +264,8 @@ class Scheduler:
                     ready.wait()
                 if self._stopped:
                     return
-                jobs = pending[: self.max_batch]
-                del pending[: self.max_batch]
+                jobs = pending[:MAX_BATCH]
+                del pending[:MAX_BATCH]
             self.metrics.inc("batches")
             self.metrics.inc("batched_jobs", len(jobs))
             while jobs and not self._stopped:

@@ -74,7 +74,6 @@ class WorkerConfig:
 
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    cache_max_entries: Optional[int] = None
     incident_dir: Optional[str] = None
 
 
@@ -134,11 +133,7 @@ def worker_main(conn, config: WorkerConfig, close_fds=()) -> None:
             pass
     preload_modules()  # no-op after fork, real work under spawn
     cache = (
-        PassCache(
-            config.cache_dir,
-            max_bytes=config.cache_max_bytes,
-            max_entries=config.cache_max_entries,
-        )
+        PassCache(config.cache_dir, max_bytes=config.cache_max_bytes)
         if config.cache_dir
         else None
     )

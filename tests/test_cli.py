@@ -1,5 +1,6 @@
 """CLI tests."""
 
+import json
 import subprocess
 import sys
 
@@ -154,12 +155,63 @@ def test_codegen_reports_an_uncolorable_target_as_one_line(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("codegen: ") and "k=4" in lines[0]
+    # the line names the function and its 7-argument call of seval
+    assert lines[0].startswith("codegen: sevalsum: ")
+    assert "call seval(" in lines[0] and "7 registers" in lines[0]
     assert main(["codegen", str(path), "--k", "7"]) == 0
 
 
-def test_run_writes_remarks_jsonl(source_file, capsys, tmp_path):
-    import json
+def test_codegen_run_takes_its_scalars_after_the_routine(source_file, capsys):
+    assert main(["codegen", source_file, "--k", "8", "--run", "triple", "14"]) == 0
+    out = capsys.readouterr().out
+    assert "value: 42" in out and "cycles: " in out
+    assert main([
+        "codegen", source_file, "--k", "8", "--run", "scale", "2", "2.0",
+        "--array", "1,2,3,4,5,6,7,8:8",
+    ]) == 0
+    assert "cycles: " in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--max-batch", "4"],
+    ["fleet", "serve", "--tier1-level", "baseline"],
+    ["fleet", "serve", "--max-upgrades", "3"],
+])
+def test_parser_rejects_the_removed_serving_options(argv, capsys):
+    with pytest.raises(SystemExit) as raised:
+        build_parser().parse_args(argv)
+    assert raised.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lint", "certify"])
+def test_lint_and_certify_take_the_same_program_options(
+    command, source_file, tmp_path, capsys
+):
+    options = build_parser().parse_args([
+        command, source_file, "--suite", "--level", "partial",
+        "--format", "json", "--json", "out.json", "--werror",
+    ])
+    assert (options.sources, options.suite, options.level, options.format,
+            options.json_out, options.werror) == (
+        [source_file], True, "partial", "json", "out.json", True)
+    assert build_parser().parse_args([command]).level == "all"
+    report_path = tmp_path / "report.json"
+    assert main([command, source_file, "--level", "partial", "--format",
+                 "json", "--json", str(report_path), "--werror"]) == 0
+    report = json.loads(report_path.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    assert (report["programs"], report["levels"], report["werror"]) == (
+        1, ["partial"], True)
+    # certify proves passes; an unoptimized level has none to prove
+    if command == "certify":
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--level", "none"])
+    else:
+        assert build_parser().parse_args([command, "--level", "none"])
+
+
+def test_run_writes_remarks_jsonl(source_file, capsys, tmp_path):
     path = tmp_path / "remarks.jsonl"
     assert main(["run", source_file, "triple", "2", "--remarks", str(path)]) == 0
     records = [json.loads(line) for line in path.read_text().splitlines()]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +34,7 @@ from repro.service.fleet import (
     TokenBucket,
     hashring,
 )
+from repro.service.fleet import gateway as gateway_module
 from repro.service.metrics import Metrics, merge_snapshots
 from repro.store import atomic_write_text
 
@@ -276,8 +279,7 @@ def test_client_connect_retries_until_listener_appears(tmp_path):
     with pytest.raises(OSError):
         DaemonClient(path, timeout=1.0)
     # bounded backoff rides out the startup window
-    client = DaemonClient(path, timeout=1.0, connect_retries=8,
-                          connect_backoff=0.05)
+    client = DaemonClient(path, timeout=1.0, connect_retries=8)
     client.close()
     thread.join()
 
@@ -286,9 +288,31 @@ def test_client_connect_retries_are_bounded(tmp_path):
     path = str(tmp_path / "never.sock")
     started = time.monotonic()
     with pytest.raises(FileNotFoundError):
-        DaemonClient(path, timeout=1.0, connect_retries=2,
-                     connect_backoff=0.01, connect_backoff_cap=0.02)
+        DaemonClient(path, timeout=1.0, connect_retries=2)
     assert time.monotonic() - started < 1.0
+
+
+def test_fleet_serve_exits_after_a_shutdown_request(tmp_path):
+    """``repro fleet serve`` ends, as ``repro serve`` does, once its
+    gateway has answered a ``shutdown`` request."""
+    path = str(tmp_path / "gateway.sock")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "fleet", "serve", "--socket", path,
+         "--shards", "1", "--store-dir", str(tmp_path / "store"),
+         "--cache-dir", str(tmp_path / "cache")],
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        with DaemonClient(path, timeout=30.0, connect_retries=12) as client:
+            assert client.request({"op": "shutdown"})["stopping"]
+        _, err = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate(timeout=10)
+    assert process.returncode == 0
+    assert "counters:" in err  # the metrics table, printed on the way out
 
 
 # -- labeled metrics + merge (satellite 3) ---------------------------------------
@@ -342,12 +366,14 @@ def fleet(tmp_path_factory):
         store_dir=str(tmp / "store"),
         cache_dir=str(tmp / "cache"),
         quotas={"tiny": (0.001, 2.0)},
-        upgrade_grace=0.2,
     )
-    handle = FleetHandle(config)
-    handle.start()
-    yield handle
-    handle.stop()
+    with pytest.MonkeyPatch.context() as patch:
+        # background upgrades wait less for foreground traffic
+        patch.setattr(gateway_module, "UPGRADE_GRACE", 0.2)
+        handle = FleetHandle(config)
+        handle.start()
+        yield handle
+        handle.stop()
 
 
 def _client(fleet):

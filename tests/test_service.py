@@ -292,14 +292,20 @@ def test_scheduler_batches_what_queues_behind_a_busy_worker(scheduler):
     assert scheduler.metrics.counter("batched_jobs").value == 4
 
 
-def test_scheduler_dispatches_each_accepted_job_once_under_contention():
+def test_scheduler_dispatches_each_accepted_job_once_under_contention(
+    monkeypatch,
+):
+    import repro.service.scheduler as scheduler_module
+
+    # a small batch cap splits the pending lists under contention
+    monkeypatch.setattr(scheduler_module, "MAX_BATCH", 4)
     texts = [
         f"routine f{n}(x: int) -> int\n  return {n} * x\nend\n" for n in range(8)
     ]
     requests = [(text, level) for text in texts for level in ("none", "baseline")]
     expected = {request: direct("source", *request) for request in requests}
     pool = WorkerPool(3, WorkerConfig(cache_dir=None))  # more workers than cores
-    sched = Scheduler(pool, Metrics(), max_batch=4, request_timeout=30.0)
+    sched = Scheduler(pool, Metrics(), request_timeout=30.0)
     sched.start()
     replies, errors = [], []
 

@@ -834,9 +834,20 @@ def _compile(options, stats: ManagerStats, collector):
 
 
 def _cmd_compile(options) -> int:
-    if options.daemon or options.fleet:
-        return _compile_via_server(options)
-    return _compile_here(options)
+    if not (options.daemon or options.fleet):
+        return _compile_here(options)
+    # a server compiles in another process, which cannot fill these
+    # sinks; refusing them keeps the command's meaning the same whether
+    # or not a server is up
+    local = [flag for flag, given in (("--stats", options.stats),
+                                      ("--remarks", options.remarks)) if given]
+    if local:
+        server = "--fleet" if options.fleet else "--daemon"
+        print(f"compile: {' and '.join(local)} cannot be combined with "
+              f"{server}: the server compiles in another process",
+              file=sys.stderr)
+        return 2
+    return _compile_via_server(options)
 
 
 @_pipeline
@@ -1074,7 +1085,7 @@ def _cmd_fleet_serve(options) -> int:
 
 
 def _cmd_cache_stats(options) -> int:
-    report = PassCache(options.dir).disk_stats()
+    report = PassCache(options.dir).stats()
     if options.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -1087,7 +1098,7 @@ def _cmd_cache_stats(options) -> int:
 
 def _cmd_cache_clear(options) -> int:
     cache = PassCache(options.dir)
-    before = cache.disk_stats()
+    before = cache.stats()
     cache.clear()
     print(
         f"cleared {before['entries']} entries "
@@ -1103,7 +1114,7 @@ def _cmd_cache_prune(options) -> int:
         max_entries=options.max_entries,
     )
     evicted = cache.prune()
-    after = cache.disk_stats()
+    after = cache.stats()
     print(
         f"evicted {evicted} entries; {after['entries']} entries "
         f"({after['bytes']} bytes) remain in {options.dir}"

@@ -15,9 +15,14 @@ Both classes here are views over :class:`repro.store.ContentStore`,
 which owns the entry rules: sealed ``<key>.iloc`` / ``<key>.<level>.art``
 files published atomically, torn or corrupt entries read as misses,
 an LRU-bounded memory tier, and ``max_bytes`` / ``max_entries`` disk
-caps for long-lived daemon workers (:mod:`repro.service.workers`).  The
-CLI bench commands default to ``.repro_cache/`` in the working
-directory; ``repro cache stats|clear|prune`` manages it.
+caps for long-lived daemon workers (:mod:`repro.service.workers`) and
+the fleet's gateway.  A put below its cap lists nothing; with one
+writer a cap evicts the same files on the same put as pruning after
+every put would, and k writers sharing a directory can pass it by up
+to (k-1)/8 of it before they have all scanned at the cap
+(:data:`repro.store.RESCAN_SHARE`).  The CLI bench commands default to
+``.repro_cache/`` in the working directory; ``repro cache
+stats|clear|prune`` manages it.
 
 The :class:`ArtifactStore` is the fleet's shared layer
 (:mod:`repro.service.fleet`): whole compile *replies* keyed on the
@@ -49,7 +54,8 @@ class PassCache(ContentStore):
     the in-memory tier's payload bytes; ``max_entries`` caps the entry
     count of both tiers.  Without a cap the memory tier grows without
     bound in a long-lived worker.  Either cap evicts
-    least-recently-*accessed* entries first.
+    least-recently-*accessed* entries first; a put below the cap lists
+    nothing (:data:`repro.store.RESCAN_SHARE`).
     """
 
     suffix = ".iloc"
@@ -75,10 +81,6 @@ class PassCache(ContentStore):
     def store(self, ir_text: str, fingerprint: str, optimized_text: str) -> None:
         """Record the optimized form of (input, sequence)."""
         self.save(cache_key(ir_text, fingerprint), optimized_text)
-
-    def disk_stats(self) -> dict:
-        """Entry count and byte total of the on-disk store, plus counters."""
-        return self.stats()
 
 
 @dataclass(frozen=True)
@@ -129,14 +131,6 @@ class ArtifactStore(ContentStore):
     def get(self, key: str, level: str) -> Optional[Artifact]:
         """The stored artifact for ``(key, level)``, or ``None``."""
         return self.load(f"{key}.{level}")
-
-    def get_best(self, key: str, levels: list) -> Optional[Artifact]:
-        """The first hit walking ``levels`` in preference order."""
-        for level in levels:
-            artifact = self.get(key, level)
-            if artifact is not None:
-                return artifact
-        return None
 
     def put(
         self,

@@ -21,9 +21,21 @@ live here and nowhere else (docs/ROBUSTNESS.md):
   nothing.  It is LRU-bounded by ``memory_entries`` when set, and by
   ``max_bytes`` of encoded payload, the same byte cap as the disk.
 * **Bounded disk.**  ``max_bytes`` / ``max_entries`` caps prune the
-  directory least-recently-*accessed* first after every put.  Each disk
-  hit re-touches its file (``os.utime``), so recency survives
-  ``noatime`` mounts and is shared by every process on the directory.
+  directory least-recently-*accessed* first.  Each disk hit re-touches
+  its file (``os.utime``), so recency survives ``noatime`` mounts and is
+  shared by every process on the directory.  A capped view estimates
+  its directory from above (what its last scan left plus its own puts
+  since), and a put below the cap lists nothing: after its first put,
+  the view scans and prunes only once its puts since the last scan
+  reach an eighth of the headroom that scan left (:data:`RESCAN_SHARE`).
+  With one writer that comes before the directory can pass a cap, so
+  eviction removes the same files on the same put as pruning after
+  every put.  Writers sharing a directory see each other's puts only
+  when they scan, and each can add an eighth of the headroom its own
+  last scan saw: k writers can pass the cap by up to (k-1)/8 of it,
+  plus an entry each.  Only puts made on a scan from before the
+  directory reached the cap can do that; a writer that has scanned at
+  the cap adds about an entry before it scans again.
 """
 
 from __future__ import annotations
@@ -38,6 +50,16 @@ from typing import Any, Optional
 
 #: First line of every disk entry: ``#sha256:<hex>`` over the payload.
 SEAL_PREFIX = "#sha256:"
+
+#: A capped view rescans once its own puts since its last scan reach
+#: ``1/RESCAN_SHARE`` of the headroom that scan left.  Less than all of
+#: it, so one writer scans before its directory can pass a cap.  Other
+#: writers' puts stay unseen until then, so k writers can pass a cap by
+#: up to ``(k - 1) / RESCAN_SHARE`` of it; a larger share buys a smaller
+#: worst case with more scans while the directory fills.  The worst
+#: case needs writers idle while another fills the directory; the
+#: serving workloads interleave their puts (docs/SERVICE.md).
+RESCAN_SHARE = 8
 
 
 def content_key(*parts: str) -> str:
@@ -122,6 +144,10 @@ class ContentStore:
         self._lock = threading.Lock()
         self.hits = self.misses = self.puts = 0
         self.evictions = self.write_failures = 0
+        #: (entries, bytes) this view has written to disk under a cap
+        self._written = (0, 0)
+        #: (entries, bytes) the last scan left, and ``_written`` as it began
+        self._last_scan: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
 
     def encode(self, value: Any) -> str:
         return value
@@ -149,14 +175,41 @@ class ContentStore:
             self._remember(key, value, payload)
         if not self.directory:
             return
+        sealed = seal(payload)
         try:
-            atomic_write_text(self.directory, self._path(key), seal(payload))
+            atomic_write_text(self.directory, self._path(key), sealed)
         except OSError:
             with self._lock:
                 self.write_failures += 1
             return
-        if self.max_bytes is not None or self.max_entries is not None:
+        if self.max_bytes is None and self.max_entries is None:
+            return
+        with self._lock:
+            entries, size = self._written
+            self._written = (entries + 1, size + len(sealed.encode()))
+            due = self._rescan_due()
+        if due:
             self.prune()
+
+    def _rescan_due(self) -> bool:
+        """Whether this view's puts since its last scan reach
+        ``1/RESCAN_SHARE`` of the headroom that scan left under either
+        cap; always before a first scan.  The caller holds the lock.
+
+        What the scan left plus every put since bounds the directory
+        from above while this view is its only writer (a re-put or a
+        file deleted by someone else only brings the scan forward), so
+        a put that leaves the directory past a cap always prunes.
+        """
+        if self._last_scan is None:
+            return True
+        left, before = self._last_scan
+        return any(
+            cap is not None and RESCAN_SHARE * (now - then) >= cap - seen
+            for cap, seen, now, then in zip(
+                (self.max_entries, self.max_bytes), left, self._written, before
+            )
+        )
 
     def _fetch(self, key: str) -> Any:
         """Memory, then disk; uncounted.  Bad disk entries are dropped."""
@@ -227,6 +280,8 @@ class ContentStore:
         ``clear`` swept the directory) — each loss is skipped, never
         fatal, and readers of evicted keys fall back to a miss.
         """
+        with self._lock:
+            written = self._written  # puts from here on may miss the scan
         entries = sorted(self._scan())  # oldest access first
         total = sum(size for _, size, _ in entries)
         evicted = 0
@@ -247,6 +302,7 @@ class ContentStore:
             evicted += 1
         with self._lock:
             self.evictions += evicted
+            self._last_scan = ((len(entries) - evicted, total), written)
         return evicted
 
     def clear(self) -> None:
@@ -256,6 +312,7 @@ class ContentStore:
             self._memory_bytes = 0
             self.hits = self.misses = self.puts = 0
             self.evictions = self.write_failures = 0
+            self._last_scan = ((0, 0), self._written)
         for name in self._listdir():
             if name.endswith((self.suffix, ".tmp")):
                 with contextlib.suppress(OSError):

@@ -211,6 +211,26 @@ def test_lint_and_certify_take_the_same_program_options(
         assert build_parser().parse_args([command, "--level", "none"])
 
 
+@pytest.mark.parametrize("server", ["--daemon", "--fleet"])
+@pytest.mark.parametrize("sink", ["--stats", "--remarks"])
+def test_compile_via_a_server_rejects_local_sinks(
+    server, sink, source_file, tmp_path, capsys
+):
+    # a server compiles in another process; the sinks it cannot fill are
+    # refused before connecting, whether or not a server is up
+    remarks = tmp_path / "remarks.jsonl"
+    extra = ["--stats"] if sink == "--stats" else ["--remarks", str(remarks)]
+    assert main(["compile", source_file, server, "--daemon-socket",
+                 str(tmp_path / "no.sock"), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("compile: ") and sink in lines[0]
+    assert server in lines[0]
+    assert not remarks.exists()
+
+
 def test_run_writes_remarks_jsonl(source_file, capsys, tmp_path):
     path = tmp_path / "remarks.jsonl"
     assert main(["run", source_file, "triple", "2", "--remarks", str(path)]) == 0

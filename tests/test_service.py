@@ -9,7 +9,9 @@ tests, per the service hardening work.
 
 from __future__ import annotations
 
+import math
 import os
+import random
 import sys
 import threading
 import time
@@ -34,6 +36,7 @@ from repro.service.faults import (
 from repro.service.metrics import LatencyHistogram, Metrics
 from repro.service.scheduler import Scheduler
 from repro.service.workers import WorkerConfig, WorkerPool
+from repro.store import RESCAN_SHARE, ContentStore, seal
 
 SOURCE = """
 routine triple(x: int) -> int
@@ -181,11 +184,11 @@ def test_cache_byte_cap_and_stats(tmp_path):
     for index in range(4):
         cache.store(f"in{index}", "fp", payload)
         time.sleep(0.01)
-    stats = cache.disk_stats()
+    stats = cache.stats()
     assert stats["entries"] == 2
     assert stats["bytes"] <= 2500
     cache.clear()
-    assert cache.disk_stats()["entries"] == 0
+    assert cache.stats()["entries"] == 0
 
 
 def test_cache_memory_tier_is_bounded():
@@ -197,6 +200,163 @@ def test_cache_memory_tier_is_bounded():
         assert len(cache) == 2, caps
         assert cache.lookup("input d", "fp") == "optimized d"
         assert cache.lookup("input a", "fp") is None
+
+
+# -- capped puts list the directory only near a cap ------------------------------
+
+
+def _count_scans(monkeypatch) -> list:
+    """Log every ``ContentStore._scan`` (the listing a prune makes)."""
+    scans = []
+    scan = ContentStore._scan
+
+    def counted(self):
+        scans.append(self.directory)
+        return scan(self)
+
+    monkeypatch.setattr(ContentStore, "_scan", counted)
+    return scans
+
+
+def test_capped_puts_far_below_the_cap_scan_at_most_once(tmp_path, monkeypatch):
+    scans = _count_scans(monkeypatch)
+    cache = PassCache(str(tmp_path), max_bytes=256 * 1024 * 1024,
+                      max_entries=100_000)
+    for index in range(500):
+        _fill(cache, index)
+    assert len(scans) <= 1
+    assert len(os.listdir(tmp_path)) == 500
+    assert cache.evictions == 0
+
+
+def test_capped_puts_evict_what_pruning_after_every_put_would(
+    tmp_path, monkeypatch
+):
+    """One writer: after every put the directory holds exactly what a
+    scan-and-evict after every put would leave, with access times set by
+    the test, a re-put of a held key and a disk hit from a second view."""
+    scans = _count_scans(monkeypatch)
+    rng = random.Random(26)
+    cap = 9000
+    cache = PassCache(str(tmp_path), max_bytes=cap)
+    reader = PassCache(str(tmp_path))
+    base = int(time.time()) - 2_000_000
+    stamps = iter(rng.sample(range(1_000_000), 200))
+    model = {}  # file name -> [recency, size, tag]
+    oracle_evictions = 0
+
+    def touch(name):
+        stamp = base + next(stamps)
+        os.utime(os.path.join(tmp_path, name), (stamp, stamp))
+        model[name][0] = stamp
+
+    for step in range(60):
+        held = sorted(model, key=lambda name: model[name][2])
+        if step in (25, 45):  # a second view's disk hit re-touches a file
+            name = held[rng.randrange(len(held))]
+            tag = model[name][2]
+            assert reader.lookup(f"input {tag}", "fp").startswith(f"optimized {tag} ")
+            touch(name)
+        tag = model[held[len(held) // 2]][2] if step in (35, 50) else step
+        payload = f"optimized {tag} " + "x" * rng.randrange(50, 400)
+        cache.store(f"input {tag}", "fp", payload)
+        name = cache_key(f"input {tag}", "fp") + ".iloc"
+        # the oracle: the fresh file is newest, then evict oldest first
+        model[name] = [float("inf"), len(seal(payload)), tag]
+        total = sum(size for _, size, _ in model.values())
+        for old in sorted(model, key=lambda name: model[name][0]):
+            if total <= cap:
+                break
+            total -= model.pop(old)[1]
+            oracle_evictions += 1
+        assert sorted(os.listdir(tmp_path)) == sorted(model), step
+        touch(name)
+    assert cache.evictions == oracle_evictions > 0
+    assert len(scans) < 60
+
+
+@pytest.mark.parametrize("writers", [2, 4])
+@pytest.mark.parametrize("order", ["in turn", "stale bursts"])
+def test_writers_sharing_a_capped_directory_pass_it_by_an_eighth_each_at_most(
+    tmp_path, writers, order
+):
+    """Each view adds up to ``1/RESCAN_SHARE`` of the headroom its own
+    last scan saw before it scans again.  Putting in turn, all views
+    together add at most writers/RESCAN_SHARE of that headroom before
+    it scans, so up to 8 views stay within an entry each of the cap.
+    In the worst order, views 1.. scan an almost empty
+    directory, view 0 fills it, and then the stale views put in turn:
+    together they pass the cap by about (writers - 1)/RESCAN_SHARE of
+    it, until each of them has scanned at the cap."""
+    payload = "x" * 300
+    entry = len(seal(payload))
+    cap = 100  # entries of ``entry`` bytes, under a byte cap
+    views = [PassCache(str(tmp_path), max_bytes=cap * entry)
+             for _ in range(writers)]
+    stale = list(range(1, writers))
+    turns = [] if order == "in turn" else (
+        stale + [0] * (cap - writers) + stale * (cap // 4)
+    )
+    turns += [index % writers for index in range(2 * cap)]
+    bound = cap + (writers - 1) * math.ceil(cap / RESCAN_SHARE)
+    peak = 0
+    for index, writer in enumerate(turns):
+        views[writer].store(f"input {index}", "fp", payload)
+        held = sum(
+            os.path.getsize(tmp_path / name) for name in os.listdir(tmp_path)
+        ) // entry
+        assert held <= bound, index
+        peak = max(peak, held)
+    assert held == cap  # every view has scanned at the cap
+    assert sum(view.evictions for view in views) > 0
+    if order == "in turn":
+        assert peak <= cap + writers
+    else:
+        assert peak > cap + writers  # the stale bursts really pass it
+
+
+def test_threads_sharing_a_capped_view_count_every_put(tmp_path):
+    # a long payload widens the window in which a switch can split an
+    # unlocked update of the view's totals
+    payload = "x" * 20_000
+    entry = len(seal(payload))
+    cache = PassCache(str(tmp_path), max_bytes=40 * entry)
+
+    def put(tag):
+        for index in range(250):
+            cache.store(f"input {tag} {index}", "fp", payload)
+
+    # more threads than cores, switching as often as the interpreter can
+    threads = [threading.Thread(target=put, args=(tag,)) for tag in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    # a lost update would undercount, and the view could then skip a
+    # prune it needs
+    assert cache._written == (2000, 2000 * entry)
+    held = sum(os.path.getsize(tmp_path / name) for name in os.listdir(tmp_path))
+    assert held <= 40 * entry
+    assert cache.evictions == 2000 - len(os.listdir(tmp_path)) >= 1960
+
+
+@pytest.mark.parametrize("sweep", ["clear", "prune"])
+def test_a_sweep_by_another_view_leaves_the_estimate_safe(tmp_path, sweep):
+    cache = PassCache(str(tmp_path), max_entries=12)
+    for index in range(8):
+        _fill(cache, index)
+    getattr(PassCache(str(tmp_path), max_entries=3), sweep)()
+    assert len(os.listdir(tmp_path)) == (0 if sweep == "clear" else 3)
+    for index in range(8, 40):
+        _fill(cache, index)
+        assert len(os.listdir(tmp_path)) <= 12
+    assert len(os.listdir(tmp_path)) == 12
 
 
 def _hammer_cache(args):

@@ -127,9 +127,6 @@ class Target:
                 f"opcode {opcode.value!r} is not part of the {self.name} ISA"
             ) from None
 
-    def is_machine_op(self, opcode: Opcode) -> bool:
-        return opcode in self.latencies
-
     def describe(self) -> str:
         """One-line summary for ``repro passes`` and reports."""
         return (

@@ -96,11 +96,6 @@ def _execute_variant(
     ).result
 
 
-def run_variant(routine: SuiteRoutine, specs: Sequence[PassSpec]) -> int:
-    """Dynamic count of the routine compiled under one variant."""
-    return _execute_variant(routine, specs).dynamic_count
-
-
 @dataclass
 class AblationRow:
     name: str

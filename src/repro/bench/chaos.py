@@ -4,14 +4,14 @@ Injects failures at every layer the triage subsystem defends and gates
 on the *never-fail* contract:
 
 * **targeted crash** — a 100%-lethal :class:`~repro.triage.chaos.
-  PassChaos` on one chosen pass, ``on_error="rollback"``: every suite
+  PassChaos` on :data:`CRASH_PASS`, ``on_error="rollback"``: every suite
   routine must still compile at the requested level with only the
   broken pass skipped, execute identically to its unoptimized build,
   and leave an incident behind.
-* **random chaos** — suite-wide crash *and* corruption injection at a
-  configurable rate, ``on_error="degrade"``: every routine must land
-  somewhere on the degradation ladder with lint-clean, semantically
-  correct output.
+* **random chaos** — suite-wide crash *and* corruption injection at
+  :data:`RATE` per (function, pass), drawn from :data:`SEED`,
+  ``on_error="degrade"``: every routine must land somewhere on the
+  degradation ladder with lint-clean, semantically correct output.
 * **triage loop** — a sample of the recorded incidents is bisected
   (the culprit must name the injected pass) and delta-reduced (the
   minimal artifact must still reproduce the oracle).
@@ -49,6 +49,14 @@ from repro.pipeline.driver import compile_payload, compile_source, run_routine
 from repro.triage import Incident, IncidentStore, PassChaos, run_ladder
 from repro.triage.bisect import bisect_incident, replay
 from repro.triage.reduce import reduce_incident
+
+#: The pass the targeted-crash section kills on every application.
+CRASH_PASS = "pre"
+
+#: The random-chaos section's per-(function, pass) crash and corrupt
+#: probability, and the seed of its draws.
+RATE = 0.05
+SEED = 0
 
 
 def _approx(a, b, rel: float = 1e-9) -> bool:
@@ -90,15 +98,14 @@ def _check_semantics(module, routine, baselines: dict) -> bool:
 # -- sections ------------------------------------------------------------------
 
 
-def targeted_crash(
-    routines, crash_pass: str, store: IncidentStore, baselines: dict
-) -> dict:
-    """100% crash rate on one pass; rollback must absorb every firing."""
+def targeted_crash(routines, store: IncidentStore, baselines: dict) -> dict:
+    """100% crash rate on :data:`CRASH_PASS`; rollback must absorb every
+    firing."""
     failures: list[str] = []
     wrong: list[str] = []
     not_contained: list[str] = []
     for routine in routines:
-        chaos = PassChaos(crash_passes=(crash_pass,))
+        chaos = PassChaos(crash_passes=(CRASH_PASS,))
         try:
             result = run_ladder(
                 compile_program(routine.source),
@@ -117,23 +124,21 @@ def targeted_crash(
             wrong.append(routine.name)
     return {
         "routines": len(routines),
-        "crash_pass": crash_pass,
+        "crash_pass": CRASH_PASS,
         "compile_failures": failures,
         "wrong_output": wrong,
         "uncontained": not_contained,
     }
 
 
-def random_chaos(
-    routines, rate: float, seed: int, store: IncidentStore, baselines: dict
-) -> dict:
+def random_chaos(routines, store: IncidentStore, baselines: dict) -> dict:
     """Suite-wide random crash+corrupt injection under the degrade ladder."""
     failures: list[str] = []
     wrong: list[str] = []
     degraded = 0
     fired = 0
     for routine in routines:
-        chaos = PassChaos(seed=seed, crash_rate=rate, corrupt_rate=rate)
+        chaos = PassChaos(seed=SEED, crash_rate=RATE, corrupt_rate=RATE)
         try:
             result = run_ladder(
                 compile_program(routine.source),
@@ -153,7 +158,7 @@ def random_chaos(
             wrong.append(routine.name)
     return {
         "routines": len(routines),
-        "rate": rate,
+        "rate": RATE,
         "injections_fired": fired,
         "degraded_compiles": degraded,
         "compile_failures": failures,
@@ -326,7 +331,7 @@ def torn_writes(workdir: str) -> dict:
             ArtifactStore,
             lambda store: store.put("k" * 64, "artifact text", level="partial"),
             lambda store: store.get("k" * 64, "partial"),
-            ('"tier":2', '"tier":1'),
+            ("artifact text", "artifact t3xt"),
         ),
         "ProfileStore": (
             ProfileStore,
@@ -374,10 +379,7 @@ def main(
     *,
     quick: bool = False,
     json_out: str = "BENCH_chaos.json",
-    crash_pass: str = "pre",
     incident_dir: Optional[str] = None,
-    rate: float = 0.05,
-    seed: int = 0,
 ) -> int:
     routines = suite_routines()
     if quick:
@@ -390,19 +392,15 @@ def main(
 
     print(f"chaos: {len(routines)} routines, incidents -> {incident_dir}")
     report: dict = {"quick": quick}
-    report["targeted_crash"] = targeted_crash(
-        routines, crash_pass, store, baselines
-    )
+    report["targeted_crash"] = targeted_crash(routines, store, baselines)
     print(
         "  targeted crash ({}): {} failures, {} wrong".format(
-            crash_pass,
+            CRASH_PASS,
             len(report["targeted_crash"]["compile_failures"]),
             len(report["targeted_crash"]["wrong_output"]),
         )
     )
-    report["random_chaos"] = random_chaos(
-        routines, rate, seed, store, baselines
-    )
+    report["random_chaos"] = random_chaos(routines, store, baselines)
     print(
         "  random chaos: {} injections, {} degraded, {} failures".format(
             report["random_chaos"]["injections_fired"],

@@ -31,7 +31,6 @@ Writes ``BENCH_lospre.json``.
 from __future__ import annotations
 
 import sys
-from typing import Optional
 
 from repro.bench.report import finish, format_count, format_pct, format_table
 from repro.bench.suite import suite_routines
@@ -63,19 +62,12 @@ def _observation(module, routine):
     return run.result.value, run.arrays, run.result.dynamic_count
 
 
-def main(
-    quick: bool = False,
-    json_out: str = "BENCH_lospre.json",
-    profile_dir: Optional[str] = None,
-) -> int:
+def main(quick: bool = False, json_out: str = "BENCH_lospre.json") -> int:
     routines = list(suite_routines())
     if quick:
         routines = routines[:QUICK_ROUTINES]
-    store = ProfileStore(profile_dir)
-    print(
-        f"lospre bench: {len(routines)} routines; profiles "
-        f"{'in ' + profile_dir if profile_dir else 'in memory'}"
-    )
+    store = ProfileStore()  # in memory: nothing leaks between runs
+    print(f"lospre bench: {len(routines)} routines; profiles in memory")
 
     rows = []
     totals = {name: 0 for name in _VARIANTS}

@@ -482,26 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile worker processes (default: 2)",
     )
     serve_cmd.add_argument(
-        "--max-pending",
-        type=int,
-        default=256,
-        metavar="N",
-        help="pending-request bound before load shedding with 'overloaded' "
-        "replies (default: 256)",
-    )
-    serve_cmd.add_argument(
         "--timeout",
         type=float,
         default=30.0,
         metavar="SECONDS",
         help="per-request deadline (default: 30s)",
-    )
-    serve_cmd.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="max executions per request across worker deaths (default: 3)",
     )
     serve_cmd.add_argument(
         "--no-cache", action="store_true", help="run the workers cache-less"
@@ -709,38 +694,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless tier-1 first-answer p99 is under this "
         "fraction of the same flood's O2-under-load p99 (e.g. 0.5)",
     )
-    bench["lospre"].add_argument(
-        "--profile-dir",
-        default=None,
-        metavar="DIR",
-        help="persist the collected profiles to DIR (default: in-memory, "
-        "nothing leaks between runs)",
-    )
-    bench["chaos"].add_argument(
-        "--crash-pass",
-        default="pre",
-        metavar="LABEL",
-        help="the pass the targeted-crash section kills on every "
-        "application (default: pre)",
-    )
     bench["chaos"].add_argument(
         "--incident-dir",
         default=None,
         metavar="DIR",
         help="record incidents to DIR so `repro triage --dir DIR` can "
         "inspect them after the run (default: a temp dir)",
-    )
-    bench["chaos"].add_argument(
-        "--rate",
-        type=float,
-        default=0.05,
-        metavar="P",
-        help="per-(function, pass) crash AND corrupt probability for "
-        "the random-chaos section (default: 0.05)",
-    )
-    bench["chaos"].add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="chaos draw seed (default: 0)",
     )
 
     triage_cmd = commands.add_parser(
@@ -769,20 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="binary-search the pass sequence for the first bad "
         "application",
     ).set_defaults(handler=_cmd_triage_bisect)
-    triage_reduce_cmd = triage_sub.add_parser(
+    triage_sub.add_parser(
         "reduce",
         parents=[incident],
         help="shrink the incident to a minimal reproducing IR + pass "
         "sequence and store it back",
-    )
-    triage_reduce_cmd.set_defaults(handler=_cmd_triage_reduce)
-    triage_reduce_cmd.add_argument(
-        "--max-checks",
-        type=int,
-        default=400,
-        metavar="N",
-        help="oracle-replay budget for the reducer (default: 400)",
-    )
+    ).set_defaults(handler=_cmd_triage_reduce)
 
     ablation_cmd = commands.add_parser(
         "ablation", help="run the design-choice ablations"
@@ -863,11 +814,7 @@ def _compile_via_server(options) -> int:
     from repro.service.client import compile_with_fallback
 
     server = "fleet" if options.fleet else "daemon"
-    path = options.daemon_socket or (
-        protocol.default_fleet_socket_path()
-        if options.fleet
-        else protocol.default_socket_path()
-    )
+    path = options.daemon_socket or protocol.default_socket_path(server)
     request = protocol.compile_request(
         *_payload(options),
         options.level,
@@ -926,15 +873,12 @@ def _serve_until_signalled(wait, stop, metrics, metrics_json=None) -> int:
 
 def _cmd_serve(options) -> int:
     from repro.service.daemon import CompileDaemon, DaemonConfig
-    from repro.service.faults import RetryPolicy
     from repro.service.protocol import default_socket_path
 
     config = DaemonConfig(
         socket_path=options.socket or default_socket_path(),
         workers=options.workers,
-        max_pending=options.max_pending,
         request_timeout=options.timeout,
-        retry=RetryPolicy(max_attempts=max(1, options.retries)),
         cache_dir=None if options.no_cache else options.cache_dir,
         cache_max_bytes=options.cache_max_mb * 1024 * 1024,
         incident_dir=None if options.no_incidents else options.incident_dir,
@@ -1021,7 +965,7 @@ def _cmd_triage_bisect(options, store, incident) -> int:  # noqa: ARG001
 def _cmd_triage_reduce(options, store, incident) -> int:
     from repro.triage.reduce import describe, reduce_incident
 
-    artifact = reduce_incident(incident, max_checks=options.max_checks)
+    artifact = reduce_incident(incident)
     if artifact is None:
         print("incident does not reproduce under replay", file=sys.stderr)
         return 1
@@ -1032,9 +976,9 @@ def _cmd_triage_reduce(options, store, incident) -> int:
 
 def _cmd_fleet_stats(options) -> int:
     from repro.service.client import try_connect
-    from repro.service.protocol import default_fleet_socket_path
+    from repro.service.protocol import default_socket_path
 
-    path = options.socket or default_fleet_socket_path()
+    path = options.socket or default_socket_path("fleet")
     client = try_connect(path)
     if client is None:
         print(f"fleet: no gateway listening on {path}", file=sys.stderr)
@@ -1047,7 +991,7 @@ def _cmd_fleet_stats(options) -> int:
 def _cmd_fleet_serve(options) -> int:
     from repro.service.fleet import FleetConfig, FleetHandle
     from repro.service.fleet.gateway import TIER1_LEVEL
-    from repro.service.protocol import default_fleet_socket_path
+    from repro.service.protocol import default_socket_path
 
     overrides = {}
     for spec in options.quota_overrides:
@@ -1060,7 +1004,7 @@ def _cmd_fleet_serve(options) -> int:
                   "(expected TENANT=RATE:BURST)", file=sys.stderr)
             return 2
     config = FleetConfig(
-        socket_path=options.socket or default_fleet_socket_path(),
+        socket_path=options.socket or default_socket_path("fleet"),
         shards=options.shards,
         workers_per_shard=options.workers_per_shard,
         store_dir=options.store_dir,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.frontend.errors import LexError
 
@@ -102,17 +101,3 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token("NEWLINE", None, line_no))
     tokens.append(Token("EOF", None, len(source.splitlines()) + 1))
     return tokens
-
-
-def iter_statements(tokens: list[Token]) -> Iterator[list[Token]]:
-    """Group tokens into statements (split at NEWLINE), skipping empties."""
-    statement: list[Token] = []
-    for token in tokens:
-        if token.kind in ("NEWLINE", "EOF"):
-            if statement:
-                yield statement
-            statement = []
-        else:
-            statement.append(token)
-    if statement:  # pragma: no cover - EOF always flushes
-        yield statement

@@ -35,13 +35,6 @@ class ArrayType:
     def elemsize(self) -> int:
         return self.element.elemsize
 
-    @property
-    def size_bytes(self) -> int:
-        total = 1
-        for dim in self.dims:
-            total *= dim
-        return total * self.elemsize
-
     def __str__(self) -> str:
         dims = ",".join(str(d) for d in self.dims)
         return f"{self.element}[{dims}]"

@@ -42,11 +42,6 @@ class IRBuilder:
         self._block = self.func.add_block(name)
         return name
 
-    def current_label(self) -> str:
-        if self._block is None:
-            raise RuntimeError("no current block; call label() first")
-        return self._block.label
-
     def append(self, inst: Instruction) -> Instruction:
         if self._block is None:
             raise RuntimeError("no current block; call label() first")

@@ -28,7 +28,6 @@ from repro.cfg.graph import ControlFlowGraph
 from repro.dataflow.bitset import FactUniverse, MaskProblem, solve_masks
 from repro.dataflow.expressions import ExpressionTable
 from repro.ir.function import Function
-from repro.ir.instructions import ExprKey
 
 
 @dataclass
@@ -174,13 +173,3 @@ def build_context(func: Function) -> PREContext | None:
         ant_in=ant.after,
         ant_out=ant.before,
     )
-
-
-def expression_keys(func: Function) -> list[ExprKey]:
-    """The function's lexical expression keys, first-occurrence order.
-
-    The shared entry point for consumers outside the solvers (e.g. the
-    rank-order checker's hoisting audit) that only need the keys, routed
-    through the :class:`~repro.analysis.manager.AnalysisManager` cache.
-    """
-    return list(analyses(func).expressions().keys)

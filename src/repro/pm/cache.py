@@ -25,18 +25,15 @@ to (k-1)/8 of it before they have all scanned at the cap
 stats|clear|prune`` manages it.
 
 The :class:`ArtifactStore` is the fleet's shared layer
-(:mod:`repro.service.fleet`): whole compile *replies* keyed on the
-service request key, each tagged with the optimization ``level``, a
-``generation`` counter and the ``producer`` shard — so any gateway or
-shard can serve an artifact that some other shard compiled, and a
-tiered O1 answer can later be upgraded in place by the O2 background
-job.
+(:mod:`repro.service.fleet`): the IR text of whole compile replies,
+stored per service request key and optimization ``level`` and tagged
+with nothing else, so any gateway or shard can serve an artifact that
+some other shard compiled, and a tiered O1 answer's request can later
+be answered at O2 once the background job stores that level.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.store import ContentStore, content_key
@@ -83,17 +80,6 @@ class PassCache(ContentStore):
         self.save(cache_key(ir_text, fingerprint), optimized_text)
 
 
-@dataclass(frozen=True)
-class Artifact:
-    """One stored compile result plus its provenance tag."""
-
-    text: str
-    level: str
-    generation: int
-    producer: str
-    tier: int
-
-
 class ArtifactStore(ContentStore):
     """The fleet's shared, content-addressed compile-artifact store.
 
@@ -103,12 +89,13 @@ class ArtifactStore(ContentStore):
     tiered request holds *two* entries: the fast O1 answer and, once the
     background upgrade lands, the O2 text at the requested level.
 
-    The sealed payload is one JSON line of provenance (``level``,
-    ``generation``, ``producer``, ``tier``) followed by the artifact
-    text.  Because compilation is deterministic, two writers racing on
-    the same ``(key, level)`` write identical payloads and either winner
-    is correct; the same argument makes the memory tier (LRU-bounded at
-    ``memory_entries``) safe to share across requests.
+    The sealed payload is the artifact text alone.  Because compilation
+    is deterministic, two writers racing on the same ``(key, level)``
+    write identical payloads and either winner is correct; the same
+    argument makes the memory tier (LRU-bounded at ``memory_entries``)
+    safe to share across requests.  An entry from before the store
+    dropped its provenance line (``{"level":...}`` first) reads as a
+    miss and is unlinked, like a corrupt one.
     """
 
     suffix = ".art"
@@ -128,30 +115,15 @@ class ArtifactStore(ContentStore):
             memory_entries=max(0, int(memory_entries)),
         )
 
-    def get(self, key: str, level: str) -> Optional[Artifact]:
-        """The stored artifact for ``(key, level)``, or ``None``."""
+    def get(self, key: str, level: str) -> Optional[str]:
+        """The stored IR text for ``(key, level)``, or ``None``."""
         return self.load(f"{key}.{level}")
 
-    def put(
-        self,
-        key: str,
-        text: str,
-        *,
-        level: str,
-        generation: int = 0,
-        producer: str = "",
-        tier: int = 2,
-    ) -> Artifact:
+    def put(self, key: str, text: str, *, level: str) -> None:
         """Publish one artifact (atomic on disk, visible fleet-wide)."""
-        artifact = Artifact(text, level, int(generation), producer, int(tier))
-        self.save(f"{key}.{level}", artifact)
-        return artifact
+        self.save(f"{key}.{level}", text)
 
-    def encode(self, artifact: Artifact) -> str:
-        provenance = asdict(artifact)
-        text = provenance.pop("text")
-        return json.dumps(provenance, separators=(",", ":")) + "\n" + text
-
-    def decode(self, payload: str) -> Artifact:
-        provenance, _, text = payload.partition("\n")
-        return Artifact(text=text, **json.loads(provenance))
+    def decode(self, payload: str) -> str:
+        if payload.startswith('{"level":'):
+            raise ValueError("an artifact in the provenance-tagged format")
+        return payload

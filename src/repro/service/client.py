@@ -57,7 +57,7 @@ class DaemonClient:
     ) -> None:
         self.path = path
         self._sock = self._connect(path, timeout, connect_retries)
-        self._reader = protocol.read_messages(self._sock)
+        self._lines = protocol.read_lines(self._sock)
         self._parked: dict[int, dict] = {}
         self._lock = threading.Lock()
         self._next_id = 0
@@ -104,7 +104,7 @@ class DaemonClient:
             if reply is not None:
                 return reply
             try:
-                message = next(self._reader)
+                message = protocol.decode(next(self._lines))
             except StopIteration:
                 raise ConnectionError("daemon closed the connection") from None
             got = message.get("id")

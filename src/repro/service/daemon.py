@@ -6,10 +6,13 @@ Startup order matters: the worker pool forks *before* any daemon thread
 exists (fork safety — see :mod:`repro.service.workers`), then the
 scheduler threads start, then the socket begins accepting.
 
-One thread per client connection reads newline-framed requests; compile
-replies are written by whichever dispatcher thread completes the job
-(a per-connection write lock keeps frames intact).  ``stats`` and
-``ping`` answer inline; ``shutdown`` replies first, then stops the
+One thread per client connection reads newline-framed requests under
+the protocol's framing rule (a malformed line is answered
+``bad-request`` and reading goes on; a line past
+:data:`~repro.service.protocol.MAX_LINE` closes the connection);
+compile replies are written by whichever dispatcher thread completes
+the job (a per-connection write lock keeps frames intact).  ``stats``
+and ``ping`` answer inline; ``shutdown`` replies first, then stops the
 daemon from a detached thread so the reply reaches the peer.
 """
 
@@ -137,10 +140,13 @@ class CompileDaemon:
                     pass  # peer vanished; the compile result is simply dropped
 
         try:
-            for message in protocol.read_messages(conn):
+            for line in protocol.read_lines(conn):
+                try:
+                    message = protocol.decode(line)
+                except protocol.ProtocolError as error:
+                    reply({"id": None, "ok": False, "error": error.as_error()})
+                    continue
                 self._handle(message, reply)
-        except protocol.ProtocolError as error:
-            reply({"id": None, "ok": False, "error": error.as_error()})
         finally:
             try:
                 conn.close()
@@ -180,4 +186,6 @@ class CompileDaemon:
                 "error": {"kind": "overloaded", "message": str(error)},
             })
         else:
-            future.add_done_callback(lambda body: reply({"id": rid, **body}))
+            future.add_done_callback(
+                lambda done: reply({"id": rid, **done.result()})
+            )

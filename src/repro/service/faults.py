@@ -54,14 +54,11 @@ class RetryPolicy:
     ``backoff_cap``; the actual delay is drawn uniformly from
     ``[0, ceiling]`` ("full jitter") so a whole fleet of retriers hit
     by one event does not resynchronize into thundering-herd retries.
-    ``jitter=False`` pins the delay to the ceiling (deterministic
-    tests).
     """
 
     max_attempts: int = 3
     backoff: float = 0.05
     backoff_cap: float = 1.0
-    jitter: bool = True
 
     def ceiling(self, attempt: int) -> float:
         """The deterministic backoff cap before retry ``attempt`` (1-based)."""
@@ -69,8 +66,7 @@ class RetryPolicy:
 
     def delay(self, attempt: int) -> float:
         """Seconds to wait before running attempt ``attempt`` (1-based retry)."""
-        ceiling = self.ceiling(attempt)
-        return random.uniform(0.0, ceiling) if self.jitter else ceiling
+        return random.uniform(0.0, self.ceiling(attempt))
 
 
 def validate_fault(fault: dict) -> dict:

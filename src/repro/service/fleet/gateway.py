@@ -17,8 +17,13 @@ while the full compile runs in the background and lands in the store;
 the next request for the same key gets the O2 text.  Replies always carry ``tier`` (1 =
 fast answer, 2 = the requested level), the ``level`` actually compiled
 and ``served_from`` — and every reply is byte-identical to a direct
-``repro compile`` at its stated level, because shards *are* PR-4
-daemons and the store holds their replies verbatim.
+``repro compile`` at its stated level, because shards *are* compile
+daemons and the store holds their IR text verbatim, per request key
+and level.  The requested-level reply, the tier-1 answer and the
+background upgrade all go through one store-or-compile routine
+(:meth:`FleetGateway._store_or_compile`): a store lookup, else one
+deduped shard compile, stored unless degraded.  Every store lookup
+counts one ``store_hits`` or one ``store_misses``.
 
 Routing is rendezvous hashing (:mod:`.hashring`) on the request key
 over the currently-live shard slots: a shard loss remaps only that
@@ -74,9 +79,6 @@ GATEWAY_COUNTERS = (
     "shard_crash_loops",
 )
 
-#: Line-length cap for shard/client frames (big fuzz-CFG modules).
-_STREAM_LIMIT = 2**24
-
 #: The fast tier: ``"none"`` answers with validated unoptimized IR (the
 #: classic tier-0 move) while the requested level compiles behind it.
 TIER1_LEVEL = "none"
@@ -109,7 +111,7 @@ class FleetConfig:
     """Every ``repro fleet serve`` knob."""
 
     socket_path: str = field(
-        default_factory=protocol.default_fleet_socket_path
+        default_factory=lambda: protocol.default_socket_path("fleet")
     )
     shards: int = 2
     workers_per_shard: int = 1
@@ -174,7 +176,7 @@ class ShardLink:
             try:
                 reader, writer = await asyncio.wait_for(
                     asyncio.open_unix_connection(
-                        self.shard.socket_path, limit=_STREAM_LIMIT
+                        self.shard.socket_path, limit=protocol.MAX_LINE
                     ),
                     timeout=2.0,
                 )
@@ -249,9 +251,8 @@ class FleetGateway:
         self._background: set[asyncio.Task] = set()
         self._clients: set[asyncio.Task] = set()
         self._client_writers: set[asyncio.StreamWriter] = set()
-        self._foreground = 0  # shard-bound compiles with a waiting client
+        self._foreground = 0  # client compiles not yet answered
         self._supervisor_state: dict = {}
-        self._generation = 0
         self._stop: Optional[asyncio.Event] = None
         self._upgrade_sem: Optional[asyncio.Semaphore] = None
 
@@ -285,7 +286,7 @@ class FleetGateway:
         protocol.claim_socket(self.config.socket_path)
         server = await asyncio.start_unix_server(
             self._serve_client, path=self.config.socket_path,
-            limit=_STREAM_LIMIT,
+            limit=protocol.MAX_LINE,
         )
         supervisor = asyncio.create_task(self._supervise())
         if on_ready is not None:
@@ -470,18 +471,22 @@ class FleetGateway:
             await asyncio.sleep(delay)
         loop = asyncio.get_running_loop()
         started = loop.time()
-        body = await self._compile(request)
+        # only a shard compile suspends _compile, so background upgrades
+        # see here whether a client waits on a shard
+        self._foreground += 1
+        try:
+            body = await self._compile(request)
+        finally:
+            self._foreground -= 1
         elapsed = loop.time() - started
         self.metrics.latency.observe(elapsed)
         self.metrics.observe_labeled("tenant", tenant, elapsed)
         if body.get("ok"):
             self.metrics.inc("replies_ok")
-            tier = body.get("tier")
-            if tier is not None:
-                self.metrics.observe_labeled("tier", str(tier), elapsed)
-                self.metrics.inc(
-                    "tier1_replies" if tier == 1 else "tier2_replies"
-                )
+            self.metrics.inc(f"replies_{body['served_from']}")
+            tier = body["tier"]
+            self.metrics.observe_labeled("tier", str(tier), elapsed)
+            self.metrics.inc("tier1_replies" if tier == 1 else "tier2_replies")
         else:
             self.metrics.inc("replies_error")
         await reply({"id": rid, **body})
@@ -490,77 +495,65 @@ class FleetGateway:
 
     async def _compile(self, request: dict) -> dict:
         """Store-first, tiered, deduped compile of one request."""
-        kind, text = request["kind"], request["text"]
-        level, verify = request["level"], request["verify"]
-        key = protocol.request_key(kind, text, level, verify)
+        level = request["level"]
         # a level the caches may not keep (cacheable) is never stored,
         # never served from the store and never tiered
-        no_store = request.get("no_store", False) or not cacheable(level)
-        tiered = (
-            self.config.tiering
-            and not no_store
-            and level != "none"
-            and level != TIER1_LEVEL
-        )
-        if not no_store:
-            artifact = self.store.get(key, level)
-            if artifact is not None:
-                self.metrics.inc("store_hits")
-                self.metrics.inc("replies_store")
-                return {
-                    "ok": True,
-                    "ir": artifact.text,
-                    "tier": 2,
-                    "level": level,
-                    "served_from": "store",
-                }
-            self.metrics.inc("store_misses")
-        if tiered:
-            o1_level = TIER1_LEVEL
-            o1_key = protocol.request_key(kind, text, o1_level, verify)
-            artifact = self.store.get(o1_key, o1_level)
-            if artifact is not None:
-                self.metrics.inc("store_hits")
-                self.metrics.inc("replies_store")
-                self._ensure_upgrade(key, request)
-                return {
-                    "ok": True,
-                    "ir": artifact.text,
-                    "tier": 1,
-                    "level": o1_level,
-                    "served_from": "store",
-                }
-            reply = await self._foreground_compile(
-                {**request, "level": o1_level}, o1_key
+        stored = not request.get("no_store", False) and cacheable(level)
+        if not (
+            stored and self.config.tiering and level not in ("none", TIER1_LEVEL)
+        ):
+            return await self._store_or_compile(request, tier=2, stored=stored)
+        # tiered: the requested level if the store holds it, else the
+        # tier-1 answer now and the requested level in the background
+        key = self._key(request)
+        body = self._lookup(key, level, tier=2)
+        if body is None:
+            body = await self._store_or_compile(
+                {**request, "level": TIER1_LEVEL}, tier=1
             )
-            if not reply.get("ok"):
-                return reply
-            if not reply.get("degraded"):
-                self._store_artifact(o1_key, reply, level=o1_level, tier=1)
-            self.metrics.inc("replies_shard")
-            self._ensure_upgrade(key, request)
-            return {**reply, "tier": 1,
-                    "level": reply.get("level", o1_level),
-                    "served_from": "shard"}
-        reply = await self._foreground_compile(request, key)
+            if body.get("ok"):
+                self._ensure_upgrade(key, request)
+        return body
+
+    @staticmethod
+    def _key(request: dict) -> str:
+        return protocol.request_key(
+            request["kind"], request["text"], request["level"], request["verify"]
+        )
+
+    def _lookup(self, key: str, level: str, *, tier: int) -> Optional[dict]:
+        """The stored reply for ``(key, level)``, or ``None``; every
+        lookup counts one ``store_hits`` or one ``store_misses``."""
+        text = self.store.get(key, level)
+        if text is None:
+            self.metrics.inc("store_misses")
+            return None
+        self.metrics.inc("store_hits")
+        return {"ok": True, "ir": text, "tier": tier, "level": level,
+                "served_from": "store"}
+
+    async def _store_or_compile(
+        self, request: dict, *, tier: int, stored: bool = True
+    ) -> dict:
+        """``request`` answered at its own level: from the store when
+        ``stored`` and the store holds it, else by a shard, and then
+        stored unless the shard's reply is degraded."""
+        level, key = request["level"], self._key(request)
+        if stored:
+            body = self._lookup(key, level, tier=tier)
+            if body is not None:
+                return body
+        reply = await self._compile_once(request, key)
         if not reply.get("ok"):
             return reply
         # a degraded reply is honest about its achieved level but is
         # NOT the artifact this key promises — storing it would serve a
         # lower-level compile as a clean store hit forever after
-        if not no_store and not reply.get("degraded"):
-            self._store_artifact(key, reply, level=level, tier=2)
-        self.metrics.inc("replies_shard")
-        return {**reply, "tier": 2, "level": reply.get("level", level),
+        if stored and not reply.get("degraded"):
+            self.store.put(key, reply["ir"], level=level)
+            self.metrics.inc("store_writes")
+        return {**reply, "tier": tier, "level": reply.get("level", level),
                 "served_from": "shard"}
-
-    async def _foreground_compile(self, request: dict, key: str) -> dict:
-        """A shard compile a client is waiting on (upgrades yield to it)."""
-        self._foreground += 1
-        try:
-            return await self._compile_once(request, key)
-        finally:
-            self._foreground -= 1
 
     async def _compile_once(self, request: dict, key: str) -> dict:
         """In-flight dedup: one routed compile per key, fanned out."""
@@ -652,20 +645,6 @@ class FleetGateway:
     def _strip(reply: dict) -> dict:
         return {name: value for name, value in reply.items() if name != "id"}
 
-    def _store_artifact(
-        self, key: str, reply: dict, *, level: str, tier: int
-    ) -> None:
-        self._generation += 1
-        self.store.put(
-            key,
-            reply["ir"],
-            level=level,
-            generation=self._generation,
-            producer=reply.get("shard", ""),
-            tier=tier,
-        )
-        self.metrics.inc("store_writes")
-
     # -- tier upgrades -----------------------------------------------------------
 
     def _ensure_upgrade(self, key: str, request: dict) -> None:
@@ -688,29 +667,17 @@ class FleetGateway:
                 grace_deadline = loop.time() + UPGRADE_GRACE
                 while self._foreground > 0 and loop.time() < grace_deadline:
                     await asyncio.sleep(0.005)
-                if self.store.get(key, request["level"]) is not None:
-                    self.metrics.inc("upgrades_done")
-                    return
-                reply = await self._compile_once(request, key)
-                if reply.get("ok") and not reply.get("degraded"):
-                    self._store_artifact(
-                        key, reply, level=request["level"], tier=2
-                    )
-                    self.metrics.inc("upgrades_done")
-                else:
-                    # a degraded O2 answer must not be stored as the
-                    # requested level; count it as a failed upgrade
-                    self.metrics.inc("upgrades_failed")
+                body = await self._store_or_compile(request, tier=2)
+            # a degraded answer is not stored as the requested level;
+            # it counts as a failed upgrade
+            done = body.get("ok") and not body.get("degraded")
+            self.metrics.inc("upgrades_done" if done else "upgrades_failed")
         except asyncio.CancelledError:
             raise
         except Exception:  # noqa: BLE001 — upgrades must never take the loop down
             self.metrics.inc("upgrades_failed")
         finally:
             self._upgrading.discard(key)
-
-    def upgrades_idle(self) -> bool:
-        """True when no background upgrade is pending (bench/test sync)."""
-        return not self._upgrading
 
     # -- stats -------------------------------------------------------------------
 

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import os
 import signal
-import socket
 import time
 
+from repro.service import protocol
 from repro.service.daemon import CompileDaemon, DaemonConfig
 from repro.service.workers import _CTX, preload_modules
 
@@ -84,23 +84,11 @@ class ShardProcess:
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
-    def accepting(self, timeout: float = 0.2) -> bool:
-        """True when the shard's daemon answers a connect probe."""
-        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        probe.settimeout(timeout)
-        try:
-            probe.connect(self.socket_path)
-            return True
-        except OSError:
-            return False
-        finally:
-            probe.close()
-
     def wait_ready(self, timeout: float = 15.0) -> bool:
         """Block (supervisor-side) until accepting, or give up."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            if self.accepting():
+            if protocol.listening(self.socket_path):
                 return True
             if not self.alive():
                 return False

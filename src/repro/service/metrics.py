@@ -5,7 +5,8 @@ and connection threads bump counters and observe request latencies;
 worker batch reports (``ManagerStats`` JSON from each process) merge
 into a global per-pass rollup, so the ``stats`` request answers "where
 did the time go" across the whole pool with the same pass labels the
-``--stats`` CLI flag prints.
+``--stats`` CLI flag prints.  The counters are one table of ints, and
+one lock guards it and the rollup.
 
 The histogram keeps exact samples up to a cap and falls back to
 log-spaced buckets beyond it, so p50/p99 stay meaningful on multi-hour
@@ -35,23 +36,6 @@ _BUCKET_BOUNDS = tuple(1e-4 * (2**i) for i in range(21))
 
 #: Exact samples kept before quantiles fall back to bucket interpolation.
 _SAMPLE_CAP = 100_000
-
-
-class Counter:
-    """A monotonically increasing, thread-safe counter."""
-
-    def __init__(self) -> None:
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
 
 
 class LatencyHistogram:
@@ -120,7 +104,6 @@ class Metrics:
         "retries",
         "timeouts",
         "worker_crashes",
-        "worker_restarts",
         "overloaded",
         "cache_hits",
         "cache_misses",
@@ -130,22 +113,18 @@ class Metrics:
     )
 
     def __init__(self, extra_counters: tuple = ()) -> None:
-        self._counters = {
-            name: Counter()
-            for name in (*self.COUNTER_NAMES, *extra_counters)
-        }
+        #: guards the counters, the labeled histograms' index and the
+        #: pass rollup
+        self._lock = threading.Lock()
+        self._counters = dict.fromkeys((*self.COUNTER_NAMES, *extra_counters), 0)
         self.latency = LatencyHistogram()
         self._labeled: dict[str, dict[str, LatencyHistogram]] = {}
-        self._labeled_lock = threading.Lock()
         self._pass_stats = ManagerStats()
-        self._pass_lock = threading.Lock()
         self._started = time.monotonic()
 
-    def counter(self, name: str) -> Counter:
-        return self._counters[name]
-
     def inc(self, name: str, amount: int = 1) -> None:
-        self._counters[name].inc(amount)
+        with self._lock:
+            self._counters[name] += amount
 
     def observe_labeled(self, group: str, label: str, seconds: float) -> None:
         """Record a latency under ``group``/``label`` (e.g. tier/tenant).
@@ -154,7 +133,7 @@ class Metrics:
         (new tenants just appear); each label is a full
         :class:`LatencyHistogram` with the same bounded-memory story.
         """
-        with self._labeled_lock:
+        with self._lock:
             series = self._labeled.setdefault(group, {})
             histogram = series.get(label)
             if histogram is None:
@@ -164,18 +143,20 @@ class Metrics:
     def merge_worker_stats(self, stats_jsonable: dict) -> None:
         """Fold one worker batch report into the global pass rollup."""
         stats = ManagerStats.from_jsonable(stats_jsonable)
-        with self._pass_lock:
+        with self._lock:
             self._pass_stats.merge(stats)
-        self.inc("cache_hits", stats.cache_hits)
-        self.inc("cache_misses", stats.cache_misses)
-
-    def pass_rollup(self) -> dict:
-        with self._pass_lock:
-            return self._pass_stats.to_jsonable()
+            self._counters["cache_hits"] += stats.cache_hits
+            self._counters["cache_misses"] += stats.cache_misses
 
     def snapshot(self, scheduler: Optional[object] = None) -> dict:
         """The ``stats``-reply body (schema documented in SERVICE.md)."""
-        counters = {name: c.value for name, c in self._counters.items()}
+        with self._lock:
+            counters = dict(self._counters)
+            passes = self._pass_stats.to_jsonable()
+            labeled = {
+                group: sorted(series.items())
+                for group, series in self._labeled.items()
+            }
         hits, misses = counters["cache_hits"], counters["cache_misses"]
         lookups = hits + misses
         report = {
@@ -187,20 +168,12 @@ class Metrics:
                 "misses": misses,
                 "hit_ratio": round(hits / lookups, 4) if lookups else 0.0,
             },
-            "passes": self.pass_rollup(),
+            "passes": passes,
         }
-        with self._labeled_lock:
-            labeled = {
-                group: sorted(series)
-                for group, series in self._labeled.items()
-            }
         if labeled:
             report["latency_by"] = {
-                group: {
-                    label: self._labeled[group][label].snapshot()
-                    for label in labels
-                }
-                for group, labels in labeled.items()
+                group: {label: histogram.snapshot() for label, histogram in series}
+                for group, series in labeled.items()
             }
         if scheduler is not None:
             report["scheduler"] = scheduler.gauges()
@@ -224,7 +197,7 @@ class Metrics:
             f"cache: {cache['hits']} hits / {cache['misses']} misses "
             f"(ratio {cache['hit_ratio']})"
         )
-        with self._pass_lock:
+        with self._lock:
             if self._pass_stats.passes:
                 lines.append(self._pass_stats.format())
         return "\n".join(lines)

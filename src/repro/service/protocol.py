@@ -6,6 +6,11 @@ requests carrying a caller-chosen ``id``; the daemon echoes the ``id``
 on the reply, and replies may arrive out of order (the scheduler
 batches and shards), so clients match on ``id``, never on position.
 
+Both servers, the daemon and the fleet gateway, frame alike: a line
+that is not a JSON object gets a ``bad-request`` reply with ``id``
+``null`` and the connection reads on; a line longer than
+:data:`MAX_LINE` bytes closes the connection.
+
 Request operations:
 
 ``compile``
@@ -51,6 +56,7 @@ the same artifact.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -84,6 +90,9 @@ PRIORITIES = ("interactive", "batch")
 #: The tenant requests are accounted to when they do not name one.
 DEFAULT_TENANT = "default"
 
+#: The longest line any reader accepts (big fuzz-CFG modules fit).
+MAX_LINE = 2**24
+
 
 class ProtocolError(Exception):
     """A malformed or unsupported message (replied as ``bad-request``)."""
@@ -96,43 +105,36 @@ class ProtocolError(Exception):
         return {"kind": self.kind, "message": str(self)}
 
 
-def default_socket_path() -> str:
-    """The conventional daemon socket: ``$REPRO_DAEMON_SOCKET`` or a
+def default_socket_path(server: str = "daemon") -> str:
+    """The conventional socket of a ``"daemon"`` or a ``"fleet"``
+    gateway: ``$REPRO_DAEMON_SOCKET`` / ``$REPRO_FLEET_SOCKET``, or a
     per-user path under ``$XDG_RUNTIME_DIR`` (fallback: the tempdir)."""
-    override = os.environ.get("REPRO_DAEMON_SOCKET")
+    override = os.environ.get(f"REPRO_{server.upper()}_SOCKET")
     if override:
         return override
     runtime = os.environ.get("XDG_RUNTIME_DIR") or tempfile.gettempdir()
     uid = getattr(os, "getuid", lambda: "user")()
-    return os.path.join(runtime, f"repro-daemon-{uid}.sock")
+    return os.path.join(runtime, f"repro-{server}-{uid}.sock")
 
 
-def default_fleet_socket_path() -> str:
-    """The conventional gateway socket: ``$REPRO_FLEET_SOCKET`` or a
-    per-user path beside the daemon's."""
-    override = os.environ.get("REPRO_FLEET_SOCKET")
-    if override:
-        return override
-    runtime = os.environ.get("XDG_RUNTIME_DIR") or tempfile.gettempdir()
-    uid = getattr(os, "getuid", lambda: "user")()
-    return os.path.join(runtime, f"repro-fleet-{uid}.sock")
+def listening(path: str, timeout: float = 0.25) -> bool:
+    """Whether a server accepts connections on the socket at ``path``."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        probe.settimeout(timeout)
+        try:
+            probe.connect(path)
+        except OSError:
+            return False
+    return True
 
 
 def claim_socket(path: str) -> None:
     """Unlink a stale socket file at ``path``; refuse to evict a live
     daemon or gateway (``RuntimeError``)."""
-    if not os.path.exists(path):
-        return
-    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    try:
-        probe.settimeout(0.25)
-        probe.connect(path)
-    except OSError:
-        os.unlink(path)  # nobody home: stale leftover
-    else:
+    if listening(path):
         raise RuntimeError(f"a server is already listening on {path}")
-    finally:
-        probe.close()
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)  # nobody home: stale leftover
 
 
 def encode(message: dict) -> bytes:
@@ -151,18 +153,22 @@ def decode(line: bytes) -> dict:
     return message
 
 
-def read_messages(sock: socket.socket) -> Iterator[dict]:
-    """Yield decoded messages from ``sock`` until the peer closes."""
+def read_lines(sock: socket.socket) -> Iterator[bytes]:
+    """Yield the non-blank lines read from ``sock`` until the peer
+    closes, or until a line grows past :data:`MAX_LINE` bytes."""
     buffer = b""
     while True:
         chunk = sock.recv(65536)
         if not chunk:
             return
-        buffer += chunk
-        while b"\n" in buffer:
-            line, _, buffer = buffer.partition(b"\n")
+        *lines, buffer = (buffer + chunk).split(b"\n")
+        for line in lines:
+            if len(line) > MAX_LINE:
+                return
             if line.strip():
-                yield decode(line)
+                yield line
+        if len(buffer) > MAX_LINE:
+            return
 
 
 def request_key(kind: str, text: str, level: str, verify: str) -> str:

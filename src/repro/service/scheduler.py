@@ -5,8 +5,9 @@ The path of a compile request through the daemon:
 1. **submit** — the request is normalized, content-hashed
    (:func:`repro.service.protocol.request_key`) and checked against the
    in-flight table.  An identical request already pending or running
-   just attaches another :class:`JobFuture` to the existing job
-   (``dedup_hits``); the compile runs once and fans its reply out.
+   just attaches another :class:`concurrent.futures.Future` to the
+   existing job (``dedup_hits``); the compile runs once and fans its
+   reply out.
    When the table is at ``max_pending``, the request is shed with
    :class:`~repro.service.faults.OverloadedError` instead of queueing.
 2. **batch** — an accepted job joins its shard's pending list; no
@@ -22,7 +23,8 @@ The path of a compile request through the daemon:
    the batch's unfinished jobs elsewhere in time (same shard, fresh
    worker) under the :class:`~repro.service.faults.RetryPolicy`;
    jobs past their deadline are answered ``timeout`` and the stuck
-   worker is killed.
+   worker is killed.  The pool respawns a killed or dead worker when
+   its shard's next batch is due, and counts each respawn once.
 5. **quarantine** — a request that kills workers through its *whole*
    retry budget is a poison pill: instead of a terminal
    ``worker-crash``, the scheduler steps its level one rung down the
@@ -44,7 +46,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from concurrent.futures import Future
+from typing import Optional
 
 from repro.pipeline.levels import ladder_next
 from repro.service import protocol
@@ -54,39 +57,6 @@ from repro.service.workers import WorkerPool
 
 #: The most pending jobs a free worker is sent as one batch.
 MAX_BATCH = 16
-
-
-class JobFuture:
-    """One caller's handle on a (possibly shared) compile job."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._reply: Optional[dict] = None
-        self._callbacks: list[Callable[[dict], None]] = []
-        self.deduped = False
-
-    def set_reply(self, reply: dict) -> None:
-        with self._lock:
-            self._reply = reply
-            callbacks, self._callbacks = self._callbacks, []
-            self._event.set()
-        for callback in callbacks:
-            callback(reply)
-
-    def add_done_callback(self, callback: Callable[[dict], None]) -> None:
-        with self._lock:
-            if self._reply is None:
-                self._callbacks.append(callback)
-                return
-            reply = self._reply
-        callback(reply)
-
-    def result(self, timeout: Optional[float] = None) -> dict:
-        if not self._event.wait(timeout):
-            raise TimeoutError("no reply within timeout")
-        assert self._reply is not None
-        return self._reply
 
 
 class Job:
@@ -109,7 +79,8 @@ class Job:
         self.seq = seq
         self.key = key
         self.request = request
-        self.futures: list[JobFuture] = []
+        #: every waiter's future, and whether it joined an existing job
+        self.futures: list[tuple[Future, bool]] = []
         self.attempt = 0
         self.enqueued = time.monotonic()
         self.deadline = deadline
@@ -189,7 +160,7 @@ class Scheduler:
 
     # -- intake ------------------------------------------------------------------
 
-    def submit(self, message: dict) -> JobFuture:
+    def submit(self, message: dict) -> Future:
         """Accept one compile request; returns the caller's future.
 
         Raises :class:`~repro.service.protocol.ProtocolError` on a
@@ -205,15 +176,14 @@ class Scheduler:
         key = protocol.request_key(
             request["kind"], request["text"], request["level"], request["verify"]
         )
-        future = JobFuture()
+        future = Future()
         with self._lock:
             if self._stopped:
                 raise OverloadedError("scheduler stopped")
             self.metrics.inc("requests_total")
             job = self._jobs.get(key)
             if job is not None and not job.done:
-                future.deduped = True
-                job.futures.append(future)
+                job.futures.append((future, True))
                 self.metrics.inc("dedup_hits")
                 return future
             if len(self._jobs) >= self.max_pending:
@@ -232,14 +202,15 @@ class Scheduler:
                 job.request["level"] = quarantined
                 self.metrics.inc("quarantine_hits")
             job.shard = int(key[:8], 16) % self.pool.size
-            job.futures.append(future)
+            job.futures.append((future, False))
             self._jobs[key] = job
             self._pending[job.shard].append(job)
             self._ready[job.shard].notify()
         return future
 
     def gauges(self) -> dict:
-        """Point-in-time scheduler state for the ``stats`` reply."""
+        """Scheduler state for the ``stats`` reply: point-in-time gauges,
+        plus every worker respawn the pool has made (``worker_restarts``)."""
         with self._lock:
             inflight = len(self._jobs)
             buffered = sum(len(pending) for pending in self._pending)
@@ -303,25 +274,18 @@ class Scheduler:
                 elif message[0] == "batch-done":
                     self.metrics.merge_worker_stats(message[1]["stats"])
                     # a well-behaved worker answered everything first
-                    return self._reap(index, remaining, timed_out=False,
-                                      kill=bool(remaining))
+                    return self._reap(index, remaining, timed_out=False)
         except (EOFError, BrokenPipeError, OSError):
             return self._reap(index, remaining, timed_out=False)
 
     def _reap(
-        self,
-        index: int,
-        remaining: dict[int, "Job"],
-        *,
-        timed_out: bool,
-        kill: bool = True,
+        self, index: int, remaining: dict[int, "Job"], *, timed_out: bool
     ) -> list[Job]:
-        """Handle a dead/stuck worker; split survivors into retry/fail."""
+        """Kill a dead/stuck worker; split its unanswered jobs into
+        retry/fail."""
         if not remaining:
             return []
-        if kill:
-            self.pool.kill(index)
-            self.metrics.inc("worker_restarts")
+        self.pool.kill(index)
         self.metrics.inc("timeouts" if timed_out else "worker_crashes")
         now = time.monotonic()
         retry: list[Job] = []
@@ -371,26 +335,19 @@ class Scheduler:
                 del self._jobs[job.key]
             return True
 
-    def _fulfill(self, job: Job, reply: dict) -> None:
+    def _fulfill(self, job: Job, reply: dict, track: bool = True) -> None:
         if not self._finish(job):
             return  # stop() failed it while a worker was still answering
-        latency = time.monotonic() - job.enqueued
-        self.metrics.latency.observe(latency)
-        self.metrics.inc("replies_ok" if reply.get("ok") else "replies_error")
-        if reply.get("degraded"):
-            self.metrics.inc("degraded_replies")
-        for future in job.futures:
-            future.set_reply(
-                {**reply, "attempts": job.attempt + 1, "deduped": future.deduped}
+        if track:
+            self.metrics.latency.observe(time.monotonic() - job.enqueued)
+            self.metrics.inc("replies_ok" if reply.get("ok") else "replies_error")
+            if reply.get("degraded"):
+                self.metrics.inc("degraded_replies")
+        for future, deduped in job.futures:
+            future.set_result(
+                {**reply, "attempts": job.attempt + 1, "deduped": deduped}
             )
 
     def _fail(self, job: Job, kind: str, message: str, track: bool = True) -> None:
         reply = {"ok": False, "error": {"kind": kind, "message": message}}
-        if track:
-            self._fulfill(job, reply)
-            return
-        if not self._finish(job):
-            return
-        for future in job.futures:
-            future.set_reply({**reply, "attempts": job.attempt + 1,
-                              "deduped": future.deduped})
+        self._fulfill(job, reply, track)

@@ -209,6 +209,7 @@ class WorkerPool:
         self.size = max(1, int(size))
         self.config = config if config is not None else WorkerConfig()
         self._handles: list[Optional[WorkerHandle]] = [None] * self.size
+        #: workers spawned to replace a dead or killed one
         self.restarts = 0
 
     def start(self) -> None:
@@ -238,16 +239,16 @@ class WorkerPool:
             if handle is not None:
                 try:
                     fds.append(handle.conn.fileno())
-                except OSError:  # pragma: no cover — already closed
+                except OSError:  # killed: its pipe end is closed
                     pass
         return tuple(fds)
 
     def kill(self, index: int) -> None:
-        """Tear down shard ``index``'s worker (respawned lazily by ``get``)."""
+        """Tear down shard ``index``'s worker; the dead handle stays in its
+        slot, so ``get`` respawns it lazily and counts the restart."""
         handle = self._handles[index]
         if handle is not None:
             handle.kill()
-            self._handles[index] = None
 
     def stop(self) -> None:
         """Terminate every worker; the pool stays usable via ``get``."""

@@ -184,6 +184,22 @@ def test_parser_rejects_the_removed_serving_options(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--max-pending", "8"],
+    ["serve", "--retries", "2"],
+    ["bench", "chaos", "--crash-pass", "dce"],
+    ["bench", "chaos", "--rate", "0.1"],
+    ["bench", "chaos", "--seed", "3"],
+    ["bench", "lospre", "--profile-dir", "profiles"],
+    ["triage", "reduce", "abc123", "--max-checks", "50"],
+])
+def test_parser_rejects_the_options_no_caller_set(argv, capsys):
+    with pytest.raises(SystemExit) as raised:
+        build_parser().parse_args(argv)
+    assert raised.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["lint", "certify"])
 def test_lint_and_certify_take_the_same_program_options(
     command, source_file, tmp_path, capsys

@@ -24,7 +24,7 @@ import pytest
 
 from repro.ir.printer import print_module
 from repro.pipeline.driver import compile_payload
-from repro.pm.cache import Artifact, ArtifactStore, PassCache
+from repro.pm.cache import ArtifactStore, PassCache
 from repro.service import protocol
 from repro.service.client import DaemonClient, DaemonError
 from repro.service.fleet import (
@@ -36,7 +36,7 @@ from repro.service.fleet import (
 )
 from repro.service.fleet import gateway as gateway_module
 from repro.service.metrics import Metrics, merge_snapshots
-from repro.store import atomic_write_text
+from repro.store import atomic_write_text, seal
 
 SOURCE = """
 routine triple(x: int) -> int
@@ -153,15 +153,30 @@ def test_artifact_store_roundtrip_and_levels(tmp_path):
     store = ArtifactStore(str(tmp_path / "store"))
     key = protocol.request_key("source", SOURCE, "distribution", "final")
     assert store.get(key, "distribution") is None
-    store.put(key, "o1 text", level="none", generation=1, producer="shard-0",
-              tier=1)
-    store.put(key, "o2 text", level="distribution", generation=2,
-              producer="shard-1", tier=2)
-    o1 = store.get(key, "none")
-    assert isinstance(o1, Artifact)
-    assert (o1.text, o1.tier, o1.producer) == ("o1 text", 1, "shard-0")
-    o2 = store.get(key, "distribution")
-    assert (o2.text, o2.level, o2.generation) == ("o2 text", "distribution", 2)
+    store.put(key, "o1 text", level="none")
+    store.put(key, "o2 text", level="distribution")
+    # one entry per level holding only its text; a fresh view reads disk
+    fresh = ArtifactStore(str(tmp_path / "store"))
+    assert fresh.get(key, "none") == "o1 text"
+    assert fresh.get(key, "distribution") == "o2 text"
+    assert sorted(os.listdir(tmp_path / "store")) == [
+        f"{key}.distribution.art", f"{key}.none.art"
+    ]
+
+
+def test_artifact_store_reads_a_provenance_tagged_entry_as_a_miss(tmp_path):
+    directory = tmp_path / "store"
+    directory.mkdir()
+    path = directory / "deadbeef.none.art"
+    path.write_text(seal(
+        '{"level":"none","generation":1,"producer":"shard-0","tier":1}\n'
+        "old text"
+    ))
+    store = ArtifactStore(str(directory))
+    assert store.get("deadbeef", "none") is None
+    assert not path.exists()
+    store.put("deadbeef", "new text", level="none")
+    assert ArtifactStore(str(directory)).get("deadbeef", "none") == "new text"
 
 
 def test_artifact_store_is_crossprocess_visible(tmp_path):
@@ -169,8 +184,7 @@ def test_artifact_store_is_crossprocess_visible(tmp_path):
     writer = ArtifactStore(directory)
     reader = ArtifactStore(directory)  # a second process would do this
     writer.put("k" * 64, "payload\nwith\nnewlines", level="none")
-    artifact = reader.get("k" * 64, "none")
-    assert artifact.text == "payload\nwith\nnewlines"
+    assert reader.get("k" * 64, "none") == "payload\nwith\nnewlines"
 
 
 def test_artifact_store_corrupt_header_is_a_miss(tmp_path):
@@ -208,10 +222,10 @@ def _store_hammer(args):
     store = ArtifactStore(directory)
     for index in range(30):
         key = f"key{index % 7}"
-        store.put(key, f"text for {key}", level="none", producer=str(worker))
-        artifact = store.get(key, "none")
-        if artifact is not None and artifact.text != f"text for {key}":
-            return f"corrupt read: {artifact.text!r}"
+        store.put(key, f"text for {key}", level="none")
+        text = store.get(key, "none")
+        if text is not None and text != f"text for {key}":
+            return f"corrupt read: {text!r}"
         if worker == 0 and index % 10 == 9:
             store.clear()  # adversarial: yank files out from under peers
     return None
@@ -386,6 +400,18 @@ def test_fleet_ping_and_bad_op(fleet):
         assert reply["error"]["kind"] == "bad-request"
 
 
+def test_fleet_answers_a_malformed_line_and_reads_on(fleet):
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(fleet.config.socket_path)
+        sock.sendall(b'not json\n{"id": 2, "op": "ping"}\n')
+        with sock.makefile("rb") as replies:
+            bad, pong = replies.readline(), replies.readline()
+    bad = json.loads(bad)
+    assert bad["id"] is None and bad["error"]["kind"] == "bad-request"
+    assert json.loads(pong) == {"id": 2, "ok": True, "pong": True, "fleet": True}
+
+
 def test_fleet_tiered_replies_are_byte_identical(fleet):
     with _client(fleet) as client:
         first = client.compile("source", SOURCE, "distribution")
@@ -409,10 +435,9 @@ def test_fleet_store_holds_o2_bytes(fleet):
     # runs after the tiered test: the store must hold the upgraded text
     store = ArtifactStore(fleet.config.store_dir)
     key = protocol.request_key("source", SOURCE, "distribution", "final")
-    artifact = store.get(key, "distribution")
-    assert artifact is not None
-    assert artifact.tier == 2
-    assert artifact.text == direct("source", SOURCE, "distribution")
+    assert store.get(key, "distribution") == direct(
+        "source", SOURCE, "distribution"
+    )
 
 
 def test_fleet_requested_level_none_is_not_tiered(fleet):

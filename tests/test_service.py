@@ -9,9 +9,12 @@ tests, per the service hardening work.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
+import signal
+import socket
 import sys
 import threading
 import time
@@ -107,10 +110,6 @@ def test_retry_policy_backoff_caps():
     for attempt in (1, 2, 4):
         for _ in range(20):
             assert 0.0 <= policy.delay(attempt) <= policy.ceiling(attempt)
-    pinned = RetryPolicy(max_attempts=5, backoff=0.1, backoff_cap=0.3,
-                         jitter=False)
-    assert pinned.delay(2) == pytest.approx(0.2)
-    assert pinned.delay(4) == pytest.approx(0.3)
 
 
 def test_fault_validation_and_triggering():
@@ -132,6 +131,27 @@ def test_latency_histogram_percentiles():
     assert snap["p50_ms"] == pytest.approx(50, abs=2)
     assert snap["p99_ms"] == pytest.approx(99, abs=2)
     assert snap["max_ms"] == pytest.approx(100, abs=1)
+
+
+def test_latency_histogram_falls_back_to_bucket_bounds_past_its_cap(
+    monkeypatch,
+):
+    import repro.service.metrics as metrics_module
+
+    monkeypatch.setattr(metrics_module, "_SAMPLE_CAP", 10)
+    hist = LatencyHistogram()
+    # 90 requests at 1 ms and 10 at 50 ms: past the cap, so quantiles
+    # are the upper bounds of the buckets holding their ranks
+    samples = [0.001] * 90 + [0.050] * 10
+    for seconds in samples:
+        hist.observe(seconds)
+    snap = hist.snapshot()
+    assert snap["count"] == 100
+    assert snap["mean_ms"] == pytest.approx(sum(samples) / 100 * 1e3, abs=1e-3)
+    assert snap["max_ms"] == 50.0
+    bounds = metrics_module._BUCKET_BOUNDS
+    assert snap["p50_ms"] == round(bounds[4] * 1e3, 3) == 1.6  # 0.8 < 1 <= 1.6
+    assert snap["p99_ms"] == round(bounds[9] * 1e3, 3) == 51.2  # 25.6 < 50 <= 51.2
 
 
 def test_metrics_snapshot_schema():
@@ -419,9 +439,10 @@ def test_scheduler_dedups_inflight_identical_requests(scheduler):
     assert first["ok"] and second["ok"]
     assert first["ir"] == second["ir"] == direct("source", SOURCE)
     assert second["deduped"] and not first["deduped"]
-    assert scheduler.metrics.counter("dedup_hits").value == 1
+    counters = scheduler.metrics.snapshot()["counters"]
+    assert counters["dedup_hits"] == 1
     # the compile ran once: one scheduled job, two replies
-    assert scheduler.metrics.counter("replies_ok").value == 1
+    assert counters["replies_ok"] == 1
 
 
 def test_scheduler_batches_what_queues_behind_a_busy_worker(scheduler):
@@ -448,8 +469,8 @@ def test_scheduler_batches_what_queues_behind_a_busy_worker(scheduler):
         assert future.result(10)["ir"] == direct(kind, text, level)
     # the idle worker took the first job at once; the three that queued
     # behind it left together when it was free again
-    assert scheduler.metrics.counter("batches").value == 2
-    assert scheduler.metrics.counter("batched_jobs").value == 4
+    counters = scheduler.metrics.snapshot()["counters"]
+    assert (counters["batches"], counters["batched_jobs"]) == (2, 4)
 
 
 def test_scheduler_dispatches_each_accepted_job_once_under_contention(
@@ -499,12 +520,10 @@ def test_scheduler_dispatches_each_accepted_job_once_under_contention(
     assert len(replies) == 6 * len(requests)
     for request, reply in replies:
         assert reply["ir"] == expected[request]
-    counters = sched.metrics.counter
+    counters = sched.metrics.snapshot()["counters"]
     # every accepted request either joined a job or was sent exactly once
-    assert counters("batched_jobs").value + counters("dedup_hits").value == len(
-        replies
-    )
-    assert counters("replies_ok").value == counters("batched_jobs").value
+    assert counters["batched_jobs"] + counters["dedup_hits"] == len(replies)
+    assert counters["replies_ok"] == counters["batched_jobs"]
     assert sched.gauges()["buffered"] == 0
 
 
@@ -521,7 +540,7 @@ def test_scheduler_stop_answers_every_accepted_job():
     )
     deadline = time.monotonic() + 10
     while (
-        not sched.metrics.counter("batches").value
+        not sched.metrics.snapshot()["counters"]["batches"]
         and time.monotonic() < deadline
     ):
         time.sleep(0.01)
@@ -553,7 +572,7 @@ def test_scheduler_sheds_load_when_full():
         )
         with pytest.raises(OverloadedError):
             sched.submit({"op": "compile", "source": SOURCE2})
-        assert sched.metrics.counter("overloaded").value == 1
+        assert sched.metrics.snapshot()["counters"]["overloaded"] == 1
         assert hung.result(10)["ok"]
     finally:
         sched.stop()
@@ -579,10 +598,49 @@ def test_scheduler_times_out_wedged_requests():
         reply = wedged.result(15)
         assert not reply["ok"]
         assert reply["error"]["kind"] == "timeout"
-        assert sched.metrics.counter("timeouts").value >= 1
+        assert sched.metrics.snapshot()["counters"]["timeouts"] >= 1
         # the shard healed: a fresh worker answers the next request
         again = sched.submit({"op": "compile", "source": SOURCE2})
         assert again.result(15)["ir"] == direct("source", SOURCE2)
+    finally:
+        sched.stop()
+
+
+def test_every_worker_respawn_counts_once():
+    """A worker killed for a timeout and one SIGKILLed while idle each
+    add exactly one to the stats reply's one restart count."""
+    pool = WorkerPool(1, WorkerConfig(cache_dir=None))
+    sched = Scheduler(
+        pool,
+        Metrics(),
+        request_timeout=1.0,
+        retry=RetryPolicy(max_attempts=2, backoff=0.01),
+    )
+    sched.start()
+
+    def restarts():
+        return sched.metrics.snapshot(sched)["scheduler"]["worker_restarts"]
+
+    try:
+        assert restarts() == 0
+        wedged = sched.submit(
+            {
+                "op": "compile",
+                "source": SOURCE,
+                "fault": {"kind": "hang", "seconds": 30, "attempts": 5},
+            }
+        )
+        assert wedged.result(15)["error"]["kind"] == "timeout"
+        # the killed worker is respawned when the next batch is due
+        assert sched.submit({"op": "compile", "source": SOURCE2}).result(15)["ok"]
+        assert restarts() == 1
+        victim = pool.get(0)
+        os.kill(victim.process.pid, signal.SIGKILL)
+        victim.process.join(5)
+        again = sched.submit({"op": "compile", "source": SOURCE, "level": "none"})
+        assert again.result(15)["ok"]
+        assert restarts() == 2
+        assert "worker_restarts" not in sched.metrics.snapshot()["counters"]
     finally:
         sched.stop()
 
@@ -605,7 +663,7 @@ def test_scheduler_exhausts_retries_into_structured_error():
         reply = doomed.result(30)
         assert not reply["ok"]
         assert reply["error"]["kind"] == "worker-crash"
-        assert sched.metrics.counter("worker_crashes").value >= 2
+        assert sched.metrics.snapshot()["counters"]["worker_crashes"] >= 2
     finally:
         sched.stop()
 
@@ -678,6 +736,34 @@ def test_daemon_structured_errors_and_ping(daemon):
         assert excinfo.value.kind == "injected-error"
         reply = client.request({"op": "compile", "level": "warp-9"})
         assert reply["error"]["kind"] == "bad-request"
+
+
+def test_daemon_answers_a_malformed_line_and_reads_on(daemon):
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(daemon.config.socket_path)
+        sock.sendall(b'not json\n{"id": 2, "op": "ping"}\n')
+        with sock.makefile("rb") as replies:
+            bad, pong = replies.readline(), replies.readline()
+    bad = json.loads(bad)
+    assert bad["id"] is None and bad["error"]["kind"] == "bad-request"
+    assert pong, "the daemon closed the connection after the malformed line"
+    assert json.loads(pong) == {"id": 2, "ok": True, "pong": True}
+
+
+def test_daemon_closes_a_connection_on_an_overlong_line(daemon, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_LINE", 64)
+    for line in (
+        protocol.encode({"id": 1, "op": "ping", "pad": "x" * 100}),
+        b"x" * 200,  # no newline yet
+    ):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(daemon.config.socket_path)
+            sock.sendall(line)
+            assert sock.recv(4096) == b""  # closed, unanswered
+    with DaemonClient(daemon.config.socket_path) as client:
+        assert client.ping()  # short lines still pass
 
 
 def test_daemon_shutdown_request(tmp_path):

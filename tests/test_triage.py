@@ -456,7 +456,7 @@ STORE_VIEWS = {
         ArtifactStore,
         lambda store: store.put("a" * 64, "artifact body", level="partial"),
         lambda store: store.get("a" * 64, "partial"),
-        ('"tier":2', '"tier":1'),
+        ("artifact body", "artifact b0dy"),
     ),
     "ProfileStore": (
         ProfileStore,

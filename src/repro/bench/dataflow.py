@@ -1,27 +1,27 @@
 """Dataflow-solver gate runner (``repro bench dataflow``).
 
-Every dataflow problem in the pipeline has one solver, so the bench
-counts the work of two stages over the benchmark suite:
+Every gen/kill problem in the pipeline is solved by
+:func:`repro.dataflow.framework.solve`, so the bench counts its work
+over two stages of the benchmark suite:
 
 * **PRE stage** — for every suite function that computes an
-  expression, the PRE + liveness portion of the pipeline from a cold
-  analysis cache: ``prepare_pre`` (CFG and expression table, interning,
-  the availability and anticipability solves on the mask engine), both
-  placement systems (the lazy-code-motion LATER system and the
-  bidirectional Morel–Renvoise PPIN/PPOUT system) and a liveness
-  request, as the passes make them.
+  expression, the PRE portion of the pipeline from a cold analysis
+  cache: ``prepare_pre`` (CFG and expression table, interning, the
+  availability and anticipability solves on masks) and both placement
+  systems (the lazy-code-motion LATER system and the bidirectional
+  Morel–Renvoise PPIN/PPOUT system), as the passes make them.  It asks
+  for no liveness: the framework stage already solves it for every
+  function, and the stage's counts stay those of its mask problems.
 * **Framework stage** — every suite function's liveness, availability
-  and anticipability problems, stated as
-  :class:`~repro.dataflow.framework.DataflowProblem`\\ s and solved with
-  :func:`repro.dataflow.framework.solve`.
+  and anticipability problems, stated on frozensets as
+  :class:`~repro.dataflow.framework.DataflowProblem`\\ s.
 
 Each stage reports a work counter that depends only on the IR and the
-iteration order, never on machine speed: the mask engine's worklist
-pops and updates over the PRE stage (CI gates the pops with
-``--max-pops``) and the frozenset solver's sweeps over the framework
-stage.  The analysis-manager hit rate over a full suite compile rides
-along.  The report regenerates byte for byte; the solvers' time is
-measured by perfbench.
+iteration order, never on machine speed: the solver's solves, pops and
+updates over the PRE stage (CI gates the pops with ``--max-pops``) and
+its sweeps over the framework stage.  The analysis-manager hit rate
+over a full suite compile rides along.  The report regenerates byte for
+byte; the solver's time is measured by perfbench.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from repro.analysis import manager as analysis_manager
 from repro.bench.report import finish
 from repro.bench.suite import suite_routines
 from repro.cfg.graph import ControlFlowGraph
-from repro.dataflow import bitset
 from repro.dataflow.expressions import ExpressionTable
-from repro.dataflow.framework import solve
+from repro.dataflow.framework import GLOBAL_STATS, solve
 from repro.dataflow.problems import (
     anticipable_expression_problem,
     available_expression_problem,
@@ -81,12 +80,11 @@ def _pre_inputs(funcs) -> list:
 
 
 def _run_pre_stage(func) -> None:
-    """One function's PRE + liveness stage, from a cold analysis cache.
+    """One function's PRE stage, from a cold analysis cache.
 
     Mirrors the pass structure — each placement system calls
-    ``prepare_pre`` and the liveness consumer asks the manager — so the
-    first ``prepare_pre`` pays CFG and table construction, interning and
-    both mask solves, while the second and the liveness request go
+    ``prepare_pre`` — so the first call pays CFG and table
+    construction, interning and both mask solves, while the second goes
     through the cache.
     """
     from repro.passes.pre import solve_lcm_placement
@@ -97,7 +95,6 @@ def _run_pre_stage(func) -> None:
     manager.invalidate_all()
     solve_lcm_placement(prepare_pre(func))
     solve_mr_placement(prepare_pre(func))
-    manager.liveness()
 
 
 def _cache_rates() -> dict:
@@ -116,11 +113,11 @@ def run_bench() -> dict:
     problems = _framework_problems(funcs)
     inputs = _pre_inputs(funcs)
 
-    bitset.GLOBAL_STATS.reset()
+    GLOBAL_STATS.reset()
     for func in inputs:
         _run_pre_stage(func)
-    work = bitset.GLOBAL_STATS.as_dict()
-    bitset.GLOBAL_STATS.reset()
+    work = GLOBAL_STATS.as_dict()
+    GLOBAL_STATS.reset()
     sweeps = sum(solve(problem, cfg).iterations for cfg, problem in problems)
 
     return {
@@ -138,11 +135,11 @@ def _format(report: dict) -> str:
     cache = report["analysis_cache"]
     return "\n".join([
         f"dataflow bench: {report['functions']} functions",
-        f"  PRE stage, mask engine ({pre['functions']} functions): "
-        f"{pre['solves']} solves, {pre['pops']} worklist pops, "
+        f"  PRE stage, mask problems ({pre['functions']} functions): "
+        f"{pre['solves']} solves, {pre['pops']} pops, "
         f"{pre['updates']} updates",
-        f"  framework stage, frozenset solver ({framework['problems']} "
-        f"problems): {framework['sweeps']} sweeps",
+        f"  framework stage, frozenset problems ({framework['problems']}): "
+        f"{framework['sweeps']} sweeps",
         f"  analysis cache: {cache['hits']} hits / {cache['misses']} misses "
         f"({100 * cache['hit_rate']:.1f}% hit rate, "
         f"{cache['invalidations']} invalidations)",
@@ -159,7 +156,7 @@ def main(
     if max_pops is not None:
         if pops > max_pops:
             failures.append(
-                f"{pops} worklist pops exceed the --max-pops bound of "
+                f"{pops} pops exceed the --max-pops bound of "
                 f"{max_pops} (solver regression)"
             )
         else:

@@ -77,8 +77,8 @@ from repro.triage.incidents import DEFAULT_INCIDENT_DIR
 _BENCHES = {
     "dataflow": (
         "dataflow", "BENCH_dataflow.json",
-        "count the dataflow solvers' work: the mask engine over the PRE "
-        "stage, the frozenset solver over the suite's problems",
+        "count the dataflow solver's work: mask problems over the PRE "
+        "stage, frozenset problems over the suite",
         None,
     ),
     "table1": (
@@ -652,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BOUND",
-        help="exit 1 when the PRE stage's deterministic worklist-pop count "
+        help="exit 1 when the PRE stage's deterministic pop count "
         "exceeds BOUND (the CI regression gate)",
     )
     bench["table1"].add_argument(

@@ -1,9 +1,10 @@
 """Global data-flow analysis.
 
-* :mod:`repro.dataflow.framework` — a generic iterative solver for
-  gen/kill problems over sets of hashable facts;
-* :mod:`repro.dataflow.bitset` — the bit-mask worklist engine the PRE
-  equations are stated and solved on;
+* :mod:`repro.dataflow.framework` — the one iterative solver for
+  gen/kill problems, stated on ``frozenset``\\ s of hashable facts or
+  on int bit masks;
+* :mod:`repro.dataflow.bitset` — the fact-interning table the PRE
+  equations' bit masks index;
 * :mod:`repro.dataflow.problems` — the analyses the optimizer needs:
   liveness, available expressions, anticipable expressions, definite
   assignment;

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode
@@ -45,6 +45,18 @@ class BasicBlock:
             else:
                 break
         return result
+
+    def drop_phi_inputs(self, labels: Container[str]) -> None:
+        """Drop the PHI inputs flowing in from any block in ``labels``."""
+        for inst in self.instructions:
+            if inst.is_phi:
+                kept = [
+                    (src, lbl)
+                    for src, lbl in zip(inst.srcs, inst.phi_labels)
+                    if lbl not in labels
+                ]
+                inst.srcs = [src for src, _ in kept]
+                inst.phi_labels = [lbl for _, lbl in kept]
 
     def body(self) -> list[Instruction]:
         """Instructions after the PHI prefix."""
@@ -204,8 +216,8 @@ class Function:
         blocks = self.block_map()
         while stack:
             label = stack.pop()
-            if label in reachable:
-                continue
+            if label in reachable or label not in blocks:
+                continue  # unknown targets are the validator's job
             reachable.add(label)
             stack.extend(blocks[label].successor_labels())
         removed = [blk.label for blk in self.blocks if blk.label not in reachable]
@@ -214,14 +226,7 @@ class Function:
         self.blocks = [blk for blk in self.blocks if blk.label in reachable]
         gone = set(removed)
         for blk in self.blocks:
-            for phi in blk.phis():
-                keep = [
-                    (src, lbl)
-                    for src, lbl in zip(phi.srcs, phi.phi_labels)
-                    if lbl not in gone
-                ]
-                phi.srcs = [src for src, _ in keep]
-                phi.phi_labels = [lbl for _, lbl in keep]
+            blk.drop_phi_inputs(gone)
         return removed
 
     def __repr__(self) -> str:

@@ -48,18 +48,6 @@ def _meet(a: Lattice, b: Lattice) -> Lattice:
     return a if _same_const(a, b) else BOTTOM
 
 
-def _remove_edge_phi_inputs(func: Function, pred: str, succ: str) -> None:
-    """Drop φ inputs flowing along a deleted CFG edge pred → succ."""
-    for phi in func.block(succ).phis():
-        keep = [
-            (src, lbl)
-            for src, lbl in zip(phi.srcs, phi.phi_labels)
-            if lbl != pred
-        ]
-        phi.srcs = [src for src, _ in keep]
-        phi.phi_labels = [lbl for _, lbl in keep]
-
-
 class _SCCP:
     def __init__(self, func: Function) -> None:
         self.func = func
@@ -218,7 +206,7 @@ class _SCCP:
                     taken = term.labels[0] if cond != 0 else term.labels[1]
                     dead = term.labels[1] if cond != 0 else term.labels[0]
                     blk.instructions[-1] = Instruction(Opcode.JMP, labels=[taken])
-                    _remove_edge_phi_inputs(func, blk.label, dead)
+                    func.block(dead).drop_phi_inputs((blk.label,))
         func.remove_unreachable_blocks()
 
 

@@ -111,20 +111,11 @@ def peephole(func: Function, convert_mul_to_shift: bool = False) -> Function:
                 taken = term.labels[0] if cond != 0 else term.labels[1]
                 dead = term.labels[1] if cond != 0 else term.labels[0]
                 blk.instructions[-1] = Instruction(Opcode.JMP, labels=[taken])
-                _drop_phi_edge(func, blk.label, dead)
+                func.block(dead).drop_phi_inputs((blk.label,))
                 folded_branch = True
     if folded_branch:
         func.remove_unreachable_blocks()
     return func
-
-
-def _drop_phi_edge(func: Function, pred: str, succ: str) -> None:
-    for phi in func.block(succ).phis():
-        keep = [
-            (s, l) for s, l in zip(phi.srcs, phi.phi_labels) if l != pred
-        ]
-        phi.srcs = [s for s, _ in keep]
-        phi.phi_labels = [l for _, l in keep]
 
 
 def _mul_to_shift(

@@ -12,10 +12,11 @@ systems now run on dense bit masks — also lowers every local property
 interned in first-occurrence order so bit positions (and the resulting
 IR) are deterministic.
 
-AVIN/AVOUT and ANTIN/ANTOUT are solved here on the same universe with
-the worklist engine, so each PRE pass starts from the global properties
-as ints and never touches a ``frozenset`` until its placement decision
-is handed to :func:`repro.passes.pre.apply_placement`.
+AVIN/AVOUT and ANTIN/ANTOUT are stated on the same universe as mask
+:class:`~repro.dataflow.framework.DataflowProblem`\\ s and solved with
+:func:`repro.dataflow.framework.solve`, so each PRE pass starts from the
+global properties as ints and never touches a ``frozenset`` until its
+placement decision is handed to :func:`repro.passes.pre.apply_placement`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from dataclasses import dataclass
 from repro.analysis.manager import analyses
 from repro.cfg.edges import split_critical_edges
 from repro.cfg.graph import ControlFlowGraph
-from repro.dataflow.bitset import FactUniverse, MaskProblem, solve_masks
+from repro.dataflow.bitset import FactUniverse
 from repro.dataflow.expressions import ExpressionTable
+from repro.dataflow.framework import DataflowProblem, solve
 from repro.ir.function import Function
 
 
@@ -128,30 +130,25 @@ def build_context(func: Function) -> PREContext | None:
     transp = {lbl: universe.mask_of(table.transp[lbl]) for lbl in labels}
     kill = {lbl: full ^ transp[lbl] for lbl in labels}
 
-    preds = {lbl: [p for p in cfg.preds[lbl] if p in reachable] for lbl in labels}
-    succs = {lbl: [s for s in cfg.succs[lbl] if s in reachable] for lbl in labels}
-
-    avail = solve_masks(
-        MaskProblem(
-            universe=universe,
+    avail = solve(
+        DataflowProblem(
+            direction="forward",
             meet="intersection",
-            order=labels,
-            sources=preds,
-            boundary_blocks=frozenset({entry}),
+            universe=full,
             gen=comp,
             kill=kill,
-        )
+        ),
+        cfg,
     )
-    ant = solve_masks(
-        MaskProblem(
-            universe=universe,
+    ant = solve(
+        DataflowProblem(
+            direction="backward",
             meet="intersection",
-            order=cfg.postorder,
-            sources=succs,
-            boundary_blocks=frozenset(lbl for lbl in labels if not succs[lbl]),
+            universe=full,
             gen=antloc,
             kill=kill,
-        )
+        ),
+        cfg,
     )
 
     return PREContext(
@@ -167,9 +164,8 @@ def build_context(func: Function) -> PREContext | None:
         comp=comp,
         transp=transp,
         kill=kill,
-        avail_in=avail.before,
-        avail_out=avail.after,
-        # for the backward problem ``after`` is the entry-side value
-        ant_in=ant.after,
-        ant_out=ant.before,
+        avail_in=avail.inn,
+        avail_out=avail.out,
+        ant_in=ant.inn,
+        ant_out=ant.out,
     )

@@ -1,8 +1,8 @@
 """The compile service: a persistent daemon front end for the optimizer.
 
 Everything PRs 1–3 built — registry-driven pipelines, the
-content-addressed :class:`~repro.pm.cache.PassCache`, the bitset PRE
-engine and the cached :class:`~repro.analysis.manager.AnalysisManager`
+content-addressed :class:`~repro.pm.cache.PassCache`, bit-mask PRE
+dataflow and the cached :class:`~repro.analysis.manager.AnalysisManager`
 — was only reachable through one-shot CLI invocations that pay full
 interpreter startup and cold caches per request.  This package turns
 those pieces into sustained throughput (see ``docs/SERVICE.md``):

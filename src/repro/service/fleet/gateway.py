@@ -59,8 +59,13 @@ from repro.service.fleet.quota import QuotaManager
 from repro.service.fleet.shards import ShardProcess, spawn_shards
 from repro.service.metrics import Metrics, merge_snapshots
 
-#: Gateway-specific counters layered onto the base Metrics schema.
+#: Every counter the gateway bumps: the request and reply totals it
+#: shares with the daemon's schema, then its own.
 GATEWAY_COUNTERS = (
+    "requests_total",
+    "replies_ok",
+    "replies_error",
+    "overloaded",
     "store_hits",
     "store_misses",
     "store_writes",
@@ -235,7 +240,7 @@ class FleetGateway:
         if self.config.runtime_dir is None:
             self.config.runtime_dir = tempfile.mkdtemp(prefix="repro-fleet-")
         os.makedirs(self.config.runtime_dir, exist_ok=True)
-        self.metrics = Metrics(extra_counters=GATEWAY_COUNTERS)
+        self.metrics = Metrics(GATEWAY_COUNTERS)
         self.store = ArtifactStore(
             self.config.store_dir, max_bytes=self.config.store_max_bytes
         )

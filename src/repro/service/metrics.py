@@ -12,14 +12,15 @@ The histogram keeps exact samples up to a cap and falls back to
 log-spaced buckets beyond it, so p50/p99 stay meaningful on multi-hour
 daemons without unbounded memory.
 
-The fleet gateway reuses all of this with two extensions: **labeled**
-latency histograms (``observe_labeled("tier", "1", s)`` /
-``("tenant", name, s)``) so tiered first answers and per-tenant service
-levels are separately observable, and :func:`merge_snapshots`, which
-folds N shard ``stats`` snapshots into one fleet-wide report (counters
-sum exactly; merged latency is count-weighted for the mean and takes
-the worst shard's quantiles, which is the conservative bound a
-fleet-level SLO wants).
+The fleet gateway keeps its own instance, declaring only the counters
+it bumps (no worker reports reach it, so it has no cache or pass
+rollup), and uses two extensions: **labeled** latency histograms
+(``observe_labeled("tier", "1", s)`` / ``("tenant", name, s)``) so
+tiered first answers and per-tenant service levels are separately
+observable, and :func:`merge_snapshots`, which folds N shard ``stats``
+snapshots into one fleet-wide report (counters sum exactly; merged
+latency is count-weighted for the mean and takes the worst shard's
+quantiles, which is the conservative bound a fleet-level SLO wants).
 """
 
 from __future__ import annotations
@@ -90,33 +91,41 @@ class LatencyHistogram:
         }
 
 
+#: The daemon's counters, pre-declared so its snapshots always carry the
+#: full schema.
+DAEMON_COUNTERS = (
+    "requests_total",
+    "replies_ok",
+    "replies_error",
+    "dedup_hits",
+    "batches",
+    "batched_jobs",
+    "retries",
+    "timeouts",
+    "worker_crashes",
+    "overloaded",
+    "cache_hits",
+    "cache_misses",
+    "quarantined",
+    "quarantine_hits",
+    "degraded_replies",
+)
+
+
 class Metrics:
-    """The daemon-wide registry: counters, one latency histogram, rollups."""
+    """One owner's registry: counters, one latency histogram, rollups.
 
-    #: Counters pre-declared so snapshots always carry the full schema.
-    COUNTER_NAMES = (
-        "requests_total",
-        "replies_ok",
-        "replies_error",
-        "dedup_hits",
-        "batches",
-        "batched_jobs",
-        "retries",
-        "timeouts",
-        "worker_crashes",
-        "overloaded",
-        "cache_hits",
-        "cache_misses",
-        "quarantined",
-        "quarantine_hits",
-        "degraded_replies",
-    )
+    ``counters`` names every counter the owner bumps (the daemon's by
+    default).  An owner that counts ``cache_hits`` merges worker batch
+    reports, so its snapshots carry the ``cache`` and ``passes``
+    sections; the gateway counts no cache lookups and gets neither.
+    """
 
-    def __init__(self, extra_counters: tuple = ()) -> None:
+    def __init__(self, counters: tuple = DAEMON_COUNTERS) -> None:
         #: guards the counters, the labeled histograms' index and the
         #: pass rollup
         self._lock = threading.Lock()
-        self._counters = dict.fromkeys((*self.COUNTER_NAMES, *extra_counters), 0)
+        self._counters = dict.fromkeys(counters, 0)
         self.latency = LatencyHistogram()
         self._labeled: dict[str, dict[str, LatencyHistogram]] = {}
         self._pass_stats = ManagerStats()
@@ -157,19 +166,20 @@ class Metrics:
                 group: sorted(series.items())
                 for group, series in self._labeled.items()
             }
-        hits, misses = counters["cache_hits"], counters["cache_misses"]
-        lookups = hits + misses
         report = {
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "counters": counters,
             "latency": self.latency.snapshot(),
-            "cache": {
+        }
+        if "cache_hits" in counters:
+            hits, misses = counters["cache_hits"], counters["cache_misses"]
+            lookups = hits + misses
+            report["cache"] = {
                 "hits": hits,
                 "misses": misses,
                 "hit_ratio": round(hits / lookups, 4) if lookups else 0.0,
-            },
-            "passes": passes,
-        }
+            }
+            report["passes"] = passes
         if labeled:
             report["latency_by"] = {
                 group: {label: histogram.snapshot() for label, histogram in series}
@@ -192,11 +202,12 @@ class Metrics:
             f"latency: n={lat['count']} mean={lat['mean_ms']}ms "
             f"p50={lat['p50_ms']}ms p99={lat['p99_ms']}ms max={lat['max_ms']}ms"
         )
-        cache = snap["cache"]
-        lines.append(
-            f"cache: {cache['hits']} hits / {cache['misses']} misses "
-            f"(ratio {cache['hit_ratio']})"
-        )
+        cache = snap.get("cache")
+        if cache is not None:
+            lines.append(
+                f"cache: {cache['hits']} hits / {cache['misses']} misses "
+                f"(ratio {cache['hit_ratio']})"
+            )
         with self._lock:
             if self._pass_stats.passes:
                 lines.append(self._pass_stats.format())

@@ -172,47 +172,14 @@ def _fold_branches(ir_text: str, specs: list, oracle) -> str:
             mutant.blocks[block_index].instructions[-1] = Instruction(
                 Opcode.JMP, labels=[branch.labels[arm]]
             )
-            _sweep_unreachable(mutant)
+            mutant.remove_unreachable_blocks()
+            mutant.sync_counters()
             text = _candidate_text(mutant)
             if text is not None and oracle(text, specs):
                 ir_text = text
                 progress = True
                 break
     return ir_text
-
-
-def _sweep_unreachable(func: Function) -> None:
-    """Drop blocks no path from entry reaches; prune φ operands whose
-    predecessor label went away with them."""
-    if not func.blocks:
-        return
-    by_label = {blk.label: blk for blk in func.blocks}
-    reached: set[str] = set()
-    stack = [func.blocks[0].label]
-    while stack:
-        label = stack.pop()
-        if label in reached:
-            continue
-        reached.add(label)
-        blk = by_label.get(label)
-        if blk is None or not blk.instructions:
-            continue
-        for successor in blk.instructions[-1].labels:
-            if successor not in reached:
-                stack.append(successor)
-    func.blocks = [blk for blk in func.blocks if blk.label in reached]
-    for blk in func.blocks:
-        for inst in blk.instructions:
-            if inst.opcode is not Opcode.PHI or not inst.phi_labels:
-                continue
-            kept = [
-                (src, label)
-                for src, label in zip(inst.srcs, inst.phi_labels)
-                if label in reached
-            ]
-            inst.srcs = [src for src, _ in kept]
-            inst.phi_labels = [label for _, label in kept]
-    func.sync_counters()
 
 
 def _delete_instructions(ir_text: str, specs: list, oracle) -> str:

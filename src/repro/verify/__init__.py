@@ -15,7 +15,7 @@ Three layers (see ``docs/VERIFY.md`` and ``docs/CERTIFY.md``):
   translation validation (a joint optimistic value-numbering proof of
   observable equivalence, no execution) plus the PRE placement audit
   (safety/correctness/optimality facts re-proved with the passes' own
-  bitset dataflow engine).
+  dataflow solver, on the same bit masks).
 
 All plug into :class:`repro.pm.manager.PassManager` as the
 ``verify="lint"``, ``verify="transval"`` and ``verify="certify"``

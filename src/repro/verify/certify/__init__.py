@@ -9,7 +9,7 @@ Two cooperating engines sit behind :func:`certify_pass`:
   ``refuted``.
 * :mod:`repro.verify.certify.placement` — the PRE placement audit.
   For ``pre``/``pre-mr`` it re-solves availability and anticipability
-  with the passes' own bitset engine and certifies the paper's
+  with the passes' own dataflow solver and certifies the paper's
   placement contract: insertions are safe (anticipated), deletions are
   correct (available), surviving full redundancies are reported.  Can
   conclude ``refuted`` — a contract violation is a real miscompile

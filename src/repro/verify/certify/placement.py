@@ -3,9 +3,9 @@
 The value-graph engine (:mod:`repro.verify.certify.valuegraph`) proves
 that a PRE run preserved behaviour; this module checks the *placement
 contract* the paper states for the transformation itself, by re-solving
-availability and anticipability with the same bitset engine the passes
-use — on the pass's **input** for the safety direction and on its
-**output** for the correctness direction:
+availability and anticipability as the same mask problems the passes
+state, with the same solver — on the pass's **input** for the safety
+direction and on its **output** for the correctness direction:
 
 * **safety** — every inserted computation of an expression lands where
   the expression was anticipable in the input (``ANTIN ∪ ANTOUT`` of
@@ -259,32 +259,19 @@ def _solve_partial_anticipability(ctx) -> dict[str, int]:
     use.  Speculating anywhere else computes a value no path wants —
     refutable waste even when the profile calls it free.
     """
-    from repro.dataflow.bitset import MaskProblem, solve_masks
+    from repro.dataflow.framework import DataflowProblem, solve
 
-    cfg = ctx.cfg
-    reachable = ctx.reachable
-    labels = cfg.reverse_postorder
-    succs = {
-        lbl: [s for s in cfg.succs[lbl] if s in reachable] for lbl in labels
-    }
-    pant = solve_masks(
-        MaskProblem(
-            universe=ctx.universe,
+    pant = solve(
+        DataflowProblem(
+            direction="backward",
             meet="union",
-            order=cfg.postorder,
-            sources=succs,
-            boundary_blocks=frozenset(
-                lbl for lbl in labels if not succs[lbl]
-            ),
+            universe=ctx.full,
             gen=ctx.antloc,
             kill=ctx.kill,
-        )
+        ),
+        ctx.cfg,
     )
-    # entry-side is ``after`` for backward problems (see build_context)
-    return {
-        lbl: pant.after.get(lbl, 0) | pant.before.get(lbl, 0)
-        for lbl in labels
-    }
+    return {lbl: pant.inn[lbl] | pant.out[lbl] for lbl in pant.inn}
 
 
 def _speculation_objection(

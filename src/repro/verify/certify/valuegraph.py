@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.cfg.graph import ControlFlowGraph
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import (
@@ -103,19 +104,6 @@ class EquivalenceProof:
 # joined by their only edge.
 
 
-def _drop_phi_edge(blk, pred_label: str) -> None:
-    for inst in blk.instructions:
-        if not inst.is_phi:
-            continue
-        kept = [
-            (src, lbl)
-            for src, lbl in zip(inst.srcs, inst.phi_labels)
-            if lbl != pred_label
-        ]
-        inst.srcs = [src for src, _ in kept]
-        inst.phi_labels = [lbl for _, lbl in kept]
-
-
 def _normalize_cfg(func: Function) -> None:
     """Canonicalize the (SSA) CFG in place; see the comment above."""
     for _ in range(2 * len(func.blocks) + 8):
@@ -141,7 +129,7 @@ def _normalize_cfg(func: Function) -> None:
                 taken, dropped = dropped, taken
             blk.instructions[-1] = Instruction(Opcode.JMP, labels=[taken])
             if dropped != taken and dropped in blocks:
-                _drop_phi_edge(blocks[dropped], blk.label)
+                blocks[dropped].drop_phi_inputs((blk.label,))
             changed = True
         if changed:
             continue  # reachability may have changed; restart the sweep
@@ -775,7 +763,7 @@ class _Prover:
                         ):
                             seeds.append((use, ("opaque", side_index, use)))
             leaders.append((side_index, seeds))
-            for label in _rpo(side.func):
+            for label in ControlFlowGraph(side.func).reverse_postorder:
                 effects = 0
                 for inst in side.blocks[label].instructions:
                     if inst.target:
@@ -816,26 +804,6 @@ class _Prover:
             if not changed:
                 return True
         return False
-
-
-def _rpo(func: Function) -> list[str]:
-    blocks = func.block_map()
-    seen = {func.entry.label}
-    order: list[str] = []
-    stack = [(func.entry.label, iter(func.entry.successor_labels()))]
-    while stack:
-        label, successors = stack[-1]
-        advanced = False
-        for succ in successors:
-            if succ in blocks and succ not in seen:
-                seen.add(succ)
-                stack.append((succ, iter(blocks[succ].successor_labels())))
-                advanced = True
-                break
-        if not advanced:
-            order.append(label)
-            stack.pop()
-    return list(reversed(order))
 
 
 # -- obligations ---------------------------------------------------------------

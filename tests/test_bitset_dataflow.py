@@ -1,12 +1,14 @@
-"""The bitset dataflow engine against the frozenset solver.
+"""One data-flow solver, two encodings: frozensets and bit masks.
 
 Property tests: on randomized CFGs (the same fuel-bounded generator the
-IR fuzzer uses) the mask engine and :func:`repro.dataflow.framework.solve`
-must be result-identical for all four problem shapes (forward/backward
-× union/intersection), and the PRE context's mask solves must match
-frozenset solves of the same problems.  No production code lowers a
-``DataflowProblem`` to masks, so the lowering these tests need lives
-here.
+IR fuzzer uses) :func:`repro.dataflow.framework.solve` must reach the
+same fixpoint, in the same sweeps and with the same work counts, for
+all four problem shapes (forward/backward × union/intersection) whether
+a problem is stated on ``frozenset``\\ s or on masks over a
+:class:`~repro.dataflow.bitset.FactUniverse`, and the PRE context's
+mask solves must match frozenset solves of the same problems.  No
+production code converts a problem between encodings, so the interning
+these tests need lives here.
 """
 
 import pytest
@@ -16,14 +18,9 @@ from hypothesis import strategies as st
 from tests.test_ir_fuzz import build_fuzz_function
 
 from repro.analysis.manager import analyses
-from repro.dataflow.bitset import (
-    GLOBAL_STATS,
-    FactUniverse,
-    MaskProblem,
-    SparseSet,
-    solve_masks,
-)
+from repro.dataflow.bitset import FactUniverse
 from repro.dataflow.framework import (
+    GLOBAL_STATS,
     DataflowConvergenceError,
     DataflowProblem,
     solve,
@@ -37,7 +34,7 @@ from repro.dataflow.problems import (
 from repro.ir import parse_function
 from repro.passes.pre_common import prepare_pre
 
-# -- FactUniverse / SparseSet units -----------------------------------------
+# -- FactUniverse units -----------------------------------------------------
 
 
 def test_fact_universe_interns_in_order():
@@ -65,53 +62,47 @@ def test_fact_universe_facts_of_sparse_and_dense():
     assert universe.facts_of(0) == frozenset()
 
 
-def test_sparse_set_add_pop_remove():
-    ss = SparseSet(8)
-    assert ss.add(3) and ss.add(5) and not ss.add(3)
-    assert 3 in ss and 5 in ss and 4 not in ss
-    assert ss.remove(3) and not ss.remove(3)
-    assert len(ss) == 1 and ss.pop() == 5 and not ss
+# -- both encodings on randomized CFGs --------------------------------------
 
 
-# -- engine equivalence on randomized CFGs ----------------------------------
-
-
-def _solve_on_masks(problem, cfg):
-    """Lower ``problem`` to masks, solve it with the mask engine and lift
-    the fixpoint back: ``(inn, out)`` as per-block frozensets."""
-    forward = problem.direction == "forward"
-    order = cfg.reverse_postorder if forward else cfg.postorder
-    reachable = set(order)
-    neighbours = cfg.preds if forward else cfg.succs
+def _on_masks(problem):
+    """``problem`` restated on masks over a universe interned here, and
+    the universe (to lift the fixpoint back to frozensets)."""
     universe = FactUniverse(sorted(problem.universe, key=repr))
-    masked = solve_masks(
-        MaskProblem(
-            universe=universe,
-            meet=problem.meet,
-            order=order,
-            sources={
-                lbl: [n for n in neighbours[lbl] if n in reachable]
-                for lbl in order
-            },
-            boundary_blocks=frozenset(
-                lbl
-                for lbl in order
-                if (lbl == cfg.entry if forward else not cfg.succs[lbl])
-            ),
-            gen={lbl: universe.mask_of(problem.gen[lbl]) for lbl in order},
-            kill={lbl: universe.mask_of(problem.kill[lbl]) for lbl in order},
-            boundary=universe.mask_of(problem.boundary),
-        )
+
+    def masks(sets):
+        return {lbl: universe.mask_of(facts) for lbl, facts in sets.items()}
+
+    masked = DataflowProblem(
+        direction=problem.direction,
+        meet=problem.meet,
+        universe=universe.full_mask,
+        gen=masks(problem.gen),
+        kill=masks(problem.kill),
+        boundary=universe.mask_of(problem.boundary),
     )
-    before = {lbl: universe.facts_of(m) for lbl, m in masked.before.items()}
-    after = {lbl: universe.facts_of(m) for lbl, m in masked.after.items()}
-    # for backward problems "before" is the value at block *exit*
-    return (before, after) if forward else (after, before)
+    return masked, universe
 
 
-def _assert_engines_agree(problem, cfg):
+def _solve_counted(problem, cfg):
+    """The fixpoint and the work counters it added to ``GLOBAL_STATS``."""
+    before = GLOBAL_STATS.as_dict()
     result = solve(problem, cfg)
-    assert _solve_on_masks(problem, cfg) == (result.inn, result.out)
+    after = GLOBAL_STATS.as_dict()
+    return result, {key: after[key] - before[key] for key in after}
+
+
+def _assert_encodings_agree(problem, cfg):
+    masked, universe = _on_masks(problem)
+    on_sets, set_work = _solve_counted(problem, cfg)
+    on_masks, mask_work = _solve_counted(masked, cfg)
+    lifted = [
+        {lbl: universe.facts_of(mask) for lbl, mask in side.items()}
+        for side in (on_masks.inn, on_masks.out)
+    ]
+    assert lifted == [on_sets.inn, on_sets.out]
+    assert on_masks.iterations == on_sets.iterations
+    assert mask_work == set_work and mask_work["solves"] == 1
 
 
 def _fuzz_problems(func):
@@ -142,7 +133,7 @@ def test_mask_engine_matches_reference_on_fuzzed_cfgs(n_blocks, choices):
     func = build_fuzz_function(n_blocks, choices)
     cfg, shapes = _fuzz_problems(func)
     for problem in shapes:
-        _assert_engines_agree(problem, cfg)
+        _assert_encodings_agree(problem, cfg)
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,7 +155,7 @@ def test_pre_context_solves_match_reference_solver(n_blocks, choices):
     assert ctx.lift_blocks(ctx.ant_out) == ant.out
 
 
-# -- one solver per problem -------------------------------------------------
+# -- no problem changes encoding --------------------------------------------
 
 
 def _wide_loop(n_blocks: int) -> str:
@@ -178,13 +169,21 @@ def _wide_loop(n_blocks: int) -> str:
     return "\n".join(lines)
 
 
-def test_wide_liveness_solves_on_frozensets_and_counts_sweeps():
+def test_wide_liveness_solves_on_frozensets_and_counts_sweeps(monkeypatch):
     func = parse_function(_wide_loop(64))
     problem = live_variable_problem(func, analyses(func).cfg())
     assert len(problem.universe) * len(problem.gen) >= 4096
+    interned = []
+    init = FactUniverse.__init__
+    monkeypatch.setattr(
+        FactUniverse,
+        "__init__",
+        lambda self, facts=(): interned.append(1) or init(self, facts),
+    )
     solves = GLOBAL_STATS.solves
     result = live_variables(func)
-    assert GLOBAL_STATS.solves == solves  # the mask engine never ran
+    assert GLOBAL_STATS.solves == solves + 1  # one solve, on frozensets
+    assert not interned and isinstance(result.at_entry("b0"), frozenset)
     # sweeps, not worklist pops: the first visits b63 before b1, its
     # back-edge successor; the second carries r1 from b1 around the loop
     assert result.iterations == 2
@@ -217,3 +216,17 @@ def test_reference_solver_convergence_cap():
     assert diag.checker == "dataflow"
     assert diag.function == "f"
     assert "convergence cap" in diag.message
+
+
+def test_mask_problems_hit_the_same_convergence_cap():
+    func = parse_function(LOOP)
+    cfg = analyses(func).cfg()
+    problem = live_variable_problem(func, cfg)
+    masked, _ = _on_masks(problem)
+    sweeps = solve(masked, cfg).iterations
+    assert sweeps == solve(problem, cfg).iterations == 2
+    assert solve(masked, cfg, max_sweeps=sweeps).iterations == sweeps
+    for cap in (0, sweeps - 1):
+        with pytest.raises(DataflowConvergenceError) as excinfo:
+            solve(masked, cfg, max_sweeps=cap)
+        assert excinfo.value.cap == cap and excinfo.value.function == "f"

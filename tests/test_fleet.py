@@ -28,6 +28,7 @@ from repro.pm.cache import ArtifactStore, PassCache
 from repro.service import protocol
 from repro.service.client import DaemonClient, DaemonError
 from repro.service.fleet import (
+    GATEWAY_COUNTERS,
     FleetConfig,
     FleetHandle,
     QuotaManager,
@@ -329,7 +330,7 @@ def test_fleet_serve_exits_after_a_shutdown_request(tmp_path):
 
 
 def test_metrics_labeled_histograms_in_snapshot():
-    metrics = Metrics(extra_counters=("custom_total",))
+    metrics = Metrics(("custom_total",))
     metrics.inc("custom_total")
     metrics.observe_labeled("tier", "1", 0.002)
     metrics.observe_labeled("tier", "2", 0.020)
@@ -515,6 +516,14 @@ def test_fleet_stats_shape(fleet):
     assert stats["merged"]["sources"] >= 1
     assert stats["merged"]["counters"].get("replies_ok", 0) >= 1
     assert set(stats["shards"]) == {"shard-0", "shard-1"}
+
+
+def test_fleet_gateway_stats_carry_only_the_counters_it_bumps(fleet):
+    with _client(fleet) as client:
+        gateway = client.stats()["gateway"]
+    assert sorted(gateway["counters"]) == sorted(GATEWAY_COUNTERS)
+    assert len(GATEWAY_COUNTERS) == 20
+    assert "cache" not in gateway and "passes" not in gateway
 
 
 def test_fleet_compile_errors_propagate(fleet):
